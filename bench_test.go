@@ -420,31 +420,3 @@ func BenchmarkFeaturize(b *testing.B) {
 		p.Classifier.Featurize(&p.Test[i%len(p.Test)])
 	}
 }
-
-// BenchmarkFeaturizeIndexed names the index-backed path explicitly so
-// `-bench 'Featurize(Indexed|BruteForce)'` reads as a before/after pair:
-// one grouped 7-gram index query per feature kind versus the brute-force
-// scan of every training digest of every class.
-func BenchmarkFeaturizeIndexed(b *testing.B) {
-	p := benchPipeline(b)
-	p.Classifier.SetBruteForceFeaturize(false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Classifier.Featurize(&p.Test[i%len(p.Test)])
-	}
-}
-
-// BenchmarkFeaturizeBruteForce times the retained O(corpus) oracle path
-// on the same pipeline, for comparison against BenchmarkFeaturizeIndexed.
-func BenchmarkFeaturizeBruteForce(b *testing.B) {
-	p := benchPipeline(b)
-	p.Classifier.SetBruteForceFeaturize(true)
-	// The pipeline is cached across benchmarks; restore the default path.
-	b.Cleanup(func() { p.Classifier.SetBruteForceFeaturize(false) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Classifier.Featurize(&p.Test[i%len(p.Test)])
-	}
-}

@@ -51,7 +51,7 @@ func cmdHash(args []string) error {
 func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	distName := fs.String("distance", "damerau-levenshtein",
-		"scoring distance: damerau-levenshtein, levenshtein, spamsum, or a -dp oracle (damerau-levenshtein-dp, levenshtein-dp)")
+		"scoring distance: damerau-levenshtein, levenshtein or spamsum")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -24,12 +24,17 @@ package main
 //
 //	{"allowed_by_account":{"bio-1":["BLAST"]},"blocklist":["XMRig"]}
 //
-// With -http ADDR the same engine is additionally exposed over the
-// network (internal/httpserve): classify, batch-classify, model-swap,
-// health and Prometheus metrics endpoints, sharing the stream loop's
-// extraction cache. `-input none -http :8080` serves HTTP only and runs
+// The stream loop is a thin adapter over the classify service of
+// internal/httpserve: it decodes events, hands their sources to
+// Server.Collect, labels windows through Server.ClassifyAll (via the
+// monitor) and installs reloads with Server.Install, so the stream and
+// the network surface share one engine, one extraction cache and one
+// harvest/drift path. With -http ADDR the same service is also put on
+// the wire: classify, batch-classify, model-swap, health and Prometheus
+// metrics endpoints. `-input none -http :8080` serves HTTP only and runs
 // until SIGINT/SIGTERM; with a finite -input the process drains the
-// HTTP listener gracefully once the stream ends.
+// HTTP listener gracefully once the stream ends. An event line over
+// 64 MiB is answered with that line's error and the stream continues.
 //
 // With -retrain the service learns continuously (internal/retrain):
 // confident predictions on either surface are harvested into a bounded
@@ -53,23 +58,21 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/collector"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/httpserve"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
@@ -203,14 +206,7 @@ func cmdServe(args []string) error {
 		CacheEntries: *cacheSize,
 	})
 	defer engine.Close()
-	mon := monitor.New(engine, policy)
 	coll := collector.New(collector.Options{})
-
-	// Continuous learning: the retrainer harvests off the monitor's
-	// observation stream (both surfaces classify through this engine)
-	// and shares the HTTP layer's metrics registry so /metrics exposes
-	// the fhc_retrain_* series.
-	var rt *retrain.Retrainer
 	reg := metrics.NewRegistry()
 
 	// A calibrated artifact carries its own serving-population baseline,
@@ -223,6 +219,9 @@ func cmdServe(args []string) error {
 		det = openset.NewDetector(cal.Baseline, openset.DriftOptions{Registry: reg})
 	}
 
+	// Continuous learning shares the metrics registry, so /metrics
+	// exposes the fhc_retrain_* series.
+	var rt *retrain.Retrainer
 	if *retrainOn {
 		rt, err = retrain.New(engine, clf, retrain.Options{
 			Store:           retrain.StoreOptions{Cap: *retrainCap, Path: *retrainStore},
@@ -246,20 +245,23 @@ func cmdServe(args []string) error {
 			}
 		}()
 	}
-	if rt != nil || det != nil {
-		mon.SetObserver(func(e monitor.Event, pred core.Prediction, _ []monitor.Finding) {
-			if det != nil {
-				det.Observe(pred.Verdict, pred.Confidence)
-			}
-			if rt != nil {
-				rt.ObservePrediction(&e.Sample, pred)
-			}
-		})
-	}
 
-	// The HTTP front end shares the stream loop's engine and extraction
-	// cache: a binary seen on either surface is extracted once.
-	var hs *httpserve.Server
+	// One classify service backs both surfaces: the stream loop below is
+	// a thin adapter over it, and -http also puts it on the wire. Every
+	// served verdict is harvested and drift-observed by the same code, a
+	// drift alarm kicks the retrainer, and a binary seen on either
+	// surface is extracted once.
+	hs := httpserve.New(engine, httpserve.Options{
+		AllowPaths:    *httpPaths,
+		ModelDir:      *httpModels,
+		MaxSpillBytes: *httpSpill,
+		Collector:     coll,
+		Retrainer:     rt,
+		Registry:      reg,
+		Drift:         det,
+	})
+	mon := monitor.New(hs, policy)
+
 	var httpErr chan error
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -269,26 +271,12 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		hs = httpserve.New(engine, httpserve.Options{
-			AllowPaths:    *httpPaths,
-			ModelDir:      *httpModels,
-			MaxSpillBytes: *httpSpill,
-			Collector:     coll,
-			Retrainer:     rt,
-			Registry:      reg,
-			Drift:         det,
-		})
 		httpErr = make(chan error, 1)
 		go func() { httpErr <- hs.Serve(ln) }()
 		fmt.Fprintf(os.Stderr, "fhc serve: HTTP API on http://%s\n", ln.Addr())
 		if serveHTTPBound != nil {
 			serveHTTPBound(ln.Addr().String(), requestStop)
 		}
-	} else if det != nil && rt != nil {
-		// Stream-only deployments still route drift alarms into a
-		// retraining cycle; with HTTP enabled, httpserve.New wires this
-		// same hook.
-		det.AddAlarmHook(func(string) { rt.KickDrift() })
 	}
 
 	out := bufio.NewWriter(os.Stdout)
@@ -302,7 +290,10 @@ func cmdServe(args []string) error {
 	var pending []monitor.Event
 	var results []serveResult
 	var obsIndex []int
-	var cachedFlags []bool
+	fail := func(jobID string, lineNo int, err error) {
+		results = append(results, serveResult{JobID: jobID, Error: fmt.Sprintf("line %d: %v", lineNo, err)})
+		obsIndex = append(obsIndex, -1)
+	}
 	flush := func() error {
 		var obs []monitor.Observation
 		if len(pending) > 0 {
@@ -315,7 +306,6 @@ func cmdServe(args []string) error {
 				results[i].Class = o.Prediction.Class
 				results[i].Confidence = o.Prediction.Confidence
 				results[i].Verdict = string(o.Prediction.Verdict)
-				results[i].Cached = cachedFlags[j]
 				for _, f := range o.Findings {
 					results[i].Findings = append(results[i].Findings, serveFinding{
 						Kind: f.Kind.String(), Message: f.Message,
@@ -326,26 +316,34 @@ func cmdServe(args []string) error {
 				return err
 			}
 		}
-		pending, results = pending[:0], results[:0]
-		obsIndex, cachedFlags = obsIndex[:0], cachedFlags[:0]
+		pending, results, obsIndex = pending[:0], results[:0], obsIndex[:0]
 		return out.Flush()
 	}
 
 	runStream := func() error {
-		scanner := bufio.NewScanner(in)
-		scanner.Buffer(make([]byte, 0, 1<<20), 64<<20) // inline binaries are large
-		lineNo := 0
-		for scanner.Scan() {
-			lineNo++
-			line := scanner.Bytes()
+		lines := bufio.NewReaderSize(in, 1<<20)
+		for lineNo := 1; ; lineNo++ {
+			line, err := readEventLine(lines, maxEventLine)
+			if err == io.EOF {
+				return flush()
+			}
+			if err == errEventLineTooLong {
+				fail("", lineNo, err)
+				continue
+			}
+			if err != nil {
+				// Emit what was already accepted before giving up.
+				if ferr := flush(); ferr != nil {
+					return ferr
+				}
+				return err
+			}
 			if len(line) == 0 {
 				continue
 			}
 			var ev serveEvent
 			if err := json.Unmarshal(line, &ev); err != nil {
-				results = append(results, serveResult{JobID: ev.JobID,
-					Error: fmt.Sprintf("line %d: %v", lineNo, err)})
-				obsIndex = append(obsIndex, -1)
+				fail(ev.JobID, lineNo, err)
 				continue
 			}
 			// A line that decodes to an entirely empty event is an unknown
@@ -362,9 +360,7 @@ func cmdServe(args []string) error {
 				if err == nil {
 					err = errors.New("event is empty")
 				}
-				results = append(results, serveResult{
-					Error: fmt.Sprintf("line %d: unknown control object: %v", lineNo, err)})
-				obsIndex = append(obsIndex, -1)
+				fail("", lineNo, fmt.Errorf("unknown control object: %w", err))
 				continue
 			}
 			if ev.Reload != "" {
@@ -373,14 +369,12 @@ func cmdServe(args []string) error {
 				// dropping the job's prediction.
 				if ev.JobID != "" || ev.Path != "" || ev.BinaryB64 != "" || ev.Exe != "" ||
 					ev.User != "" || ev.Account != "" || ev.JobName != "" {
-					results = append(results, serveResult{JobID: ev.JobID,
-						Error: fmt.Sprintf("line %d: reload control line carries job fields", lineNo)})
-					obsIndex = append(obsIndex, -1)
+					fail(ev.JobID, lineNo, errors.New("reload control line carries job fields"))
 					continue
 				}
 				// The window in progress is flushed first so the
 				// acknowledgement lands in stream order; the engine itself
-				// needs no quiescing — Swap is zero-downtime.
+				// needs no quiescing — the install is zero-downtime.
 				if err := flush(); err != nil {
 					return err
 				}
@@ -389,21 +383,7 @@ func cmdServe(args []string) error {
 					// The previous model keeps serving; the stream continues.
 					res.Error = fmt.Sprintf("line %d: %v", lineNo, err)
 				} else {
-					if rt != nil {
-						// Swap, gate-baseline reset and drift re-baseline,
-						// atomically.
-						rt.InstallIncumbent(next)
-					} else {
-						engine.Swap(next)
-						// The drift window compares against the incumbent's
-						// calibration population; a reload that changes the
-						// model must move the baseline with it.
-						if det != nil {
-							if cal := next.Calibration(); cal != nil {
-								det.SetBaseline(cal.Baseline)
-							}
-						}
-					}
+					hs.Install(next)
 					res.ModelKind = next.ModelKind()
 				}
 				results = append(results, res)
@@ -413,30 +393,25 @@ func cmdServe(args []string) error {
 				}
 				continue
 			}
-			sample, cached, err := collectEvent(coll, &ev, *httpSpill)
+			// The operator's own event stream may name any local path.
+			req := httpserve.ClassifyRequest{Exe: ev.Exe, Path: ev.Path, BinaryB64: ev.BinaryB64}
+			sample, cached, _, err := hs.Collect(&req, true)
 			if err != nil {
-				results = append(results, serveResult{JobID: ev.JobID,
-					Error: fmt.Sprintf("line %d: %v", lineNo, err)})
-				obsIndex = append(obsIndex, -1)
-			} else {
-				results = append(results, serveResult{JobID: ev.JobID})
-				obsIndex = append(obsIndex, len(pending))
-				cachedFlags = append(cachedFlags, cached)
-				pending = append(pending, monitor.Event{
-					JobID: ev.JobID, User: ev.User, Account: ev.Account,
-					JobName: ev.JobName, Sample: sample,
-				})
+				fail(ev.JobID, lineNo, err)
+				continue
 			}
+			results = append(results, serveResult{JobID: ev.JobID, Cached: cached})
+			obsIndex = append(obsIndex, len(pending))
+			pending = append(pending, monitor.Event{
+				JobID: ev.JobID, User: ev.User, Account: ev.Account,
+				JobName: ev.JobName, Sample: sample,
+			})
 			if len(pending) >= *chunk {
 				if err := flush(); err != nil {
 					return err
 				}
 			}
 		}
-		if err := scanner.Err(); err != nil {
-			return err
-		}
-		return flush()
 	}
 
 	if *input != "none" {
@@ -461,7 +436,7 @@ func cmdServe(args []string) error {
 
 	// Graceful HTTP drain: stop advertising readiness, finish in-flight
 	// requests (their engine windows included), then release the port.
-	if hs != nil {
+	if httpErr != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {
@@ -495,31 +470,46 @@ func cmdServe(args []string) error {
 	return nil
 }
 
+// maxEventLine caps one JSON-lines event, inline base64 binaries
+// included; a longer line is reported as that line's error and skipped.
+const maxEventLine = 64 << 20
+
+var errEventLineTooLong = fmt.Errorf("event line exceeds the %d-byte limit", maxEventLine)
+
+// readEventLine returns the next line of r without its line ending. A
+// line longer than max is read through to its newline without being
+// buffered, and reported as errEventLineTooLong, so one oversized event
+// costs at most max bytes of memory and leaves the stream readable. It
+// returns io.EOF once r is exhausted.
+func readEventLine(r *bufio.Reader, max int) ([]byte, error) {
+	var line []byte
+	tooLong := false
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if !tooLong {
+			if len(line)+len(chunk) > max+1 { // +1: the newline
+				tooLong, line = true, nil
+			} else {
+				line = append(line, chunk...)
+			}
+		}
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue
+		case err == io.EOF && (tooLong || len(line) > 0):
+			// A final line without a newline still counts.
+		case err != nil:
+			return nil, err
+		}
+		if tooLong {
+			return nil, errEventLineTooLong
+		}
+		line = bytes.TrimSuffix(line, []byte{'\n'})
+		return bytes.TrimSuffix(line, []byte{'\r'}), nil
+	}
+}
+
 // loadModel reads a trained classifier of any registered kind.
 func loadModel(path string) (*core.Classifier, error) {
 	return core.LoadFile(path)
-}
-
-// collectEvent streams an event's executable content into the shared
-// collector: path events stream straight off the filesystem and inline
-// base64 decodes through a streaming reader, so the stream loop gets
-// the same single-pass, O(1)-memory ingestion as the HTTP surface —
-// the binary is never materialised in full.
-func collectEvent(coll *collector.Collector, ev *serveEvent, maxSpill int) (dataset.Sample, bool, error) {
-	switch {
-	case ev.Path != "" && ev.BinaryB64 != "":
-		return dataset.Sample{}, false, errors.New("event has both path and binary_b64")
-	case ev.Path != "":
-		f, err := os.Open(ev.Path)
-		if err != nil {
-			return dataset.Sample{}, false, err
-		}
-		defer f.Close()
-		return coll.CollectStream(ev.Exe, f, maxSpill)
-	case ev.BinaryB64 != "":
-		dec := base64.NewDecoder(base64.StdEncoding, strings.NewReader(ev.BinaryB64))
-		return coll.CollectStream(ev.Exe, dec, maxSpill)
-	default:
-		return dataset.Sample{}, false, errors.New("event has neither path nor binary_b64")
-	}
 }

@@ -85,7 +85,6 @@ func Train(samples []dataset.Sample, cfg Config) (*Classifier, error) {
 	c := &Classifier{cfg: cfg, distance: dist}
 	c.SetThreshold(cfg.Threshold)
 	c.profiles = buildProfiles(samples, cfg.Features, classes)
-	c.profiles.bruteForce.Store(cfg.BruteForceFeaturize)
 
 	// Hyper-parameter and threshold tuning on an inner split of the
 	// training set (the paper tunes "only within the training set").
@@ -189,16 +188,6 @@ func (c *Classifier) SetCalibration(cal *openset.Calibration) error {
 // the threshold was fixed.
 func (c *Classifier) TuningCurve() []ThresholdScore {
 	return append([]ThresholdScore(nil), c.tuning...)
-}
-
-// SetBruteForceFeaturize toggles the brute-force featurisation oracle at
-// runtime. Both paths produce identical feature vectors (the grouped
-// index is exact); only the cost differs. The toggle is safe to flip
-// while other goroutines classify: each featurisation batch reads it
-// atomically, once, on entry, so an in-flight batch finishes on the path
-// it started with.
-func (c *Classifier) SetBruteForceFeaturize(on bool) {
-	c.profiles.bruteForce.Store(on)
 }
 
 // Featurize exposes the similarity feature vector of a sample, mainly for

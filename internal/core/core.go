@@ -10,9 +10,8 @@
 //
 // Concurrency contract: a trained Classifier is read-mostly and safe for
 // concurrent Classify/ClassifyBatch/PredictProbaBatch/Featurize calls;
-// the two runtime tuning knobs, SetThreshold and SetBruteForceFeaturize,
-// are atomic and may be flipped while serving (each prediction reads a
-// consistent snapshot). Train itself is single-caller; it parallelises
+// the runtime tuning knob, SetThreshold, is atomic and may be moved
+// while serving (each prediction reads a consistent snapshot). Train itself is single-caller; it parallelises
 // internally via internal/par.
 package core
 
@@ -37,21 +36,23 @@ const UnknownLabel = "-1"
 type DistanceName string
 
 // Supported scoring distances. The paper specifies Damerau–Levenshtein.
-// The default names resolve to the bit-parallel implementations; the
-// "-dp" suffixed names select the dynamic-programming oracles they are
-// differentially tested against, kept reachable in production so any
-// deployment can cross-check the fast path bit for bit.
+// The names resolve to the bit-parallel implementations; the
+// dynamic-programming oracles they are tested against
+// (ssdeep.DistanceDLOracle, ssdeep.DistanceLevenshteinOracle) are not
+// selectable by name.
 const (
 	DistanceDL          DistanceName = "damerau-levenshtein"
 	DistanceLevenshtein DistanceName = "levenshtein"
 	DistanceSpamsum     DistanceName = "spamsum"
-	// DistanceDLOracle is the dynamic-programming Equation 1 recurrence
-	// behind DistanceDL — same distance, oracle implementation.
-	DistanceDLOracle DistanceName = "damerau-levenshtein-dp"
-	// DistanceLevenshteinOracle is the dynamic-programming row oracle
-	// behind DistanceLevenshtein.
-	DistanceLevenshteinOracle DistanceName = "levenshtein-dp"
 )
+
+// retiredDistances maps the "-dp" oracle names that artifacts written
+// before the oracles left production may carry onto the fast distances
+// that are bit-identical to them, so those artifacts keep loading.
+var retiredDistances = map[DistanceName]DistanceName{
+	"damerau-levenshtein-dp": DistanceDL,
+	"levenshtein-dp":         DistanceLevenshtein,
+}
 
 // Func returns the ssdeep distance function for the name.
 func (d DistanceName) Func() (ssdeep.DistanceFunc, error) {
@@ -62,10 +63,6 @@ func (d DistanceName) Func() (ssdeep.DistanceFunc, error) {
 		return ssdeep.DistanceLevenshtein, nil
 	case DistanceSpamsum:
 		return ssdeep.DistanceSpamsum, nil
-	case DistanceDLOracle:
-		return ssdeep.DistanceDLOracle, nil
-	case DistanceLevenshteinOracle:
-		return ssdeep.DistanceLevenshteinOracle, nil
 	default:
 		return nil, fmt.Errorf("core: unknown distance %q", string(d))
 	}
@@ -98,12 +95,6 @@ type Config struct {
 	// Distance selects the digest-comparison distance; default is the
 	// paper's Damerau–Levenshtein.
 	Distance DistanceName
-	// BruteForceFeaturize disables the grouped 7-gram index and
-	// featurises by scanning every training digest of every class — the
-	// original O(corpus) path. The index is exact, so predictions are
-	// identical either way; the scan is retained as the oracle for
-	// differential testing and for debugging the index itself.
-	BruteForceFeaturize bool
 	// Seed drives every random decision of training.
 	Seed uint64
 	// Workers bounds parallelism; <= 0 selects GOMAXPROCS.

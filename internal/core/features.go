@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/par"
@@ -31,13 +30,6 @@ type profileSet struct {
 	classes  []string
 	profiles map[dataset.FeatureKind][]classProfile
 	indexes  map[dataset.FeatureKind]*ssdeep.Index
-	// bruteForce switches featurize to the O(kinds × classes × digests)
-	// scan. The index is exact — the common-substring gate zeroes every
-	// pair it skips — so both paths produce identical vectors; the scan
-	// survives only as the differential-testing oracle. The flag is
-	// atomic so operators may flip it while serving; each featurisation
-	// batch snapshots it once on entry.
-	bruteForce atomic.Bool
 	// indexOnce and prepOnce guard the lazy construction of the grouped
 	// indexes and the oracle's prepared digests: each featurisation path
 	// builds only the structures it queries.
@@ -153,12 +145,18 @@ func (ps *profileSet) numFeatures() int {
 // one grouped index query produces the per-class row, sublinear in the
 // corpus size.
 func (ps *profileSet) featurize(s *dataset.Sample, dist ssdeep.DistanceFunc) []float64 {
-	return ps.featurizeMode(s, dist, ps.bruteForce.Load())
+	return ps.featurizeMode(s, dist, bruteForceFeaturize)
 }
 
-// featurizeMode featurises one sample on an explicitly chosen path. The
-// caller snapshots the bruteForce flag once per batch and passes it down,
-// so a batch never mixes paths even if the toggle flips mid-flight.
+// bruteForceFeaturize switches featurize to the O(kinds × classes ×
+// digests) scan of appendBruteForceRow. The index is exact — the
+// common-substring gate zeroes every pair it skips — so both paths
+// produce identical vectors; the scan survives only as the oracle this
+// package's tests hold the index to. Only those tests set it, and never
+// while featurisation runs.
+var bruteForceFeaturize bool
+
+// featurizeMode featurises one sample on an explicitly chosen path.
 func (ps *profileSet) featurizeMode(s *dataset.Sample, dist ssdeep.DistanceFunc, bruteForce bool) []float64 {
 	if bruteForce {
 		ps.ensurePrepared()
@@ -188,8 +186,7 @@ func (ps *profileSet) featurizeMode(s *dataset.Sample, dist ssdeep.DistanceFunc,
 
 // appendBruteForceRow scores one prepared sample digest against every
 // training digest of every class — the original full-scan featurisation,
-// kept as the oracle the indexed path is differentially tested against
-// (and reachable in production via Config.BruteForceFeaturize).
+// kept as the oracle the indexed path is differentially tested against.
 func (ps *profileSet) appendBruteForceRow(out []float64, kind dataset.FeatureKind, prep ssdeep.Prepared, dist ssdeep.DistanceFunc) []float64 {
 	for ci := range ps.classes {
 		best := 0
@@ -207,16 +204,14 @@ func (ps *profileSet) appendBruteForceRow(out []float64, kind dataset.FeatureKin
 }
 
 // featurizeBatch featurises many samples with a bounded worker pool
-// (workers <= 0 runs sequentially). The brute-force toggle is read once
-// for the whole batch.
+// (workers <= 0 runs sequentially).
 func (ps *profileSet) featurizeBatch(samples []dataset.Sample, dist ssdeep.DistanceFunc, workers int) [][]float64 {
 	if workers <= 0 {
 		workers = 1
 	}
-	bruteForce := ps.bruteForce.Load()
 	out := make([][]float64, len(samples))
 	par.Map(len(samples), workers, func(i int) {
-		out[i] = ps.featurizeMode(&samples[i], dist, bruteForce)
+		out[i] = ps.featurize(&samples[i], dist)
 	})
 	return out
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/ml"
+	"repro/internal/synth"
 	"repro/ssdeep"
 )
 
@@ -37,17 +40,17 @@ func TestFeaturizeIndexedMatchesBruteForce(t *testing.T) {
 	samples, split := testData(t)
 	train := gather(samples, split.TrainIdx)
 	classes := classesOf(train)
-	for _, dn := range []DistanceName{DistanceDL, DistanceLevenshtein, DistanceSpamsum, DistanceDLOracle, DistanceLevenshteinOracle} {
-		dist, err := dn.Func()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for dn, dist := range map[string]ssdeep.DistanceFunc{
+		"damerau-levenshtein":    ssdeep.DistanceDL,
+		"levenshtein":            ssdeep.DistanceLevenshtein,
+		"spamsum":                ssdeep.DistanceSpamsum,
+		"damerau-levenshtein-dp": ssdeep.DistanceDLOracle,
+		"levenshtein-dp":         ssdeep.DistanceLevenshteinOracle,
+	} {
 		ps := buildProfiles(train, paperKinds, classes)
 		for i := range samples {
-			ps.bruteForce.Store(false)
-			indexed := ps.featurize(&samples[i], dist)
-			ps.bruteForce.Store(true)
-			brute := ps.featurize(&samples[i], dist)
+			indexed := ps.featurizeMode(&samples[i], dist, false)
+			brute := ps.featurizeMode(&samples[i], dist, true)
 			if len(indexed) != len(brute) {
 				t.Fatalf("distance %s sample %d: vector lengths %d vs %d", dn, i, len(indexed), len(brute))
 			}
@@ -69,27 +72,22 @@ func TestFeaturizeBitParallelMatchesDPOracle(t *testing.T) {
 	samples, split := testData(t)
 	train := gather(samples, split.TrainIdx)
 	classes := classesOf(train)
-	pairs := []struct{ fast, oracle DistanceName }{
-		{DistanceDL, DistanceDLOracle},
-		{DistanceLevenshtein, DistanceLevenshteinOracle},
+	pairs := []struct {
+		name         string
+		fast, oracle ssdeep.DistanceFunc
+	}{
+		{"damerau-levenshtein", ssdeep.DistanceDL, ssdeep.DistanceDLOracle},
+		{"levenshtein", ssdeep.DistanceLevenshtein, ssdeep.DistanceLevenshteinOracle},
 	}
 	for _, pair := range pairs {
-		fast, err := pair.fast.Func()
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle, err := pair.oracle.Func()
-		if err != nil {
-			t.Fatal(err)
-		}
 		ps := buildProfiles(train, paperKinds, classes)
 		for i := range samples {
-			got := ps.featurize(&samples[i], fast)
-			want := ps.featurize(&samples[i], oracle)
+			got := ps.featurize(&samples[i], pair.fast)
+			want := ps.featurize(&samples[i], pair.oracle)
 			for j := range want {
 				if got[j] != want[j] {
 					t.Fatalf("distance %s sample %d column %d: bit-parallel %v, DP oracle %v",
-						pair.fast, i, j, got[j], want[j])
+						pair.name, i, j, got[j], want[j])
 				}
 			}
 		}
@@ -150,10 +148,18 @@ func TestBuildProfilesDropsUnparseableDigests(t *testing.T) {
 	}
 }
 
-// TestConfigBruteForceFeaturize drives the oracle flag end to end: a
-// classifier trained with BruteForceFeaturize must predict identically
-// to the default indexed one, and the runtime toggle must not change a
-// trained model's feature vectors.
+// withBruteForce runs fn with every featurisation routed through the
+// brute-force oracle scan, restoring the indexed path afterwards.
+func withBruteForce(fn func()) {
+	bruteForceFeaturize = true
+	defer func() { bruteForceFeaturize = false }()
+	fn()
+}
+
+// TestConfigBruteForceFeaturize drives the oracle end to end: a
+// classifier trained on brute-force features must predict identically
+// to the default indexed one, and switching a trained model to the
+// oracle must not change its feature vectors.
 func TestConfigBruteForceFeaturize(t *testing.T) {
 	samples, split := testData(t)
 	train := gather(samples, split.TrainIdx)
@@ -163,23 +169,23 @@ func TestConfigBruteForceFeaturize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fixedConfig()
-	cfg.BruteForceFeaturize = true
-	brute, err := Train(train, cfg)
+	var brute *Classifier
+	withBruteForce(func() { brute, err = Train(train, fixedConfig()) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range test {
-		a, b := indexed.Classify(&test[i]), brute.Classify(&test[i])
+		a := indexed.Classify(&test[i])
+		var b Prediction
+		withBruteForce(func() { b = brute.Classify(&test[i]) })
 		if a != b {
 			t.Fatalf("sample %d: indexed %+v, brute force %+v", i, a, b)
 		}
 	}
 
 	want := indexed.Featurize(&test[0])
-	indexed.SetBruteForceFeaturize(true)
-	got := indexed.Featurize(&test[0])
-	indexed.SetBruteForceFeaturize(false)
+	var got []float64
+	withBruteForce(func() { got = indexed.Featurize(&test[0]) })
 	for j := range want {
 		if got[j] != want[j] {
 			t.Fatalf("runtime toggle changed feature %d: %v vs %v", j, got[j], want[j])
@@ -201,4 +207,69 @@ func sampleWith(t *testing.T, class string, d ssdeep.Digest) dataset.Sample {
 	s := dataset.Sample{Class: class}
 	s.Digests[dataset.FeatureFile] = d
 	return s
+}
+
+// benchCorpus caches the featurisation benchmarks' class profiles and
+// held-out queries, shared by the indexed/brute-force pair.
+var benchCorpus struct {
+	once    sync.Once
+	ps      *profileSet
+	queries []dataset.Sample
+	err     error
+}
+
+// benchProfiles builds class profiles over a synthetic corpus of 35
+// known classes (10 under -short) and returns them with the held-out
+// samples to featurise.
+func benchProfiles(b *testing.B) (*profileSet, []dataset.Sample) {
+	b.Helper()
+	benchCorpus.once.Do(func() {
+		manifest := synth.SmallManifest(35, 9, 90)
+		if testing.Short() {
+			manifest = synth.SmallManifest(10, 3, 16)
+		}
+		corpus, err := synth.Generate(manifest, synth.Options{Seed: 1})
+		if err != nil {
+			benchCorpus.err = err
+			return
+		}
+		samples, err := dataset.FromCorpus(corpus, 0)
+		if err != nil {
+			benchCorpus.err = err
+			return
+		}
+		split, err := ml.SplitTwoPhase(samples, ml.SplitOptions{Mode: ml.PaperSplit, Seed: 1})
+		if err != nil {
+			benchCorpus.err = err
+			return
+		}
+		train := gather(samples, split.TrainIdx)
+		benchCorpus.ps = buildProfiles(train, paperKinds, classesOf(train))
+		benchCorpus.queries = gather(samples, split.TestIdx)
+	})
+	if benchCorpus.err != nil {
+		b.Fatal(benchCorpus.err)
+	}
+	return benchCorpus.ps, benchCorpus.queries
+}
+
+// BenchmarkFeaturizeIndexed and BenchmarkFeaturizeBruteForce read as a
+// before/after pair under `-bench 'Featurize(Indexed|BruteForce)'`: one
+// grouped 7-gram index query per feature kind versus the oracle's scan
+// of every training digest of every class.
+func BenchmarkFeaturizeIndexed(b *testing.B) { benchmarkFeaturize(b, false) }
+
+// BenchmarkFeaturizeBruteForce times the retained O(corpus) oracle.
+func BenchmarkFeaturizeBruteForce(b *testing.B) { benchmarkFeaturize(b, true) }
+
+// featurizeSink keeps the benchmarked featurisation from being elided.
+var featurizeSink []float64
+
+func benchmarkFeaturize(b *testing.B, bruteForce bool) {
+	ps, queries := benchProfiles(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		featurizeSink = ps.featurizeMode(&queries[i%len(queries)], ssdeep.DistanceDL, bruteForce)
+	}
 }

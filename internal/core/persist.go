@@ -178,6 +178,9 @@ func Load(r io.Reader) (*Classifier, error) {
 		return nil, fmt.Errorf("core: loading model: %w", err)
 	}
 	distName := DistanceName(dto.Distance)
+	if fast, ok := retiredDistances[distName]; ok {
+		distName = fast
+	}
 	dist, err := distName.Func()
 	if err != nil {
 		return nil, err

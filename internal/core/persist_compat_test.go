@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/model"
+	"repro/ssdeep"
 )
 
 // loadV1Fixture reads the frozen modelVersion-1 artifact generated by
@@ -122,5 +123,59 @@ func TestLoadRejectsBadVersions(t *testing.T) {
 		if _, err := Load(bytes.NewReader([]byte(raw))); err == nil {
 			t.Errorf("Load accepted %s", raw)
 		}
+	}
+}
+
+// TestLoadRetiredDPDistance keeps artifacts that name a retired "-dp"
+// oracle distance loadable: they resolve to the fast distance that is
+// bit-identical to the oracle, so the loaded model featurises exactly
+// as the oracle would and predicts exactly as the model that was saved.
+func TestLoadRetiredDPDistance(t *testing.T) {
+	samples, split := testData(t)
+	train := gather(samples, split.TrainIdx)
+	cases := []struct {
+		fast, retired DistanceName
+		oracle        ssdeep.DistanceFunc
+	}{
+		{DistanceDL, "damerau-levenshtein-dp", ssdeep.DistanceDLOracle},
+		{DistanceLevenshtein, "levenshtein-dp", ssdeep.DistanceLevenshteinOracle},
+	}
+	for _, tc := range cases {
+		t.Run(string(tc.retired), func(t *testing.T) {
+			cfg := fixedConfig()
+			cfg.Distance = tc.fast
+			clf, err := Train(train, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := clf.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var artifact map[string]json.RawMessage
+			if err := json.Unmarshal(buf.Bytes(), &artifact); err != nil {
+				t.Fatal(err)
+			}
+			artifact["distance"], _ = json.Marshal(string(tc.retired))
+			raw, err := json.Marshal(artifact)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			loaded, err := Load(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("artifact naming %q no longer loads: %v", tc.retired, err)
+			}
+			for i := range samples {
+				got := loaded.Featurize(&samples[i])
+				want := loaded.profiles.featurize(&samples[i], tc.oracle)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("sample %d: loaded features %v, DP oracle %v", i, got, want)
+				}
+				if a, b := clf.Classify(&samples[i]), loaded.Classify(&samples[i]); a != b {
+					t.Fatalf("sample %d: saved model %+v, loaded %+v", i, a, b)
+				}
+			}
+		})
 	}
 }

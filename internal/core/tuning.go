@@ -51,7 +51,6 @@ func tune(trainSamples []dataset.Sample, cfg Config, grid *Grid) (tuneResult, []
 	innerTrain := gather(trainSamples, split.TrainIdx)
 	innerVal := gather(trainSamples, split.TestIdx)
 	profiles := buildProfiles(innerTrain, cfg.Features, split.KnownClasses)
-	profiles.bruteForce.Store(cfg.BruteForceFeaturize)
 	xTrain := profiles.featurizeBatch(innerTrain, dist, cfg.Workers)
 	xVal := profiles.featurizeBatch(innerVal, dist, cfg.Workers)
 

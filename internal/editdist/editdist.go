@@ -121,9 +121,8 @@ func levenshteinBP(p, t string) int {
 }
 
 // LevenshteinDP is the single-row dynamic program, retained as the
-// differential oracle for the bit-parallel path (reachable in production
-// via the "levenshtein-dp" distance name) and as the fallback for inputs
-// longer than a machine word.
+// differential oracle for the bit-parallel path and as the fallback for
+// inputs longer than a machine word.
 //
 // fhc:hotpath
 func LevenshteinDP(a, b string) int {
@@ -240,9 +239,8 @@ func osaBP(p, t string) int {
 }
 
 // OSADP is the three-row dynamic program for the Equation 1 recurrence,
-// retained as the differential oracle for the bit-parallel path
-// (reachable in production via the "damerau-levenshtein-dp" distance
-// name) and as the fallback for inputs longer than a machine word.
+// retained as the differential oracle for the bit-parallel path and as
+// the fallback for inputs longer than a machine word.
 //
 // fhc:hotpath
 func OSADP(a, b string) int {

@@ -41,6 +41,13 @@
 // same verdict stream feeds a population-level drift detector, and a
 // drift alarm kicks the retrainer when one is attached.
 //
+// Every protocol answers through one step per job: Collect resolves
+// and featurises a body, Classify (or ClassifyAll for a burst) labels
+// it, harvests it and observes its verdict, lookup answers a hash-first
+// key, and Install puts a new model in service. The fhc serve
+// JSON-lines loop is a thin adapter over the same Server, so the two
+// surfaces cannot drift apart.
+//
 // The layer is production-shaped without being a framework: request
 // bodies are size-limited, classification routes sit behind a
 // concurrency semaphore that answers 429 when saturated (backpressure
@@ -140,8 +147,9 @@ type Options struct {
 	// protocols, cache hits included) so population-level drift is
 	// measured over exactly the traffic the server answered. When a
 	// Retrainer is also configured, a drift alarm kicks a retraining
-	// cycle. The caller keeps ownership; share one detector between
-	// this server and retrain.Options.Drift so installs re-baseline it.
+	// cycle. The caller keeps ownership. With a Retrainer, pass the same
+	// detector as retrain.Options.Drift: Install then re-baselines it
+	// through the retrainer's atomic install.
 	Drift *openset.Detector
 	// Registry receives the server's metrics. A nil value creates a
 	// private registry, exposed on GET /metrics either way.
@@ -546,30 +554,27 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 
 // ----- handlers ---------------------------------------------------------
 
-// collectFromRequest streams the request's executable content into the
-// collector's featuriser. Inline base64 decodes through a streaming
-// reader — the binary is never materialised as a second in-memory copy
-// — and path requests stream straight off the filesystem. On failure
-// code is the HTTP status to answer: 400 for request-shape problems
-// (missing content, disabled paths, corrupt base64), 422 when a
-// well-formed body failed feature extraction.
-func (s *Server) collectFromRequest(req *ClassifyRequest) (sample dataset.Sample, cached bool, code int, err error) {
+// Collect resolves the binary a request names — inline base64 or a
+// server-local path, exactly one of them — and streams it into the
+// collector's single-pass featuriser: base64 decodes through a
+// streaming reader, so the binary is never materialised as a second
+// in-memory copy, and a path streams straight off the filesystem. It
+// is the one source-resolution step of the JSON classify leg, batch
+// items and the fhc serve stream loop. allowPaths says whether this
+// caller may name a path: the HTTP legs pass Options.AllowPaths, the
+// operator's own event stream passes true. On failure code is the HTTP
+// status to answer: 400 for request-shape problems (missing content,
+// disabled paths, corrupt base64), 422 when a well-formed body failed
+// feature extraction.
+func (s *Server) Collect(req *ClassifyRequest, allowPaths bool) (sample dataset.Sample, cached bool, code int, err error) {
+	var src io.Reader
 	switch {
 	case req.Path != "" && req.BinaryB64 != "":
 		return sample, false, http.StatusBadRequest, errors.New("request has both path and binary_b64")
 	case req.BinaryB64 != "":
-		dec := base64.NewDecoder(base64.StdEncoding, strings.NewReader(req.BinaryB64))
-		sample, cached, err = s.opt.Collector.CollectStream(req.Exe, dec, s.opt.MaxSpillBytes)
-		if err != nil {
-			var corrupt base64.CorruptInputError
-			if errors.As(err, &corrupt) {
-				return sample, false, http.StatusBadRequest, fmt.Errorf("binary_b64: %w", corrupt)
-			}
-			return sample, false, http.StatusUnprocessableEntity, fmt.Errorf("collect: %w", err)
-		}
-		return sample, cached, 0, nil
+		src = base64.NewDecoder(base64.StdEncoding, strings.NewReader(req.BinaryB64))
 	case req.Path != "":
-		if !s.opt.AllowPaths {
+		if !allowPaths {
 			return sample, false, http.StatusBadRequest, errors.New("path requests are disabled on this server (send binary_b64)")
 		}
 		f, err := os.Open(req.Path)
@@ -577,14 +582,119 @@ func (s *Server) collectFromRequest(req *ClassifyRequest) (sample dataset.Sample
 			return sample, false, http.StatusBadRequest, fmt.Errorf("path: %w", err)
 		}
 		defer f.Close()
-		sample, cached, err = s.opt.Collector.CollectStream(req.Exe, f, s.opt.MaxSpillBytes)
-		if err != nil {
-			return sample, false, http.StatusUnprocessableEntity, fmt.Errorf("collect: %w", err)
-		}
-		return sample, cached, 0, nil
+		src = f
 	default:
 		return sample, false, http.StatusBadRequest, errors.New("request has neither path nor binary_b64")
 	}
+	return s.collectStream(req.Exe, src)
+}
+
+// collectStream feeds one body into the collector and maps a failure
+// onto the wire: 413 when the body limit tripped, 400 for corrupt
+// base64, 422 when extraction rejected a well-formed body.
+func (s *Server) collectStream(exe string, r io.Reader) (sample dataset.Sample, cached bool, code int, err error) {
+	sample, cached, err = s.opt.Collector.CollectStream(exe, r, s.opt.MaxSpillBytes)
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		var corrupt base64.CorruptInputError
+		switch {
+		case errors.As(err, &tooLarge):
+			return sample, false, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+		case errors.As(err, &corrupt):
+			return sample, false, http.StatusBadRequest, fmt.Errorf("binary_b64: %w", corrupt)
+		}
+		return sample, false, http.StatusUnprocessableEntity, fmt.Errorf("collect: %w", err)
+	}
+	return sample, cached, 0, nil
+}
+
+// Classify labels one collected sample and offers the served
+// prediction to the continuous-learning store and the drift detector,
+// when those are configured: the one classify step every body-carrying
+// protocol and the fhc serve stream loop share. It satisfies
+// monitor.Labeler.
+func (s *Server) Classify(sample *dataset.Sample) core.Prediction {
+	pred := s.engine.Classify(sample)
+	s.served(sample, pred)
+	return pred
+}
+
+// ClassifyAll is Classify over a burst, classified in shared engine
+// windows. It satisfies monitor.BatchLabeler.
+func (s *Server) ClassifyAll(samples []dataset.Sample) []core.Prediction {
+	preds := s.engine.ClassifyAll(samples)
+	for i := range preds {
+		s.served(&samples[i], preds[i])
+	}
+	return preds
+}
+
+// served harvests one body-carrying prediction — the retrainer applies
+// its own gates, and the store dedups a cache-served duplicate — and
+// observes its verdict.
+func (s *Server) served(sample *dataset.Sample, pred core.Prediction) {
+	if rt := s.opt.Retrainer; rt != nil {
+		rt.ObservePrediction(sample, pred)
+	}
+	s.observe(pred)
+}
+
+// observe feeds one served verdict to the drift detector, when one is
+// configured. Cache hits are observed too: drift is a property of the
+// traffic population, not of which path answered.
+//
+// fhc:hotpath
+func (s *Server) observe(pred core.Prediction) {
+	if s.opt.Drift != nil {
+		s.opt.Drift.Observe(pred.Verdict, pred.Confidence)
+	}
+}
+
+// lookup answers a hash-first key from the prediction cache. A hit is a
+// served verdict, so it is counted and drift-observed; it is never
+// harvested, because no body arrived to learn from.
+//
+// fhc:hotpath
+func (s *Server) lookup(key serve.Key) (core.Prediction, bool) {
+	pred, hit := s.engine.Lookup(key)
+	if hit {
+		s.hashFirstHits.Inc()
+		s.observe(pred)
+	}
+	return pred, hit
+}
+
+// lookupRequest answers a decoded hash-first request — the slow JSON
+// leg and batch items — rejecting a digest that is malformed or rides
+// along with content.
+func (s *Server) lookupRequest(req *ClassifyRequest) (pred core.Prediction, hit bool, err error) {
+	if req.BinaryB64 != "" || req.Path != "" {
+		return pred, false, errors.New("sha256 cannot be combined with binary_b64 or path")
+	}
+	key, err := parseSHA256(req.SHA256)
+	if err != nil {
+		return pred, false, err
+	}
+	pred, hit = s.lookup(key)
+	return pred, hit, nil
+}
+
+// Install hot-swaps clf into the engine with zero downtime: the one
+// model-install path of the swap route and the fhc serve reload line.
+// With a Retrainer, InstallIncumbent also moves the promotion gate's
+// baseline — and re-baselines the detector shared through
+// retrain.Options.Drift — in one atomic step, so a swap racing an
+// automatic promotion cannot leave the gate comparing against a model
+// the engine no longer serves. Without one, the engine swaps and the
+// drift detector re-baselines from clf's own calibration.
+func (s *Server) Install(clf *core.Classifier) {
+	if rt := s.opt.Retrainer; rt != nil {
+		rt.InstallIncumbent(clf)
+		return
+	}
+	s.engine.Swap(clf)
+	s.opt.Drift.Rebaseline(clf.Calibration())
 }
 
 // octetStream is the Content-Type selecting the raw streaming leg.
@@ -607,23 +717,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // fhc:hotpath
 func (s *Server) handleClassifyRaw(w http.ResponseWriter, r *http.Request) {
 	exe := r.URL.Query().Get("exe")
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
-	sample, cached, err := s.opt.Collector.CollectStream(exe, body, s.opt.MaxSpillBytes)
+	sample, cached, code, err := s.collectStream(exe, http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-				Error: "request body exceeds " + strconv.FormatInt(tooLarge.Limit, 10) + " bytes"})
-			return
-		}
-		writeJSON(w, http.StatusUnprocessableEntity,
-			errorResponse{Error: "collect: " + err.Error()})
+		writeJSON(w, code, errorResponse{Error: err.Error()})
 		return
 	}
-	pred := s.engine.Classify(&sample)
-	s.harvest(&sample, pred)
-	s.observe(pred)
-	writeClassifyResponse(w, exe, pred, cached)
+	writeClassifyResponse(w, exe, s.Classify(&sample), cached)
 }
 
 // hashFirstPrefixSize bounds the body prefix examined for the
@@ -661,9 +760,7 @@ func (s *Server) handleClassifyJSON(w http.ResponseWriter, r *http.Request) {
 	}
 	if complete {
 		if key, exe, ok := ParseHashFirst(buf[:n]); ok {
-			if pred, hit := s.engine.Lookup(key); hit {
-				s.hashFirstHits.Inc()
-				s.observe(pred)
+			if pred, hit := s.lookup(key); hit {
 				writeClassifyResponse(w, exe, pred, true)
 				return
 			}
@@ -694,34 +791,23 @@ func (s *Server) classifySlow(w http.ResponseWriter, r *http.Request, prefix []b
 		}
 	}
 	if req.SHA256 != "" {
-		if req.BinaryB64 != "" || req.Path != "" {
-			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: "sha256 cannot be combined with binary_b64 or path"})
-			return
-		}
-		key, err := parseSHA256(req.SHA256)
-		if err != nil {
+		pred, hit, err := s.lookupRequest(&req)
+		switch {
+		case err != nil:
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		if pred, hit := s.engine.Lookup(key); hit {
-			s.hashFirstHits.Inc()
-			s.observe(pred)
+		case hit:
 			writeClassifyResponse(w, req.Exe, pred, true)
-			return
+		default:
+			writeNeedsBody(w)
 		}
-		writeNeedsBody(w)
 		return
 	}
-	sample, cached, code, err := s.collectFromRequest(&req)
+	sample, cached, code, err := s.Collect(&req, s.opt.AllowPaths)
 	if err != nil {
 		writeJSON(w, code, errorResponse{Error: err.Error()})
 		return
 	}
-	pred := s.engine.Classify(&sample)
-	s.harvest(&sample, pred)
-	s.observe(pred)
-	writeClassifyResponse(w, req.Exe, pred, cached)
+	writeClassifyResponse(w, req.Exe, s.Classify(&sample), cached)
 }
 
 // ----- hash-first fast path ---------------------------------------------
@@ -963,26 +1049,6 @@ func appendJSONString[T string | []byte](dst []byte, s T) []byte {
 	return append(dst, '"')
 }
 
-// harvest offers one served prediction to the continuous-learning
-// store, when retraining is configured. The retrainer applies its own
-// confidence gate; a cache-served duplicate is dedup'd by the store.
-func (s *Server) harvest(sample *dataset.Sample, pred core.Prediction) {
-	if s.opt.Retrainer != nil {
-		s.opt.Retrainer.ObservePrediction(sample, pred)
-	}
-}
-
-// observe feeds one served verdict to the drift detector, when one is
-// configured. Cache hits are observed too: drift is a property of the
-// traffic population, not of which path answered.
-//
-// fhc:hotpath
-func (s *Server) observe(pred core.Prediction) {
-	if s.opt.Drift != nil {
-		s.opt.Drift.Observe(pred.Verdict, pred.Confidence)
-	}
-}
-
 // handleBatch classifies many binaries through one ClassifyAll call, so
 // a submitted burst fans into shared engine windows instead of N
 // sequential classifications. Items that fail resolution or extraction
@@ -997,12 +1063,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := BatchResponse{Results: make([]ClassifyResponse, len(req.Samples))}
-	type slot struct {
-		index  int
-		cached bool
-	}
 	var (
-		good  []slot
+		good  []int // request index of each collected sample
 		batch = make([]dataset.Sample, 0, len(req.Samples))
 	)
 	for i := range req.Samples {
@@ -1012,51 +1074,40 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// Hash-first batch items probe the prediction cache; misses
 			// keep their slot with the needs_body marker so the client
 			// knows which binaries to upload.
-			if item.BinaryB64 != "" || item.Path != "" {
-				resp.Results[i].Error = "sha256 cannot be combined with binary_b64 or path"
-				continue
-			}
-			key, err := parseSHA256(item.SHA256)
-			if err != nil {
+			switch pred, hit, err := s.lookupRequest(item); {
+			case err != nil:
 				resp.Results[i].Error = err.Error()
-				continue
-			}
-			if pred, hit := s.engine.Lookup(key); hit {
-				s.hashFirstHits.Inc()
-				s.observe(pred)
-				resp.Results[i] = ClassifyResponse{
-					Exe: item.Exe, Label: pred.Label, Class: pred.Class,
-					Confidence: pred.Confidence, Verdict: string(pred.Verdict), Cached: true,
-				}
-			} else {
+			case hit:
+				resp.Results[i] = classifyResponse(item.Exe, pred, true)
+			default:
 				resp.Results[i].Error = "needs_body"
 			}
 			continue
 		}
-		sample, cached, _, err := s.collectFromRequest(item)
+		sample, cached, _, err := s.Collect(item, s.opt.AllowPaths)
 		if err != nil {
 			resp.Results[i].Error = err.Error()
 			continue
 		}
-		good = append(good, slot{index: i, cached: cached})
+		resp.Results[i].Cached = cached
+		good = append(good, i)
 		batch = append(batch, sample)
 	}
 	if len(batch) > 0 {
-		preds := s.engine.ClassifyAll(batch)
-		for j, sl := range good {
-			s.harvest(&batch[j], preds[j])
-			s.observe(preds[j])
-			resp.Results[sl.index] = ClassifyResponse{
-				Exe:        req.Samples[sl.index].Exe,
-				Label:      preds[j].Label,
-				Class:      preds[j].Class,
-				Confidence: preds[j].Confidence,
-				Verdict:    string(preds[j].Verdict),
-				Cached:     sl.cached,
-			}
+		for j, pred := range s.ClassifyAll(batch) {
+			i := good[j]
+			resp.Results[i] = classifyResponse(req.Samples[i].Exe, pred, resp.Results[i].Cached)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// classifyResponse renders one batch item's prediction.
+func classifyResponse(exe string, pred core.Prediction, cached bool) ClassifyResponse {
+	return ClassifyResponse{
+		Exe: exe, Label: pred.Label, Class: pred.Class,
+		Confidence: pred.Confidence, Verdict: string(pred.Verdict), Cached: cached,
+	}
 }
 
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
@@ -1088,24 +1139,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			errorResponse{Error: fmt.Sprintf("load model: %v", err)})
 		return
 	}
-	// A manual swap (a rollback included) also resets the promotion
-	// gate's baseline; InstallIncumbent does both atomically so a swap
-	// racing an automatic promotion cannot leave the gate comparing
-	// against a model the engine no longer serves.
-	if rt := s.opt.Retrainer; rt != nil {
-		rt.InstallIncumbent(next)
-	} else {
-		s.engine.Swap(next)
-	}
-	// Re-baseline the drift detector from the installed model's own
-	// calibration so post-swap traffic is never tested against the old
-	// model's expected distribution. Redundant (and harmless) when the
-	// retrainer shares the detector and already re-baselined in install.
-	if d := s.opt.Drift; d != nil {
-		if cal := next.Calibration(); cal != nil {
-			d.SetBaseline(cal.Baseline)
-		}
-	}
+	s.Install(next)
 	writeJSON(w, http.StatusOK, SwapResponse{
 		ModelKind: next.ModelKind(),
 		Swaps:     s.engine.Stats().Swaps,

@@ -26,17 +26,19 @@ import (
 	"repro/internal/dataset"
 )
 
-// Labeler labels one sample; *core.Classifier satisfies it, as does the
-// serving engine (internal/serve), which is the labeler a production
-// deployment should hand to New: duplicate submissions then hit its
-// prediction cache and concurrent submissions share micro-batches.
+// Labeler labels one sample; *core.Classifier and the serving engine
+// (internal/serve) satisfy it, as does the classify service
+// (internal/httpserve.Server), which is the labeler fhc serve hands to
+// New: duplicate submissions then hit the engine's prediction cache,
+// concurrent submissions share micro-batches, and every label is
+// harvested and drift-observed exactly as on the HTTP surface.
 type Labeler interface {
 	Classify(*dataset.Sample) core.Prediction
 }
 
 // BatchLabeler is the optional batch surface of a Labeler. ObserveAll
 // uses it when available so a burst of submissions is classified in one
-// window; the serving engine satisfies it.
+// window; the serving engine and the classify service satisfy it.
 type BatchLabeler interface {
 	ClassifyAll(samples []dataset.Sample) []core.Prediction
 }
@@ -104,27 +106,16 @@ type Finding struct {
 	Message string
 }
 
-// Observer receives every observation a Monitor makes: the event, its
-// prediction and the policy findings. The continuous-learning layer
-// registers one to harvest labelled windows off the monitoring stream.
-// Observers run synchronously on the observing goroutine, outside the
-// monitor's locks, so they may call back into the monitor but should
-// return quickly. A panicking observer is recovered: monitoring is the
-// serve loop's side channel, and a buggy hook must not take down the
-// classification path that invoked it.
-type Observer func(e Event, pred core.Prediction, findings []Finding)
-
 // Monitor labels job events and applies policy. It is safe for
 // concurrent use: job streams arrive from many scheduler hooks at once.
 type Monitor struct {
 	labeler Labeler
 	policy  Policy
 
-	mu       sync.Mutex
-	allowed  map[string]map[string]bool
-	blocked  map[string]bool
-	history  map[string]map[string]int // user -> class -> observations
-	observer Observer
+	mu      sync.Mutex
+	allowed map[string]map[string]bool
+	blocked map[string]bool
+	history map[string]map[string]int // user -> class -> observations
 }
 
 // New builds a monitor over a trained labeler and a policy.
@@ -157,37 +148,11 @@ type Observation struct {
 	Findings []Finding
 }
 
-// SetObserver registers fn to receive every subsequent observation;
-// nil removes the observer. Safe to call while other goroutines
-// observe, though registrations racing in-flight observations may miss
-// them — register before serving starts when completeness matters.
-func (m *Monitor) SetObserver(fn Observer) {
-	m.mu.Lock()
-	m.observer = fn
-	m.mu.Unlock()
-}
-
-// notify delivers one observation to the registered observer, if any,
-// outside the monitor's locks. An observer panic is swallowed here —
-// the observation itself (prediction, findings, history) is already
-// complete, so the caller's result is unaffected.
-func (m *Monitor) notify(e Event, pred core.Prediction, findings []Finding) {
-	m.mu.Lock()
-	fn := m.observer
-	m.mu.Unlock()
-	if fn != nil {
-		defer func() { _ = recover() }()
-		fn(e, pred, findings)
-	}
-}
-
 // Observe labels one job event, records it in the user's history and
 // returns the prediction together with any policy findings.
 func (m *Monitor) Observe(e Event) (core.Prediction, []Finding) {
 	pred := m.labeler.Classify(&e.Sample)
-	findings := m.apply(e, pred)
-	m.notify(e, pred, findings)
-	return pred, findings
+	return pred, m.apply(e, pred)
 }
 
 // ObserveAll labels a burst of job events and applies policy to each.
@@ -212,7 +177,6 @@ func (m *Monitor) ObserveAll(events []Event) []Observation {
 	out := make([]Observation, len(events))
 	for i := range events {
 		out[i] = Observation{Prediction: preds[i], Findings: m.apply(events[i], preds[i])}
-		m.notify(events[i], preds[i], out[i].Findings)
 	}
 	return out
 }

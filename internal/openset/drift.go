@@ -211,6 +211,17 @@ func (d *Detector) SetBaseline(base Baseline) {
 	d.mu.Unlock()
 }
 
+// Rebaseline applies the rule every model install follows: a model
+// that carries a calibration re-baselines the detector from it (see
+// SetBaseline). A nil calibration — an uncalibrated model — leaves the
+// detector as it is, and a nil detector ignores the call, so install
+// paths need no guards.
+func (d *Detector) Rebaseline(cal *Calibration) {
+	if d != nil && cal != nil {
+		d.SetBaseline(cal.Baseline)
+	}
+}
+
 func (d *Detector) setBaselineLocked(base Baseline) {
 	d.base = base
 	// Laplace smoothing over the recorded proportions: every bin gets

@@ -505,15 +505,11 @@ func (r *Retrainer) install(clf *core.Classifier) {
 	r.installMu.Lock()
 	defer r.installMu.Unlock()
 	r.engine.Swap(clf)
-	if d := r.opt.Drift; d != nil {
-		// The new model's calibration carries its own drift baseline;
-		// resetting the detector here (inside installMu, right after the
-		// swap) means traffic served by the new model is never tested
-		// against the old model's expected distribution.
-		if cal := clf.Calibration(); cal != nil {
-			d.SetBaseline(cal.Baseline)
-		}
-	}
+	// The new model's calibration carries its own drift baseline;
+	// resetting the detector here (inside installMu, right after the
+	// swap) means traffic served by the new model is never tested
+	// against the old model's expected distribution.
+	r.opt.Drift.Rebaseline(clf.Calibration())
 	r.mu.Lock()
 	r.incumbent = clf
 	r.mu.Unlock()

@@ -6,7 +6,7 @@ package rf
 // forest is flattened once into contiguous node arrays sized for cache
 // residency, and every prediction path — PredictProba, Predict,
 // PredictProbaBatch — traverses the flat form. The pointer walk
-// (Tree.leaf, PredictProbaOracle) is retained as the differential
+// (Tree.leaf, predictProbaOracle) is retained as the differential
 // oracle; the two produce bit-identical distributions because the flat
 // walk visits the same splits and accumulates the same leaf weights in
 // the same order.
@@ -81,7 +81,7 @@ func flatten(trees []*Tree) *flatForest {
 
 // accumulate walks x to its leaf and adds the leaf's sparse class
 // distribution into proba — the flat counterpart of Tree.leaf plus the
-// accumulation loop of PredictProbaOracle.
+// accumulation loop of predictProbaOracle.
 //
 // fhc:hotpath
 func (ft *flatTree) accumulate(x []float64, fl *flatForest, proba []float64) {

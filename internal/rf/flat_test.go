@@ -17,7 +17,7 @@ func TestFlatMatchesOracle(t *testing.T) {
 	}
 	for i := range X {
 		flat := f.PredictProba(X[i])
-		oracle := f.PredictProbaOracle(X[i])
+		oracle := f.predictProbaOracle(X[i])
 		for c := range oracle {
 			if flat[c] != oracle[c] {
 				t.Fatalf("sample %d class %d: flat %v != oracle %v", i, c, flat[c], oracle[c])
@@ -37,7 +37,7 @@ func TestFlatMatchesOracleProperty(t *testing.T) {
 		}
 		for i := range X {
 			flat := forest.PredictProba(X[i])
-			oracle := forest.PredictProbaOracle(X[i])
+			oracle := forest.predictProbaOracle(X[i])
 			for c := range oracle {
 				if flat[c] != oracle[c] {
 					return false
@@ -70,7 +70,7 @@ func TestFlatAfterJSONRoundTrip(t *testing.T) {
 	}
 	for i := range X {
 		got := loaded.PredictProba(X[i])
-		want := f.PredictProbaOracle(X[i])
+		want := f.predictProbaOracle(X[i])
 		for c := range want {
 			if got[c] != want[c] {
 				t.Fatalf("sample %d class %d: loaded flat %v != oracle %v", i, c, got[c], want[c])
@@ -113,7 +113,7 @@ func BenchmarkPredictProbaOracle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictProbaOracle(X[i%len(X)])
+		f.predictProbaOracle(X[i%len(X)])
 	}
 }
 

@@ -340,7 +340,7 @@ func oobScore(f *Forest, X [][]float64, y []int, root *rng.Source) float64 {
 
 // PredictProba returns the class-probability distribution for one sample:
 // the average of the leaf distributions across trees. Inference runs on
-// the flattened forest (see flatForest); PredictProbaOracle retains the
+// the flattened forest (see flatForest); predictProbaOracle retains the
 // pointer-walking form it is differentially tested against.
 //
 // fhc:hotpath
@@ -357,10 +357,10 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 	return proba
 }
 
-// PredictProbaOracle is the original pointer-walking inference, retained
+// predictProbaOracle is the original pointer-walking inference, retained
 // as the differential oracle for the flattened path: same trees, same
 // accumulation order, bit-identical output.
-func (f *Forest) PredictProbaOracle(x []float64) []float64 {
+func (f *Forest) predictProbaOracle(x []float64) []float64 {
 	proba := make([]float64, f.NumClasses)
 	for _, t := range f.Trees {
 		leaf := t.leaf(x)

@@ -186,7 +186,7 @@ func (e *Engine) newEpoch(backend Backend) *epoch {
 }
 
 // New starts an engine over a backend. The caller owns the backend;
-// retuning it (SetThreshold, SetBruteForceFeaturize on a classifier)
+// retuning it (SetThreshold on a classifier)
 // while the engine serves is safe, but predictions cached before a
 // threshold change keep their old labels — Swap in a fresh backend (or
 // the same one) when relabelling history matters.

@@ -408,7 +408,7 @@ func TestEngineDifferential(t *testing.T) {
 }
 
 // TestEngineServesWhileRetuning drives concurrent classification against
-// concurrent SetThreshold/SetBruteForceFeaturize calls; run under -race
+// concurrent SetThreshold calls; run under -race
 // this is the regression test for the unsynchronised-retune hazard.
 func TestEngineServesWhileRetuning(t *testing.T) {
 	clf, samples := realClassifier(t)
@@ -427,7 +427,6 @@ func TestEngineServesWhileRetuning(t *testing.T) {
 			default:
 			}
 			clf.SetThreshold(float64(i%10) / 10)
-			clf.SetBruteForceFeaturize(i%2 == 0)
 		}
 	}()
 
@@ -450,6 +449,5 @@ func TestEngineServesWhileRetuning(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	tuners.Wait()
-	clf.SetBruteForceFeaturize(false)
 	clf.SetThreshold(0.5)
 }

@@ -231,7 +231,7 @@ var (
 	// DistanceDLOracle and DistanceLevenshteinOracle are the
 	// dynamic-programming forms of DistanceDL and DistanceLevenshtein:
 	// the differential oracles the bit-parallel defaults are tested
-	// against, selectable in production to cross-check a deployment.
+	// against.
 	DistanceDLOracle          DistanceFunc = editdist.OSADP
 	DistanceLevenshteinOracle DistanceFunc = editdist.LevenshteinDP
 )

@@ -437,3 +437,39 @@ func BenchmarkCompareDissimilar(b *testing.B) {
 		ComparePrepared(p1, p2, DistanceDL)
 	}
 }
+
+// TestKnownAnswerVectors pins the digest and scorer against reference
+// values. The digest is libfuzzy's (ssdeep's reference implementation)
+// for the pangram. The scorer follows libfuzzy's fuzzy_compare, whose
+// common-substring gate scores 0 for two signatures that share no
+// 7-gram — which is why the near-identical second digest below scores
+// 0 here, where a scorer without the gate would report a high match.
+func TestKnownAnswerVectors(t *testing.T) {
+	const (
+		pangram = "The quick brown fox jumps over the lazy dog"
+		want    = "3:FJKKIUKact:FHIGi"
+		other   = "3:FJKKIrKact:FHIrGi"
+	)
+	d, err := HashString(pangram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.String(); got != want {
+		t.Fatalf("HashString(%q) = %s, want %s", pangram, got, want)
+	}
+	for _, tc := range []struct {
+		a, b  string
+		score int
+	}{
+		{want, other, 0}, // no shared 7-gram: the gate zeroes the pair
+		{want, want, 100},
+	} {
+		got, err := CompareStrings(tc.a, tc.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.score {
+			t.Fatalf("CompareStrings(%s, %s) = %d, want %d", tc.a, tc.b, got, tc.score)
+		}
+	}
+}
