@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/ml"
 )
@@ -368,7 +369,7 @@ func BenchmarkEngineSwap(b *testing.B) {
 	if err := p.Classifier.Save(&buf); err != nil {
 		b.Fatal(err)
 	}
-	clone, err := Load(bytes.NewReader(buf.Bytes()))
+	clone, err := core.Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func cmdServe(args []string) error {
 	batch := fs.Int("batch", 0, "micro-batch window size (0 = engine default)")
 	latency := fs.Duration("latency", 0, "micro-batch latency bound (0 = engine default)")
 	workers := fs.Int("workers", 0, "concurrent batch executors (0 = engine default)")
-	cacheSize := fs.Int("cache", 0, "prediction-cache entries (0 = default, negative disables)")
+	cacheSize := fs.Int("cache", 0, "entries bounding both the prediction cache and the extraction cache (0 = default 65536; negative disables the prediction cache only)")
 	chunk := fs.Int("chunk", 256, "events observed per window; bounds memory and goroutines")
 	stats := fs.Bool("stats", false, "print engine and collector statistics to stderr at EOF")
 	retrainOn := fs.Bool("retrain", false, "enable continuous learning: harvest labels, retrain in the background, auto-swap gated candidates")
@@ -206,7 +206,15 @@ func cmdServe(args []string) error {
 		CacheEntries: *cacheSize,
 	})
 	defer engine.Close()
-	coll := collector.New(collector.Options{})
+	// The extraction cache is bounded like the prediction cache: a
+	// streamed body's SHA-256 is known only after featurisation, so the
+	// cache only recognises repeats and must not grow with every
+	// distinct binary the service ever sees.
+	collEntries := *cacheSize
+	if collEntries <= 0 {
+		collEntries = httpserve.DefaultCollectorEntries
+	}
+	coll := collector.New(collector.Options{MaxEntries: collEntries})
 	reg := metrics.NewRegistry()
 
 	// A calibrated artifact carries its own serving-population baseline,

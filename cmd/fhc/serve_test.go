@@ -7,6 +7,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -92,6 +93,56 @@ func TestCmdServeOversizedLine(t *testing.T) {
 	}
 	if !strings.Contains(got[2], `"error":"line 3: `) || !strings.Contains(got[2], "exceeds") {
 		t.Fatalf("oversized line not reported as its own error result: %s", got[2])
+	}
+}
+
+// TestCmdServeCollectorCacheBounded: -cache bounds the extraction cache
+// as well as the prediction cache, so a long-running fhc serve does not
+// keep one sample per distinct binary it has ever seen. Three distinct
+// binaries through -cache 2 must evict.
+func TestCmdServeCollectorCacheBounded(t *testing.T) {
+	dir, _ := makeTree(t)
+	model := trainModel(t, dir)
+	var lines []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && len(lines) < 3 {
+			lines = append(lines, `{"job_id":"`+strconv.Itoa(len(lines)+1)+`","exe":"x","path":"`+path+`"}`)
+		}
+		return err
+	})
+	if err != nil || len(lines) != 3 {
+		t.Fatalf("walk: %v (%d binaries)", err, len(lines))
+	}
+	events := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := os.WriteFile(events, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldStderr := os.Stderr
+	os.Stderr = w
+	_, err = withStdout(t, func() error {
+		return cmdServe([]string{"-model", model, "-input", events, "-cache", "2", "-stats"})
+	})
+	os.Stderr = oldStderr
+	w.Close()
+	stderr, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	var seen, unique, hits, evicted int
+	for _, line := range strings.Split(string(stderr), "\n") {
+		if strings.HasPrefix(line, "collector: ") {
+			fmt.Sscanf(line, "collector: %d seen, %d unique, %d cache hits, %d evicted",
+				&seen, &unique, &hits, &evicted)
+		}
+	}
+	if seen != 3 || unique != 3 || evicted != 1 {
+		t.Fatalf("collector stats seen=%d unique=%d evicted=%d, want 3/3/1:\n%s",
+			seen, unique, evicted, stderr)
 	}
 }
 

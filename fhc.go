@@ -17,14 +17,15 @@
 //	pred := clf.Classify(&incoming)                   // label a new binary
 //	if pred.Label == fhc.UnknownLabel { ... }         // flag for review
 //
-// The runnable programs under examples/ walk through the full workflow,
-// and cmd/fhc exposes it as a command-line tool. Everything is pure Go on
-// the standard library; no cgo, no network, no external binaries.
+// The facade carries only what README.md, OPERATIONS.md, ARCHITECTURE.md
+// and the runnable programs under examples/ use (TestFacadeNamesDocumented
+// holds it there); cmd/fhc exposes the whole workflow as a command-line
+// tool. Everything is pure Go on the
+// standard library; no cgo, no network, no external binaries.
 package fhc
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/collector"
@@ -32,15 +33,12 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/httpserve"
 	"repro/internal/knn"
-	"repro/internal/metrics"
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/monitor"
 	"repro/internal/openset"
 	"repro/internal/retrain"
-	"repro/internal/rf"
 	"repro/internal/serve"
-	"repro/internal/svm"
 	"repro/internal/synth"
 )
 
@@ -49,32 +47,14 @@ import (
 type (
 	// Sample is a labelled executable reduced to its fuzzy-hash features.
 	Sample = dataset.Sample
-	// FeatureKind enumerates the fuzzy-hash features of a sample.
-	FeatureKind = dataset.FeatureKind
 	// Classifier is a trained Fuzzy Hash Classifier.
 	Classifier = core.Classifier
 	// Config configures training.
 	Config = core.Config
-	// Grid is the hyper-parameter search space for training-time tuning.
-	Grid = core.Grid
 	// Prediction is the classifier's answer for one sample.
 	Prediction = core.Prediction
-	// ThresholdScore is one point of the confidence-threshold sweep.
-	ThresholdScore = core.ThresholdScore
-	// Model is the pluggable classification-model surface; Config.Model
-	// selects the registered kind ("rf", "knn", "svm") trained on the
-	// fuzzy-hash similarity features.
-	Model = model.Model
-	// ForestParams are the Random Forest hyper-parameters.
-	ForestParams = rf.Params
 	// KNNParams are the K-nearest-neighbour hyper-parameters.
 	KNNParams = knn.Params
-	// SVMParams are the linear SVM hyper-parameters.
-	SVMParams = svm.Params
-	// Report is a multi-class classification report.
-	Report = ml.Report
-	// ClassMetrics holds per-class precision/recall/f1/support.
-	ClassMetrics = ml.ClassMetrics
 	// Split is a two-phase train/test split.
 	Split = ml.Split
 	// SplitOptions configures SplitTwoPhase.
@@ -85,46 +65,33 @@ type (
 	CorpusOptions = synth.Options
 	// Corpus is a generated set of synthetic application executables.
 	Corpus = synth.Corpus
-	// MutationRates parameterises synthetic version evolution.
-	MutationRates = synth.MutationRates
 	// Monitor labels job submissions and applies allocation policy — the
 	// decision-support layer of the paper's Figure 1 workflow.
 	Monitor = monitor.Monitor
 	// MonitorPolicy declares allocation purposes and blocklisted classes.
 	MonitorPolicy = monitor.Policy
+	// MonitorLabeler is the labelling surface a Monitor drives;
+	// *Classifier and *Engine both satisfy it.
+	MonitorLabeler = monitor.Labeler
 	// JobEvent is one observed job submission.
 	JobEvent = monitor.Event
-	// Finding is one policy observation about a job.
-	Finding = monitor.Finding
-	// FindingKind classifies a policy finding.
-	FindingKind = monitor.FindingKind
 	// Collector deduplicates and extracts job executables (the paper's
 	// Slurm-prolog collection mechanism).
 	Collector = collector.Collector
 	// CollectorOptions configures a Collector.
 	CollectorOptions = collector.Options
-	// CollectorStats counts collector activity.
-	CollectorStats = collector.Stats
 	// Engine is the serving front for a classifier: an exact-hash
 	// prediction cache with in-flight coalescing over a micro-batching
 	// dispatcher. Predictions are bit-identical to Classifier.Classify.
 	Engine = serve.Engine
 	// EngineOptions configures an Engine's batching and caching.
 	EngineOptions = serve.Options
-	// EngineStats is a snapshot of engine activity.
-	EngineStats = serve.Stats
-	// MonitorObservation pairs one job event's prediction with its
-	// policy findings, as returned by Monitor.ObserveAll.
-	MonitorObservation = monitor.Observation
-	// MonitorLabeler is the labelling surface a Monitor drives;
-	// *Classifier and *Engine both satisfy it.
-	MonitorLabeler = monitor.Labeler
 	// HTTPServer is the network front end over an Engine: the versioned
 	// classify/swap JSON API plus health and Prometheus metrics
 	// endpoints (see internal/httpserve).
 	HTTPServer = httpserve.Server
 	// HTTPServerOptions configures an HTTPServer: body limits,
-	// concurrency backpressure, path-request policy, model loading.
+	// concurrency backpressure, path-request policy, model directory.
 	HTTPServerOptions = httpserve.Options
 	// HTTPClassifyRequest is the wire request of POST /v1/classify and
 	// each element of a batch request.
@@ -139,10 +106,6 @@ type (
 	HTTPSwapRequest = httpserve.SwapRequest
 	// HTTPSwapResponse acknowledges an installed hot-swap.
 	HTTPSwapResponse = httpserve.SwapResponse
-	// MetricsRegistry is the dependency-free Prometheus-text metrics
-	// registry the HTTP layer exposes on GET /metrics; pass one via
-	// HTTPServerOptions.Registry to add application series.
-	MetricsRegistry = metrics.Registry
 	// Retrainer is the continuous-learning subsystem: it harvests
 	// labelled windows into a bounded class-balanced training store,
 	// retrains in the background on a trigger policy, and promotes
@@ -157,29 +120,6 @@ type (
 	// RetrainStoreOptions bounds and persists the labelled training
 	// store (RetrainOptions.Store).
 	RetrainStoreOptions = retrain.StoreOptions
-	// RetrainStats is a snapshot of retrainer activity: run/promotion/
-	// rejection counters, harvest totals, store population and the last
-	// cycle's result.
-	RetrainStats = retrain.Stats
-	// RetrainResult describes one retraining cycle: the trigger, the
-	// frozen split, both holdout macro-F1 scores, per-class deltas and
-	// the promotion verdict.
-	RetrainResult = retrain.Result
-	// HTTPRetrainRequest kicks a continuous-learning cycle over POST
-	// /v1/retrain; set Wait to block for the cycle's result.
-	HTTPRetrainRequest = httpserve.RetrainRequest
-	// HTTPRetrainResponse acknowledges a triggered cycle and, for
-	// waited requests, carries its result.
-	HTTPRetrainResponse = httpserve.RetrainResponse
-	// Verdict is the calibrated open-set decision attached to a
-	// Prediction: "class", "unknown" or "ambiguous" (see
-	// internal/openset).
-	Verdict = openset.Verdict
-	// Calibration is the versioned open-set abstention policy tuned by
-	// Classifier.Calibrate on a frozen holdout and persisted inside the
-	// model artifact, so hot swaps install model and thresholds as one
-	// atomic unit.
-	Calibration = openset.Calibration
 	// CalibrateOptions tunes Classifier.Calibrate's abstention budget.
 	CalibrateOptions = openset.CalibrateOptions
 	// DriftDetector watches served verdicts for population drift
@@ -189,8 +129,6 @@ type (
 	DriftDetector = openset.Detector
 	// DriftOptions configures a DriftDetector.
 	DriftOptions = openset.DriftOptions
-	// DriftState is a snapshot of a DriftDetector.
-	DriftState = openset.DriftState
 	// DriftBaseline is the expected verdict population a calibration
 	// records for its drift detector.
 	DriftBaseline = openset.Baseline
@@ -218,23 +156,16 @@ const (
 	FeatureFile    = dataset.FeatureFile
 	FeatureStrings = dataset.FeatureStrings
 	FeatureSymbols = dataset.FeatureSymbols
-	FeatureNeeded  = dataset.FeatureNeeded
 )
 
-// Model kinds selectable via Config.Model.
+// Comparison model kinds selectable via Config.Model; the zero value
+// selects the paper's Random Forest.
 const (
-	// ModelRF is the paper's Random Forest, the default.
-	ModelRF = model.KindRF
 	// ModelKNN is the K-nearest-neighbour comparison model.
 	ModelKNN = model.KindKNN
 	// ModelSVM is the linear one-vs-rest SVM comparison model.
 	ModelSVM = model.KindSVM
 )
-
-// ModelKinds returns the registered model kind tags, sorted.
-func ModelKinds() []string {
-	return model.Kinds()
-}
 
 // Split modes for SplitTwoPhase.
 const (
@@ -242,19 +173,6 @@ const (
 	PaperSplit = ml.PaperSplit
 	// RandomSplit draws unknown classes randomly (the paper's 80/20).
 	RandomSplit = ml.RandomSplit
-)
-
-// Finding kinds, one per guiding question of the paper plus the
-// blocklist hit.
-const (
-	// UnknownApplication: the executable resembles no known class.
-	UnknownApplication = monitor.UnknownApplication
-	// PurposeDeviation: the class is outside the allocation's purpose.
-	PurposeDeviation = monitor.PurposeDeviation
-	// NewUserBehaviour: the user never ran this class before.
-	NewUserBehaviour = monitor.NewUserBehaviour
-	// BlockedApplication: the class is blocklisted.
-	BlockedApplication = monitor.BlockedApplication
 )
 
 // NewMonitor builds a job monitor over a labeler and a policy. Pass the
@@ -293,16 +211,10 @@ func NewEngine(clf *Classifier, opt EngineOptions) *Engine {
 // cache, batching and swap counters. The zero HTTPServerOptions selects
 // production defaults: 64 MiB body limit, 8x GOMAXPROCS concurrent
 // requests (excess answered 429), server-local path requests disabled.
-// Run with ListenAndServe/Serve, drain with Shutdown; the caller keeps
-// ownership of the engine (see examples/http-serving).
+// Run with Serve, drain with Shutdown; the caller keeps ownership of
+// the engine (see examples/http-serving).
 func NewHTTPServer(engine *Engine, opt HTTPServerOptions) *HTTPServer {
 	return httpserve.New(engine, opt)
-}
-
-// NewMetricsRegistry returns an empty metrics registry, for sharing one
-// exposition between the HTTP layer and application series.
-func NewMetricsRegistry() *MetricsRegistry {
-	return metrics.NewRegistry()
 }
 
 // NewDriftDetector builds a population-drift detector over a
@@ -339,12 +251,7 @@ func Train(samples []Sample, cfg Config) (*Classifier, error) {
 	return core.Train(samples, cfg)
 }
 
-// Load reads a classifier previously stored with Classifier.Save.
-func Load(r io.Reader) (*Classifier, error) {
-	return core.Load(r)
-}
-
-// LoadFile reads a classifier from a model file.
+// LoadFile reads a classifier previously stored with Classifier.Save.
 func LoadFile(path string) (*Classifier, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -352,22 +259,6 @@ func LoadFile(path string) (*Classifier, error) {
 	}
 	defer f.Close()
 	return core.Load(f)
-}
-
-// SampleFromBinary extracts all features from an in-memory ELF binary.
-func SampleFromBinary(class, version, exe string, bin []byte) (Sample, error) {
-	return dataset.FromBinary(class, version, exe, bin)
-}
-
-// SampleFromFile extracts all features from an ELF executable on disk.
-// The labels are free-form; for unlabelled production binaries pass
-// placeholders.
-func SampleFromFile(class, version, exe, path string) (Sample, error) {
-	bin, err := os.ReadFile(path)
-	if err != nil {
-		return Sample{}, fmt.Errorf("fhc: %w", err)
-	}
-	return dataset.FromBinary(class, version, exe, bin)
 }
 
 // ScanTree loads labelled samples from an install tree laid out as
@@ -384,33 +275,9 @@ func SplitTwoPhase(samples []Sample, opt SplitOptions) (Split, error) {
 	return ml.SplitTwoPhase(samples, opt)
 }
 
-// StratifiedKFold partitions sample indices into k class-balanced folds
-// for cross-validation.
-func StratifiedKFold(samples []Sample, k int, seed uint64) ([][]int, error) {
-	return ml.StratifiedKFold(samples, k, seed)
-}
-
-// SaveSamples writes extracted samples as JSON lines — digests and labels
-// only, never binary content.
-func SaveSamples(w io.Writer, samples []Sample) error {
-	return dataset.SaveSamples(w, samples)
-}
-
-// LoadSamples reads samples written by SaveSamples.
-func LoadSamples(r io.Reader) ([]Sample, error) {
-	return dataset.LoadSamples(r)
-}
-
-// ClassificationReport scores predictions against true labels with the
-// paper's metrics (per-class precision/recall/f1 plus micro, macro and
-// weighted averages).
-func ClassificationReport(yTrue, yPred []string) (*Report, error) {
-	return ml.ClassificationReport(yTrue, yPred)
-}
-
 // GenerateCorpus builds a synthetic corpus of ELF application executables
 // following the given class manifest. It substitutes for the paper's
-// private cluster dataset; see DESIGN.md for the substitution argument.
+// private cluster dataset (see internal/synth).
 func GenerateCorpus(specs []ClassSpec, opt CorpusOptions) (*Corpus, error) {
 	return synth.Generate(specs, opt)
 }
@@ -418,23 +285,4 @@ func GenerateCorpus(specs []ClassSpec, opt CorpusOptions) (*Corpus, error) {
 // SamplesFromCorpus extracts features from a generated corpus in parallel.
 func SamplesFromCorpus(c *Corpus, workers int) ([]Sample, error) {
 	return dataset.FromCorpus(c, workers)
-}
-
-// PaperManifest returns the 92-class corpus manifest reconstructed from
-// the paper's Tables 3 and 4.
-func PaperManifest() []ClassSpec {
-	return synth.PaperManifest()
-}
-
-// SmallManifest returns a reduced manifest: the first nKnown known and
-// nUnknown unknown paper classes, capped at maxSamples per class
-// (0 keeps the paper sizes).
-func SmallManifest(nKnown, nUnknown, maxSamples int) []ClassSpec {
-	return synth.SmallManifest(nKnown, nUnknown, maxSamples)
-}
-
-// DefaultGrid returns the hyper-parameter grid used for the paper-scale
-// experiments.
-func DefaultGrid() *Grid {
-	return core.DefaultGrid()
 }

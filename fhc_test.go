@@ -5,9 +5,18 @@ package fhc
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // buildDemoSamples generates a small corpus through the public API.
@@ -59,9 +68,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := clf.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := Load(&buf)
+	modelPath := filepath.Join(t.TempDir(), "model.json")
+	if err := os.WriteFile(modelPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFile(modelPath)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadFile: %v", err)
 	}
 	for i := range test {
 		if a, b := clf.Classify(&test[i]), loaded.Classify(&test[i]); a.Label != b.Label {
@@ -98,9 +111,13 @@ func TestPublicAPIFileWorkflow(t *testing.T) {
 	// Classify one binary through the file-based entry point.
 	s := corpus.Samples[0]
 	path := filepath.Join(dir, s.Path())
-	probe, err := SampleFromFile("", "", s.Exe, path)
+	bin, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("SampleFromFile: %v", err)
+		t.Fatal(err)
+	}
+	probe, err := dataset.FromBinary("", "", s.Exe, bin)
+	if err != nil {
+		t.Fatalf("FromBinary: %v", err)
 	}
 	pred := clf.Classify(&probe)
 	if pred.Label != s.Class {
@@ -124,36 +141,6 @@ func TestPublicAPIFileWorkflow(t *testing.T) {
 	}
 	if got := loaded.Classify(&probe); got.Label != s.Class {
 		t.Fatalf("reloaded model classified %q, want %q", got.Label, s.Class)
-	}
-}
-
-func TestPaperManifestExported(t *testing.T) {
-	specs := PaperManifest()
-	if len(specs) != 92 {
-		t.Fatalf("PaperManifest has %d classes, want 92", len(specs))
-	}
-	small := SmallManifest(5, 2, 10)
-	if len(small) != 7 {
-		t.Fatalf("SmallManifest has %d classes, want 7", len(small))
-	}
-	if DefaultGrid() == nil {
-		t.Fatal("DefaultGrid returned nil")
-	}
-}
-
-func TestClassificationReportExported(t *testing.T) {
-	r, err := ClassificationReport([]string{"a", "b"}, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Accuracy != 1 {
-		t.Fatalf("accuracy = %v", r.Accuracy)
-	}
-}
-
-func TestSampleFromBinaryRejectsJunk(t *testing.T) {
-	if _, err := SampleFromBinary("c", "v", "x", []byte("junk")); err == nil {
-		t.Fatal("junk accepted")
 	}
 }
 
@@ -225,5 +212,95 @@ func TestPublicAPIContinuousLearning(t *testing.T) {
 	st := rt.Stats()
 	if st.Promotions != 1 || st.Last == nil {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestFacadeNamesDocumented keeps the facade from regrowing: every
+// exported name in fhc.go must be named as fhc.Name by README.md,
+// OPERATIONS.md, ARCHITECTURE.md, a file under examples/ or cmd/, or the
+// package's Quick-start comment — or appear in the signature of a
+// function that is itself so named. Tests do not count as users.
+func TestFacadeNamesDocumented(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "fhc.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	funcs := map[string]*ast.FuncType{}
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				declared[d.Name.Name] = true
+				funcs[d.Name.Name] = d.Type
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					declared[sp.Name.Name] = sp.Name.IsExported()
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						declared[n.Name] = n.IsExported()
+					}
+				}
+			}
+		}
+	}
+
+	ref := regexp.MustCompile(`\bfhc\.([A-Z][A-Za-z0-9_]*)`)
+	named := map[string]bool{}
+	scan := func(text string) {
+		for _, m := range ref.FindAllStringSubmatch(text, -1) {
+			named[m[1]] = true
+		}
+	}
+	scan(file.Doc.Text()) // the Quick-start comment
+	for _, doc := range []string{"README.md", "OPERATIONS.md", "ARCHITECTURE.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan(string(raw))
+	}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			raw, err := os.ReadFile(path)
+			scan(string(raw))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A kept function's parameter and result types stay with it.
+	used := map[string]bool{}
+	for name, typ := range funcs {
+		if !named[name] {
+			continue
+		}
+		ast.Inspect(typ, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+
+	var unused []string
+	for name, exported := range declared {
+		if exported && !named[name] && !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Fatalf("%d facade names are named by no doc, example or command: %s",
+			len(unused), strings.Join(unused, ", "))
 	}
 }

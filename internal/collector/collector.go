@@ -14,11 +14,12 @@
 // extraction, classification and prediction reuse alike.
 //
 // Concurrency contract: a Collector is safe for concurrent Collect,
-// Known and Stats calls from any number of scheduler hooks. Concurrent
-// Collects of the same new binary may each pay extraction, but the
-// cache insert is first-write-wins: every caller receives the winner's
-// sample, so downstream layers never see two feature extractions of
-// one content digest.
+// CollectStream and Stats calls from any number of scheduler hooks.
+// Concurrent collections of the same new binary may each pay
+// extraction, but the cache insert is first-write-wins (and may evict
+// the least recently used entry of a bounded cache): every caller
+// receives the winner's sample, so downstream layers never see two
+// feature extractions of one content digest.
 package collector
 
 import (
@@ -48,9 +49,6 @@ type Options struct {
 	// full, the least recently used entry is evicted (collection
 	// daemons run for months).
 	MaxEntries int
-	// Workers bounds... extraction is per-call synchronous; concurrency
-	// comes from callers. Reserved for future use.
-	Workers int
 }
 
 // Collector deduplicates and extracts job executables. It is safe for
@@ -106,8 +104,9 @@ func (c *Collector) Collect(exe string, bin []byte) (dataset.Sample, bool, error
 
 // CollectStream ingests one observed execution whose binary content is
 // streamed out of r: the streaming form of Collect, extracting features
-// incrementally with O(1) memory (see dataset.FromReader; maxSpill
-// bounds the ELF spill buffer, <= 0 selecting the default). The content
+// incrementally (see dataset.FromReader). Memory per call is bounded by
+// maxSpill, the ELF spill buffer (<= 0 selects dataset.DefaultMaxSpill);
+// only the spill grows with the binary, up to that bound. The content
 // key is the SHA-256 computed in the same single pass, so deduplication
 // costs no extra read. Unlike Collect, a repeated binary still pays
 // extraction — the key is only known once the stream has been consumed
@@ -151,20 +150,4 @@ func (c *Collector) Stats() Stats {
 		CacheHits: int(c.hits.Load()),
 		Evicted:   int(c.cache.Evicted()),
 	}
-}
-
-// Known reports whether a binary with this content is currently cached,
-// without refreshing its recency.
-func (c *Collector) Known(bin []byte) bool {
-	return c.cache.Contains(serve.KeyOf(bin))
-}
-
-// Range calls fn for every currently cached sample, without refreshing
-// recency. The iteration is a per-shard snapshot: samples collected or
-// evicted while Range runs may or may not be visited, and fn may safely
-// call back into the collector. The continuous-learning layer uses it to
-// warm its training store from binaries the collector has already seen.
-// fn must not mutate the sample; copy it first.
-func (c *Collector) Range(fn func(s *dataset.Sample)) {
-	c.cache.Range(func(_ serve.Key, s *dataset.Sample) { fn(s) })
 }

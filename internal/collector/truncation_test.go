@@ -42,7 +42,7 @@ func TestCollectStreamTruncatedNeverCached(t *testing.T) {
 	if !s1.Digests[dataset.FeatureSymbols].IsZero() {
 		t.Fatal("truncated sample carries structural digests")
 	}
-	if c.Known(bin) {
+	if known(c, bin) {
 		t.Fatal("truncated sample entered the extraction cache")
 	}
 	// A repeat truncated collection recomputes — still no hit, still
@@ -60,7 +60,7 @@ func TestCollectStreamTruncatedNeverCached(t *testing.T) {
 	if err != nil || hit {
 		t.Fatalf("complete collection: hit=%v err=%v", hit, err)
 	}
-	if !c.Known(bin) {
+	if !known(c, bin) {
 		t.Fatal("complete sample missing from the extraction cache")
 	}
 	again, hit, err := c.CollectStream("big", bytes.NewReader(bin), 0)
@@ -92,7 +92,7 @@ func TestCollectStreamMidStreamError(t *testing.T) {
 	if !errors.Is(err, broken) {
 		t.Fatalf("mid-stream error: %v", err)
 	}
-	if c.Known(bin) {
+	if known(c, bin) {
 		t.Fatal("failed stream entered the extraction cache")
 	}
 	if got := c.Stats(); got.Seen != 1 || got.Unique != 0 {

@@ -195,7 +195,7 @@ func TestConfigBruteForceFeaturize(t *testing.T) {
 
 func mustDigest(t *testing.T, content string) ssdeep.Digest {
 	t.Helper()
-	d, err := ssdeep.HashString(content)
+	d, err := ssdeep.HashBytes([]byte(content))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,13 +47,15 @@ var featPool = sync.Pool{New: func() any {
 
 // FromReader extracts features from an ELF binary streamed out of r: the
 // streaming form of FromBinary. SHA-256, the file fuzzy digest and the
-// strings fuzzy digest are computed incrementally in a single pass with
-// O(1) memory regardless of input size. ELF structural parsing
-// (symbols, DT_NEEDED) requires random access, so the input is also
-// copied into a bounded spill buffer: inputs up to maxSpill bytes yield
-// a sample bit-identical to FromBinary's, larger ones skip the
-// structural features and report !StreamInfo.Complete. maxSpill <= 0
-// selects DefaultMaxSpill.
+// strings fuzzy digest are computed incrementally in a single pass in
+// constant memory. ELF structural parsing (symbols, DT_NEEDED) requires
+// random access, so the input is also copied into a bounded spill
+// buffer: inputs up to maxSpill bytes yield a sample bit-identical to
+// FromBinary's, larger ones skip the structural features and report
+// !StreamInfo.Complete. maxSpill <= 0 selects DefaultMaxSpill. The
+// spill holds min(input size, maxSpill) bytes: memory stops growing
+// with the input only once the input exceeds maxSpill, and at the
+// default bound an extraction can hold a whole 64 MiB input.
 //
 // A non-ELF input is rejected as soon as the first four bytes arrive,
 // without consuming the rest of the stream.

@@ -64,10 +64,11 @@ func BenchmarkHTTPClassify(b *testing.B) {
 }
 
 // BenchmarkClassifyHTTPRawStream measures the raw octet-stream leg —
-// handler driven directly, no sockets — at two body sizes. The
-// acceptance gate for O(1)-memory ingestion is that B/op stays flat
-// from 1 MiB to 64 MiB: the body is featurised off the wire through
-// pooled fixed-size scratch, never materialised.
+// handler driven directly, no sockets — at two body sizes. With the
+// spill bound set below the body size, B/op stays flat from 1 MiB to
+// 64 MiB: the body is featurised off the wire through pooled
+// fixed-size scratch, never materialised. The default spill bound
+// (MaxBodyBytes) holds up to the whole body and is not measured here.
 func BenchmarkClassifyHTTPRawStream(b *testing.B) {
 	fixture(b)
 	for _, mib := range []int{1, 64} {

@@ -23,7 +23,11 @@
 //   - raw streaming: Content-Type application/octet-stream with the
 //     binary as the body (?exe=name names it). The body is featurised
 //     off the wire — SHA-256, the file digest and the strings digest in
-//     one pass with O(1) memory — never materialised.
+//     one pass — and never copied whole except into the ELF spill
+//     buffer, which holds up to Options.MaxSpillBytes of it. That bound
+//     defaults to MaxBodyBytes, so by default a request can hold its
+//     whole body (up to 64 MiB); memory is O(1) in body size only when
+//     MaxSpillBytes is set below the body size.
 //   - inline JSON: {"binary_b64":...} (or {"path":...} where allowed),
 //     decoded through a streaming base64 reader into the same
 //     featuriser rather than into a second in-memory copy.
@@ -94,6 +98,14 @@ import (
 	"repro/internal/serve"
 )
 
+// DefaultCollectorEntries bounds the extraction cache of a Server's
+// private collector. The streaming legs learn a body's SHA-256 only
+// after featurising it, so this cache never saves an extraction there;
+// it only recognises repeats for the cached flag and the collector
+// counters, and the bound keeps a long-running server from holding one
+// sample per distinct binary forever.
+const DefaultCollectorEntries = 65536
+
 // Options configures a Server. The zero value selects production
 // defaults.
 type Options struct {
@@ -131,11 +143,9 @@ type Options struct {
 	// arbitrary files. Empty trusts the network with any path — the
 	// posture of a prolog-only cluster service behind its own perimeter.
 	ModelDir string
-	// LoadModel resolves a model-swap artifact path into a classifier.
-	// Default core.LoadFile. Tests substitute failures and fakes.
-	LoadModel func(path string) (*core.Classifier, error)
 	// Collector deduplicates feature extraction across requests. A nil
-	// value creates a private collector with default options.
+	// value creates a private collector whose cache holds
+	// DefaultCollectorEntries samples.
 	Collector *collector.Collector
 	// Retrainer, when non-nil, enables the continuous-learning surface:
 	// the classify routes harvest confident predictions into its
@@ -171,11 +181,8 @@ func (o Options) withDefaults() Options {
 	} else if o.ReadTimeout < 0 {
 		o.ReadTimeout = 0
 	}
-	if o.LoadModel == nil {
-		o.LoadModel = core.LoadFile
-	}
 	if o.Collector == nil {
-		o.Collector = collector.New(collector.Options{})
+		o.Collector = collector.New(collector.Options{MaxEntries: DefaultCollectorEntries})
 	}
 	if o.Registry == nil {
 		o.Registry = metrics.NewRegistry()
@@ -316,7 +323,7 @@ func (s *Server) registerMetrics() {
 		"Distinct binaries that paid feature extraction.",
 		func() float64 { return float64(snap.Load().coll.Unique) })
 	reg.CounterFunc("fhc_collector_cache_hits_total",
-		"Extractions skipped via the exact-hash extraction cache.",
+		"Collected binaries recognised as repeats by the exact-hash extraction cache (streamed bodies are still extracted).",
 		func() float64 { return float64(snap.Load().coll.CacheHits) })
 }
 
@@ -330,15 +337,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Serve was called.
 func (s *Server) Serve(ln net.Listener) error {
 	return s.httpSrv.Serve(ln)
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Shutdown drains the server gracefully: /readyz flips to 503 so load
@@ -711,8 +709,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 // handleClassifyRaw is the raw streaming leg: the body is the binary,
 // fed straight off the wire into the single-pass featuriser — no
-// base64, no io.ReadAll, O(1) memory however large the executable. The
-// submitted name rides the ?exe= query parameter.
+// base64, no io.ReadAll; only the spill buffer (MaxSpillBytes) grows
+// with the executable. The submitted name rides the ?exe= query
+// parameter.
 //
 // fhc:hotpath
 func (s *Server) handleClassifyRaw(w http.ResponseWriter, r *http.Request) {
@@ -1130,7 +1129,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	next, err := s.opt.LoadModel(req.Path)
+	next, err := core.LoadFile(req.Path)
 	if err != nil {
 		// The previous model keeps serving; the caller retries with a
 		// fixed artifact.
@@ -1159,8 +1158,9 @@ func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	}
 	var req RetrainRequest
 	body := http.MaxBytesReader(w, r.Body, 1<<20) // the request is a tiny flag object
+	// An empty body is a background kick.
 	if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		writeDecodeError(w, err)
 		return
 	}
 	if req.Wait {

@@ -831,6 +831,34 @@ func TestHTTPRetrainWaitKickAndStatus(t *testing.T) {
 	}
 }
 
+// TestHTTPRetrainBodyTooLarge: an oversized retrain request is refused
+// 413, like every other size-limited route, and kicks nothing; a
+// malformed one is a 400.
+func TestHTTPRetrainBodyTooLarge(t *testing.T) {
+	ts, _, rt := retrainTestServer(t, fixRF)
+	big := `{"wait":true,"pad":"` + strings.Repeat("A", 2<<20) + `"}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/retrain", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized retrain request: %d %s", resp.StatusCode, body)
+	}
+	resp, err = ts.Client().Post(ts.URL+"/v1/retrain", "application/json", strings.NewReader("{not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed retrain request: %d", resp.StatusCode)
+	}
+	if runs := rt.Stats().Runs; runs != 0 {
+		t.Fatalf("refused requests ran %d cycles", runs)
+	}
+}
+
 // TestHTTPClassifyHarvestsIntoStore proves the classify route feeds the
 // continuous-learning store: confident predictions are admitted, and a
 // duplicate submission does not occupy a second slot.

@@ -31,10 +31,6 @@ type DriftOptions struct {
 	// drop below threshold*Hysteresis, so one excursion cannot flap
 	// the alarm. Default 0.5; clamped to [0, 1].
 	Hysteresis float64
-	// OnAlarm, when non-nil, runs (outside the detector's lock) each
-	// time the alarm latches — the hook the serving layer uses to kick
-	// a retraining cycle. AddAlarmHook appends more.
-	OnAlarm func(reason string)
 	// Registry receives the fhc_openset_* and fhc_drift_* metrics. A
 	// nil value registers them on a private, unexported registry.
 	Registry *metrics.Registry
@@ -140,9 +136,6 @@ func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load
 func NewDetector(base Baseline, opt DriftOptions) *Detector {
 	opt = opt.withDefaults()
 	d := &Detector{opt: opt, ring: make([]driftObs, opt.Window)}
-	if opt.OnAlarm != nil {
-		d.hooks = append(d.hooks, opt.OnAlarm)
-	}
 	d.setBaselineLocked(base)
 	reg := opt.Registry
 	if reg == nil {
@@ -191,7 +184,8 @@ func (d *Detector) register(reg *metrics.Registry) {
 }
 
 // AddAlarmHook appends fn to the alarm hooks; it runs outside the
-// detector's lock on every latch. Safe to call while observing.
+// detector's lock each time the alarm latches — the hook the serving
+// layer uses to kick a retraining cycle. Safe to call while observing.
 func (d *Detector) AddAlarmHook(fn func(reason string)) {
 	if fn == nil {
 		return
@@ -201,24 +195,23 @@ func (d *Detector) AddAlarmHook(fn func(reason string)) {
 	d.mu.Unlock()
 }
 
-// SetBaseline replaces the expected distribution — the swap path calls
-// this when a new model artifact (with its own calibration) installs —
-// and resets the window and the alarm latch: traffic served by the new
-// model must not be tested against the old model's baseline.
-func (d *Detector) SetBaseline(base Baseline) {
+// setBaseline replaces the expected distribution and resets the window
+// and the alarm latch: traffic served by a new model must not be tested
+// against the old model's baseline.
+func (d *Detector) setBaseline(base Baseline) {
 	d.mu.Lock()
 	d.setBaselineLocked(base)
 	d.mu.Unlock()
 }
 
 // Rebaseline applies the rule every model install follows: a model
-// that carries a calibration re-baselines the detector from it (see
-// SetBaseline). A nil calibration — an uncalibrated model — leaves the
+// that carries a calibration re-baselines the detector from it,
+// resetting the window and the alarm latch. A nil calibration — an uncalibrated model — leaves the
 // detector as it is, and a nil detector ignores the call, so install
 // paths need no guards.
 func (d *Detector) Rebaseline(cal *Calibration) {
 	if d != nil && cal != nil {
-		d.SetBaseline(cal.Baseline)
+		d.setBaseline(cal.Baseline)
 	}
 }
 

@@ -58,13 +58,11 @@ func TestOpenSetDriftHealthyTrafficStaysQuiet(t *testing.T) {
 func TestOpenSetDriftAlarmLatchesOnce(t *testing.T) {
 	var mu sync.Mutex
 	var reasons []string
-	d := NewDetector(healthyBaseline(), DriftOptions{
-		Window: 100,
-		OnAlarm: func(reason string) {
-			mu.Lock()
-			reasons = append(reasons, reason)
-			mu.Unlock()
-		},
+	d := NewDetector(healthyBaseline(), DriftOptions{Window: 100})
+	d.AddAlarmHook(func(reason string) {
+		mu.Lock()
+		reasons = append(reasons, reason)
+		mu.Unlock()
 	})
 	feedHealthy(d, 200)
 	feedDrifting(d, 500) // five windows of sustained drift
@@ -86,10 +84,8 @@ func TestOpenSetDriftAlarmLatchesOnce(t *testing.T) {
 // fires nothing.
 func TestOpenSetDriftHysteresisRearms(t *testing.T) {
 	fired := 0
-	d := NewDetector(healthyBaseline(), DriftOptions{
-		Window:  100,
-		OnAlarm: func(string) { fired++ },
-	})
+	d := NewDetector(healthyBaseline(), DriftOptions{Window: 100})
+	d.AddAlarmHook(func(string) { fired++ })
 	feedDrifting(d, 200)
 	if fired != 1 {
 		t.Fatalf("first excursion fired %d times, want 1", fired)
@@ -122,10 +118,10 @@ func TestOpenSetDriftSetBaselineResets(t *testing.T) {
 	// New model expects exactly the traffic that alarmed the old one.
 	hist := make([]float64, BaselineBins)
 	hist[confidenceBin(0.35)] = 1
-	d.SetBaseline(Baseline{ConfidenceHist: hist, UnknownRate: 1, Samples: 500})
+	d.Rebaseline(&Calibration{Baseline: Baseline{ConfidenceHist: hist, UnknownRate: 1, Samples: 500}})
 	st := d.State()
 	if st.Alarmed || st.WindowSize != 0 || st.ChiSquare != 0 || st.UnknownZ != 0 {
-		t.Fatalf("SetBaseline did not reset: %+v", st)
+		t.Fatalf("Rebaseline did not reset: %+v", st)
 	}
 	feedDrifting(d, 500)
 	if st := d.State(); st.Alarmed {
@@ -147,10 +143,8 @@ func TestOpenSetDriftMinSamplesGate(t *testing.T) {
 
 func TestOpenSetDriftAddAlarmHook(t *testing.T) {
 	first, second := 0, 0
-	d := NewDetector(healthyBaseline(), DriftOptions{
-		Window:  100,
-		OnAlarm: func(string) { first++ },
-	})
+	d := NewDetector(healthyBaseline(), DriftOptions{Window: 100})
+	d.AddAlarmHook(func(string) { first++ })
 	d.AddAlarmHook(func(string) { second++ })
 	d.AddAlarmHook(nil) // ignored
 	feedDrifting(d, 200)
@@ -201,7 +195,7 @@ func TestOpenSetDriftConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				switch {
 				case g == 0 && i%100 == 0:
-					d.SetBaseline(healthyBaseline())
+					d.Rebaseline(&Calibration{Baseline: healthyBaseline()})
 				case g == 1 && i%200 == 0:
 					d.AddAlarmHook(func(string) {})
 				case i%3 == 0:

@@ -27,7 +27,7 @@
 //
 // Concurrency contract: a Calibration is immutable after Calibrate or
 // Decode and safe for concurrent Decide calls. A Detector is safe for
-// concurrent Observe/State/SetBaseline calls from any number of
+// concurrent Observe/State/Rebaseline calls from any number of
 // goroutines; alarm hooks run outside its lock.
 package openset
 

@@ -23,11 +23,11 @@
 //     keeps serving, bit-identically.
 //
 // Concurrency contract: every Retrainer method — the harvest surface
-// (HarvestLabeled, ObservePrediction, BackfillCollector), Kick, RunNow,
-// Stats, SetIncumbent, Close — is safe to call from any number of
-// goroutines while the engine serves. Retraining cycles are serialised
-// internally (concurrent RunNow calls queue); harvesting never blocks on
-// a running cycle beyond one short store mutex. Close stops the
+// (HarvestLabeled, ObservePrediction), Kick, RunNow, InstallIncumbent,
+// Stats, Close — is safe to call from any number of goroutines while
+// the engine serves. Retraining cycles are serialised internally
+// (concurrent RunNow calls queue); harvesting never blocks on a running
+// cycle beyond one short store mutex. Close stops the
 // background loop, persists the store and is idempotent.
 package retrain
 
@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -59,6 +58,11 @@ import (
 // never harvested — a sample the model cannot name is exactly the
 // sample self-training must not learn from.
 const unknownLabel = core.UnknownLabel
+
+// minStoreSamples is the smallest store that may run a cycle; below it
+// every trigger records a failure ("insufficient data"). The classifier
+// itself needs two classes and the gate needs a holdout.
+const minStoreSamples = 8
 
 // Options configures a Retrainer. The zero value selects serving
 // defaults: a 4096-sample memory-only store, retrain after 256 new
@@ -97,28 +101,12 @@ type Options struct {
 	// calibration is installed; predictions carrying no evidence
 	// channel (Evidence < 0) pass it. Default 25; negative disables.
 	MinEvidence float64
-	// Calibrate retunes each candidate's open-set calibration
-	// (per-class margin and evidence floors plus the drift baseline)
-	// on the cycle's frozen holdout before the promotion gate scores
-	// it, so a promoted artifact always carries thresholds tuned on
-	// data it never trained on. Even when false, a candidate is
-	// calibrated whenever the incumbent carries a calibration —
-	// promotion must never silently shed the abstention policy.
-	Calibrate bool
-	// CalibrateOptions tunes candidate calibration (quantile budget,
-	// per-class minimum). The zero value selects openset defaults.
-	CalibrateOptions openset.CalibrateOptions
 	// Drift, when non-nil, is re-baselined from the newly installed
 	// model's calibration on every install — promotion, manual swap
 	// through InstallIncumbent, rollback — so served traffic is never
 	// tested for drift against a baseline belonging to a model that no
 	// longer serves.
 	Drift *openset.Detector
-	// MinStoreSamples is the smallest store that may trigger a cycle;
-	// below it every trigger records a failure ("insufficient data").
-	// Default 8 (the classifier itself needs two classes and the gate
-	// needs a holdout).
-	MinStoreSamples int
 	// ArtifactDir, when non-empty, persists every promoted candidate as
 	// model-YYYYMMDD-HHMMSS.json there, maintains a "latest" pointer
 	// file naming the newest artifact, and prunes to KeepArtifacts.
@@ -156,9 +144,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinEvidence == 0 {
 		o.MinEvidence = 25
-	}
-	if o.MinStoreSamples == 0 {
-		o.MinStoreSamples = 8
 	}
 	if o.KeepArtifacts <= 0 {
 		o.KeepArtifacts = 5
@@ -464,23 +449,6 @@ func (r *Retrainer) harvest(s *dataset.Sample, class string, authoritative bool)
 	return true
 }
 
-// BackfillCollector classifies every binary the collector has already
-// extracted through the serving engine and offers each prediction for
-// harvesting — warming an empty store from a long-running collector the
-// moment continuous learning is switched on. It returns the number of
-// samples admitted.
-func (r *Retrainer) BackfillCollector(c *collector.Collector) int {
-	admitted := 0
-	c.Range(func(s *dataset.Sample) {
-		cp := *s
-		pred := r.engine.Classify(&cp)
-		if r.ObservePrediction(&cp, pred) {
-			admitted++
-		}
-	})
-	return admitted
-}
-
 // InstallIncumbent hot-swaps clf into the serving engine and records
 // it as the promotion gate's new baseline, as one atomic step — the
 // path manual swaps and rollbacks take, so a swap racing an automatic
@@ -498,9 +466,9 @@ func (r *Retrainer) InstallIncumbent(clf *core.Classifier) {
 // plus baseline update, made atomic against concurrent installs by
 // installMu. Engine.Swap waits for every in-flight window on the old
 // backend to deliver, so r.mu deliberately covers only the incumbent
-// pointer write — holding it across the drain would stall Stats,
-// SetIncumbent and the harvest path for the whole drain (the lockhold
-// finding this layout fixes).
+// pointer write — holding it across the drain would stall Stats and
+// the harvest path for the whole drain (the lockhold finding this
+// layout fixes).
 func (r *Retrainer) install(clf *core.Classifier) {
 	r.installMu.Lock()
 	defer r.installMu.Unlock()
@@ -510,18 +478,6 @@ func (r *Retrainer) install(clf *core.Classifier) {
 	// swap) means traffic served by the new model is never tested
 	// against the old model's expected distribution.
 	r.opt.Drift.Rebaseline(clf.Calibration())
-	r.mu.Lock()
-	r.incumbent = clf
-	r.mu.Unlock()
-}
-
-// SetIncumbent records that the engine now serves clf without swapping
-// it — for callers that already installed the model through some other
-// path. Prefer InstallIncumbent, which does both atomically.
-func (r *Retrainer) SetIncumbent(clf *core.Classifier) {
-	if clf == nil {
-		return
-	}
 	r.mu.Lock()
 	r.incumbent = clf
 	r.mu.Unlock()
@@ -604,8 +560,8 @@ func (r *Retrainer) RunNow(trigger string) Result {
 	}
 
 	snapshot := r.store.Snapshot()
-	if len(snapshot) < r.opt.MinStoreSamples {
-		return fail("insufficient data: store has %d samples, need %d", len(snapshot), r.opt.MinStoreSamples)
+	if len(snapshot) < minStoreSamples {
+		return fail("insufficient data: store has %d samples, need %d", len(snapshot), minStoreSamples)
 	}
 	trainSet, holdout := splitHoldout(snapshot, r.opt.HoldoutFraction, r.opt.Train.Seed+runIndex)
 	res.TrainSamples, res.HoldoutSamples = len(trainSet), len(holdout)
@@ -631,10 +587,10 @@ func (r *Retrainer) RunNow(trigger string) Result {
 	// abstention thresholds (and the drift baseline) measured on data
 	// the candidate never trained on, and the gate's comparison already
 	// prices in any accuracy the abstention budget costs. A candidate
-	// is always calibrated when the incumbent is — promotion must never
+	// is calibrated whenever the incumbent is — promotion must never
 	// silently shed the policy.
-	if (r.opt.Calibrate || incumbent.Calibration() != nil) && candidate.Calibration() == nil {
-		if _, err := candidate.Calibrate(holdout, r.opt.CalibrateOptions); err != nil {
+	if incumbent.Calibration() != nil && candidate.Calibration() == nil {
+		if _, err := candidate.Calibrate(holdout, openset.CalibrateOptions{}); err != nil {
 			return fail("calibrating candidate: %v", err)
 		}
 	}

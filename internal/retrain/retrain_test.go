@@ -314,8 +314,7 @@ func TestPromoteWhileSwapRacing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			engine.Swap(fixAB)
-			rt.SetIncumbent(fixAB)
+			rt.InstallIncumbent(fixAB)
 		}
 	}()
 	go func() {
@@ -582,10 +581,10 @@ func (s *stallBackend) PredictFromProba(proba []float64) core.Prediction {
 // TestInstallDoesNotHoldStateLockAcrossSwap is the regression test for
 // the lockhold finding on the install path: InstallIncumbent used to
 // hold r.mu across Engine.Swap, which drains every in-flight window —
-// so a single slow window froze Stats, SetIncumbent and the harvest
-// path for the whole drain. The install lock split keeps r.mu to a
-// pointer write: with an install provably blocked mid-drain, Stats and
-// SetIncumbent must still return immediately.
+// so a single slow window froze Stats and the harvest path for the
+// whole drain. The install lock split keeps r.mu to a pointer write:
+// with an install provably blocked mid-drain, Stats and a harvest must
+// still return immediately.
 func TestInstallDoesNotHoldStateLockAcrossSwap(t *testing.T) {
 	fixture(t)
 	stall := &stallBackend{entered: make(chan struct{}), release: make(chan struct{})}
@@ -622,13 +621,14 @@ func TestInstallDoesNotHoldStateLockAcrossSwap(t *testing.T) {
 	probed := make(chan struct{})
 	go func() {
 		rt.Stats()
-		rt.SetIncumbent(fixAB)
+		cp := fixSamples[1]
+		rt.HarvestLabeled(&cp, cp.Class)
 		close(probed)
 	}()
 	select {
 	case <-probed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stats/SetIncumbent blocked behind an in-flight install: r.mu is being held across Engine.Swap")
+		t.Fatal("Stats/harvest blocked behind an in-flight install: r.mu is being held across Engine.Swap")
 	}
 
 	close(stall.release)
@@ -641,8 +641,6 @@ func TestInstallDoesNotHoldStateLockAcrossSwap(t *testing.T) {
 			return false
 		}
 	})
-	// The install wins over the probe's SetIncumbent only if it ran
-	// last; either way the engine serves what the last installer chose.
 	if got := engine.Stats().Swaps; got != 1 {
 		t.Fatalf("engine recorded %d swaps, want 1", got)
 	}

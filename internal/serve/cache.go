@@ -112,8 +112,8 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	return zero, false
 }
 
-// Contains reports presence without touching recency — a peek, for
-// callers like Collector.Known that must not promote the entry.
+// Contains reports presence without touching recency — a peek that
+// does not promote the entry.
 func (c *Cache[V]) Contains(k Key) bool {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -145,25 +145,6 @@ func (c *Cache[V]) Add(k Key, v V) (V, bool) {
 		c.evicted.Add(1)
 	}
 	return v, true
-}
-
-// Range calls fn for every cached entry without touching recency. Each
-// shard is snapshotted under its lock and fn runs outside all locks, so
-// fn may safely call back into the cache; entries added or evicted while
-// Range runs may or may not be visited. Iteration order is unspecified.
-func (c *Cache[V]) Range(fn func(k Key, v V)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		snap := make([]*cacheEntry[V], 0, s.order.Len())
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			snap = append(snap, el.Value.(*cacheEntry[V]))
-		}
-		s.mu.Unlock()
-		for _, e := range snap {
-			fn(e.key, e.val)
-		}
-	}
 }
 
 // Len returns the current number of cached entries.

@@ -72,9 +72,6 @@ type Options struct {
 	// CacheEntries bounds the prediction cache. 0 selects the default
 	// (65536 entries); negative disables caching and coalescing.
 	CacheEntries int
-	// QueueDepth is the pending-request buffer between callers and the
-	// batcher. Default 4x BatchSize.
-	QueueDepth int
 }
 
 func (o Options) withDefaults() Options {
@@ -89,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 65536
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.BatchSize
 	}
 	return o
 }
@@ -193,8 +187,10 @@ func (e *Engine) newEpoch(backend Backend) *epoch {
 func New(backend Backend, opt Options) *Engine {
 	opt = opt.withDefaults()
 	e := &Engine{
-		opt:   opt,
-		queue: make(chan *request, opt.QueueDepth),
+		opt: opt,
+		// Four windows of pending requests let callers keep enqueueing
+		// while the dispatcher waits for a free executor.
+		queue: make(chan *request, 4*opt.BatchSize),
 		sem:   make(chan struct{}, opt.Workers),
 	}
 	e.state.Store(e.newEpoch(backend))

@@ -20,8 +20,6 @@ package ssdeep
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -186,31 +184,6 @@ func hashAtBlockSize(data []byte, bs uint32) Digest {
 	return Digest{BlockSize: bs, Sig1: string(s1), Sig2: string(s2)}
 }
 
-// HashReader computes the fuzzy digest of everything readable from r.
-// CTPH needs the total length before choosing a block size, so the reader
-// is buffered in memory.
-func HashReader(r io.Reader) (Digest, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return Digest{}, fmt.Errorf("ssdeep: reading input: %w", err)
-	}
-	return HashBytes(data)
-}
-
-// HashFile computes the fuzzy digest of the named file.
-func HashFile(path string) (Digest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Digest{}, fmt.Errorf("ssdeep: %w", err)
-	}
-	return HashBytes(data)
-}
-
-// HashString computes the fuzzy digest of s.
-func HashString(s string) (Digest, error) {
-	return HashBytes([]byte(s))
-}
-
 // DistanceFunc measures the dissimilarity of two signature strings.
 // Smaller is more similar; 0 means identical.
 type DistanceFunc func(a, b string) int
@@ -240,19 +213,6 @@ var (
 // using the default Damerau–Levenshtein distance.
 func Compare(a, b Digest) int {
 	return CompareDistance(a, b, DistanceDL)
-}
-
-// CompareStrings parses two textual digests and compares them.
-func CompareStrings(a, b string) (int, error) {
-	da, err := Parse(a)
-	if err != nil {
-		return 0, err
-	}
-	db, err := Parse(b)
-	if err != nil {
-		return 0, err
-	}
-	return Compare(da, db), nil
 }
 
 // CompareDistance returns the similarity score of two digests using the

@@ -278,28 +278,6 @@ func TestHashTinyInputs(t *testing.T) {
 	}
 }
 
-func TestHashReaderMatchesHashBytes(t *testing.T) {
-	data := corpus(15, 12345)
-	fromReader, err := HashReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("HashReader: %v", err)
-	}
-	if fromBytes := mustHash(t, data); fromReader != fromBytes {
-		t.Fatalf("reader/bytes mismatch: %v vs %v", fromReader, fromBytes)
-	}
-}
-
-func TestHashStringMatchesHashBytes(t *testing.T) {
-	s := strings.Repeat("the quick brown fox ", 500)
-	a, err := HashString(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := mustHash(t, []byte(s)); a != b {
-		t.Fatalf("HashString mismatch: %v vs %v", a, b)
-	}
-}
-
 func TestPreparedMatchesCompare(t *testing.T) {
 	r := rng.New(16)
 	digests := make([]Digest, 0, 12)
@@ -450,12 +428,12 @@ func TestKnownAnswerVectors(t *testing.T) {
 		want    = "3:FJKKIUKact:FHIGi"
 		other   = "3:FJKKIrKact:FHIrGi"
 	)
-	d, err := HashString(pangram)
+	d, err := HashBytes([]byte(pangram))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := d.String(); got != want {
-		t.Fatalf("HashString(%q) = %s, want %s", pangram, got, want)
+		t.Fatalf("HashBytes(%q) = %s, want %s", pangram, got, want)
 	}
 	for _, tc := range []struct {
 		a, b  string
@@ -464,12 +442,16 @@ func TestKnownAnswerVectors(t *testing.T) {
 		{want, other, 0}, // no shared 7-gram: the gate zeroes the pair
 		{want, want, 100},
 	} {
-		got, err := CompareStrings(tc.a, tc.b)
+		da, err := Parse(tc.a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != tc.score {
-			t.Fatalf("CompareStrings(%s, %s) = %d, want %d", tc.a, tc.b, got, tc.score)
+		db, err := Parse(tc.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Compare(da, db); got != tc.score {
+			t.Fatalf("Compare(%s, %s) = %d, want %d", tc.a, tc.b, got, tc.score)
 		}
 	}
 }

@@ -30,12 +30,7 @@ package ssdeep
 // bytes (~192 GiB), where both implementations run out of uint32 block
 // sizes.
 
-import (
-	"fmt"
-	"io"
-	"os"
-	"sync"
-)
+import "sync"
 
 // maxContexts bounds the candidate block sizes a Hasher tracks:
 // 3·2^0 .. 3·2^30, the largest CTPH block size representable in the
@@ -242,47 +237,4 @@ func (h *Hasher) Sum() (Digest, error) {
 		Sig1:      string(s1[:n1]),
 		Sig2:      string(s2[:n2]),
 	}, nil
-}
-
-// streamBufPool recycles the chunk buffer HashReaderStreaming reads
-// through, keeping the whole streaming path allocation-free per call.
-var streamBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 64<<10)
-	return &b
-}}
-
-// HashReaderStreaming computes the fuzzy digest of everything readable
-// from r in a single pass with O(1) memory: non-seekable streams need
-// no buffering, seekable ones no re-read. The digest is bit-identical
-// to HashReader (which buffers the input for HashBytes).
-func HashReaderStreaming(r io.Reader) (Digest, error) {
-	h := NewHasher()
-	defer h.Release()
-	bp := streamBufPool.Get().(*[]byte)
-	defer streamBufPool.Put(bp)
-	buf := *bp
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			h.Write(buf[:n])
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Digest{}, fmt.Errorf("ssdeep: reading input: %w", err)
-		}
-	}
-	return h.Sum()
-}
-
-// HashFileStreaming computes the fuzzy digest of the named file in one
-// pass without loading it into memory, bit-identical to HashFile.
-func HashFileStreaming(path string) (Digest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Digest{}, fmt.Errorf("ssdeep: %w", err)
-	}
-	defer f.Close()
-	return HashReaderStreaming(f)
 }

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
+	"testing/iotest"
 )
 
 // writeChunked feeds data to h in chunks of the given sizes, cycling
@@ -145,78 +144,37 @@ func TestHasherEmptyAndReset(t *testing.T) {
 	}
 }
 
-// errReader fails after yielding a prefix.
-type errReader struct {
-	data []byte
-	err  error
-}
-
-func (r *errReader) Read(p []byte) (int, error) {
-	if len(r.data) == 0 {
-		return 0, r.err
-	}
-	n := copy(p, r.data)
-	r.data = r.data[n:]
-	return n, nil
-}
-
-// TestHashReaderStreaming checks the reader form against both oracles
-// and propagates read errors.
+// TestHashReaderStreaming hashes readers the way callers stream one
+// into a Hasher, through io.Copy: one-byte reads must give the buffered
+// digest (so Write honours the io.Writer contract on short writes), an
+// empty reader must give ErrEmptyInput and a read error must surface.
 func TestHashReaderStreaming(t *testing.T) {
+	h := NewHasher()
+	defer h.Release()
 	for name, data := range streamingInputs(t) {
-		got, err := HashReaderStreaming(iotestOneByte{bytes.NewReader(data)})
+		h.Reset()
+		if _, err := io.Copy(h, iotest.OneByteReader(bytes.NewReader(data))); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := h.Sum()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := HashReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: HashReader: %v", name, err)
-		}
-		if got != want {
+		if want, _ := HashBytes(data); got != want {
 			t.Fatalf("%s: streaming %q != buffered %q", name, got, want)
 		}
 	}
-	if _, err := HashReaderStreaming(bytes.NewReader(nil)); err != ErrEmptyInput {
+	h.Reset()
+	if _, err := io.Copy(h, bytes.NewReader(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Sum(); err != ErrEmptyInput {
 		t.Fatalf("empty reader: got %v, want ErrEmptyInput", err)
 	}
-	boom := &errReader{data: []byte("partial"), err: io.ErrUnexpectedEOF}
-	if _, err := HashReaderStreaming(boom); err == nil {
+	// The first read yields a prefix, the second fails.
+	boom := iotest.TimeoutReader(bytes.NewReader([]byte("partial")))
+	if _, err := io.Copy(h, boom); err != iotest.ErrTimeout {
 		t.Fatal("read error not propagated")
-	}
-}
-
-// iotestOneByte forces one-byte reads to exercise short-read handling.
-type iotestOneByte struct{ r io.Reader }
-
-func (o iotestOneByte) Read(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
-	}
-	return o.r.Read(p)
-}
-
-// TestHashFileStreaming checks the file form against HashFile.
-func TestHashFileStreaming(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blob")
-	rng := rand.New(rand.NewSource(99))
-	data := make([]byte, 200_000)
-	rng.Read(data)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := HashFileStreaming(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := HashFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("streaming %q != buffered %q", got, want)
-	}
-	if _, err := HashFileStreaming(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("missing file: expected error")
 	}
 }
 
