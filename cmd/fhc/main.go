@@ -16,7 +16,7 @@
 //	fhc classify -model FILE BINARY...
 //	fhc report   -corpus DIR -model FILE [-format text|csv|md]
 //	fhc dups     [-min SCORE] [-feature NAME] [-within] DIR
-//	fhc serve    -model FILE [-policy FILE] [-input FILE|none] [-http ADDR] [-batch N] [-latency D] [-cache N] [-stats] [-retrain ...]
+//	fhc serve    -model FILE [-policy FILE] [-input FILE|none] [-http ADDR] [-cache N] [-stats] [-retrain ...]
 //	fhc route    -worker NAME=URL ... [-listen ADDR] [-hedge-after D] [-incumbent FILE] [-watch DIR]
 //
 // route fronts a fleet of serve -http workers with the consistent-hash

@@ -3,8 +3,8 @@ package main
 // The serve subcommand runs the paper's Figure 1 workflow as an
 // always-on service: job events arrive as JSON lines, each naming an
 // executable by path or carrying its content inline; the collector
-// deduplicates extraction by exact hash, the serving engine micro-batches
-// classification behind a prediction cache, and the monitor applies
+// deduplicates extraction by exact hash, the serving engine classifies
+// behind a prediction cache, and the monitor applies
 // allocation policy. One prediction (plus findings) is emitted per event,
 // as JSON lines, in input order.
 //
@@ -83,7 +83,7 @@ import (
 
 func init() {
 	extraCommands = append(extraCommands, command{
-		"serve", "classify a stream of job events through the batching engine", cmdServe,
+		"serve", "classify a stream of job events through the caching engine", cmdServe,
 	})
 }
 
@@ -141,11 +141,8 @@ func cmdServe(args []string) error {
 	httpPaths := fs.Bool("http-paths", false, "allow HTTP classify requests naming server-local paths")
 	httpModels := fs.String("http-models", "", "confine HTTP model-swap artifact paths to this directory (empty allows any)")
 	httpSpill := fs.Int("http-spill", 0, "spill-buffer bound for streamed ingestion on both surfaces; binaries beyond it skip ELF structural features (0 = default)")
-	batch := fs.Int("batch", 0, "micro-batch window size (0 = engine default)")
-	latency := fs.Duration("latency", 0, "micro-batch latency bound (0 = engine default)")
-	workers := fs.Int("workers", 0, "concurrent batch executors (0 = engine default)")
 	cacheSize := fs.Int("cache", 0, "entries bounding both the prediction cache and the extraction cache (0 = default 65536; negative disables the prediction cache only)")
-	chunk := fs.Int("chunk", 256, "events observed per window; bounds memory and goroutines")
+	chunk := fs.Int("chunk", 256, "events observed per window; bounds memory")
 	stats := fs.Bool("stats", false, "print engine and collector statistics to stderr at EOF")
 	retrainOn := fs.Bool("retrain", false, "enable continuous learning: harvest labels, retrain in the background, auto-swap gated candidates")
 	retrainEvery := fs.Int("retrain-every", 256, "retrain after this many newly harvested samples (negative disables the sample trigger)")
@@ -199,12 +196,7 @@ func cmdServe(args []string) error {
 		in = f
 	}
 
-	engine := serve.New(clf, serve.Options{
-		BatchSize:    *batch,
-		MaxLatency:   *latency,
-		Workers:      *workers,
-		CacheEntries: *cacheSize,
-	})
+	engine := serve.New(clf, serve.Options{CacheEntries: *cacheSize})
 	defer engine.Close()
 	// The extraction cache is bounded like the prediction cache: a
 	// streamed body's SHA-256 is known only after featurisation, so the
@@ -443,7 +435,7 @@ func cmdServe(args []string) error {
 	}
 
 	// Graceful HTTP drain: stop advertising readiness, finish in-flight
-	// requests (their engine windows included), then release the port.
+	// requests (their engine calls included), then release the port.
 	if httpErr != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()

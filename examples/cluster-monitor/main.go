@@ -53,7 +53,7 @@ func main() {
 
 	// The serving engine fronts the classifier for the monitor: repeated
 	// binaries are labelled from its exact-hash prediction cache and
-	// concurrent submissions share micro-batched forest windows.
+	// concurrent submissions of one new binary share one featurisation.
 	engine := fhc.NewEngine(clf, fhc.EngineOptions{})
 	defer engine.Close()
 

@@ -66,7 +66,7 @@ func main() {
 	}
 	fmt.Printf("generation 1: %d classes (%v)\n", len(clfV1.Classes()), clfV1.Classes())
 
-	engine := fhc.NewEngine(clfV1, fhc.EngineOptions{BatchSize: 16})
+	engine := fhc.NewEngine(clfV1, fhc.EngineOptions{})
 	defer engine.Close()
 
 	// --- The fourth application appears ---------------------------------

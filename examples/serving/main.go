@@ -4,12 +4,12 @@
 // not the application executable" (§1).
 //
 // A site model is trained once, then fronted by fhc.NewEngine: an
-// exact-hash prediction cache with in-flight coalescing over a
-// micro-batching dispatcher. A simulated flood of submissions — few
-// distinct binaries, many repetitions, arriving concurrently — shows
-// duplicates served without featurisation while fresh binaries share
-// batched forest windows. A differential pass proves the engine's
-// predictions are identical to calling Classify directly.
+// exact-hash prediction cache with in-flight coalescing. A simulated
+// flood of submissions — few distinct binaries, many repetitions,
+// arriving concurrently — shows duplicates served without
+// featurisation, each distinct binary featurised once. A differential
+// pass proves the engine's predictions are identical to calling
+// Classify directly.
 package main
 
 import (
@@ -52,7 +52,7 @@ func main() {
 	// extraction) and classification (exact-hash dedup of prediction)
 	// share the SHA-256 the collector computes.
 	coll := fhc.NewCollector(fhc.CollectorOptions{})
-	engine := fhc.NewEngine(clf, fhc.EngineOptions{BatchSize: 32})
+	engine := fhc.NewEngine(clf, fhc.EngineOptions{})
 	defer engine.Close()
 
 	distinct := make([][]byte, 0, 16)
@@ -84,11 +84,9 @@ func main() {
 		cs.Seen, cs.Unique, cs.CacheHits)
 	fmt.Printf("engine:    %d featurised (misses), %d served without featurisation (%d cache hits + %d coalesced)\n",
 		es.Misses, es.Hits+es.Coalesced, es.Hits, es.Coalesced)
-	fmt.Printf("batching:  %d windows over %d samples (largest window %d)\n",
-		es.Batches, es.BatchedSamples, es.MaxBatch)
 
 	// --- The differential guarantee ------------------------------------
-	// Batching and caching change scheduling, never arithmetic: engine
+	// Caching and coalescing change scheduling, never arithmetic: engine
 	// predictions must equal the direct per-sample path bit for bit.
 	mismatches := 0
 	for i := 0; i < submissions; i++ {

@@ -81,10 +81,10 @@ type (
 	// CollectorOptions configures a Collector.
 	CollectorOptions = collector.Options
 	// Engine is the serving front for a classifier: an exact-hash
-	// prediction cache with in-flight coalescing over a micro-batching
-	// dispatcher. Predictions are bit-identical to Classifier.Classify.
+	// prediction cache with in-flight coalescing. Predictions are
+	// bit-identical to Classifier.Classify.
 	Engine = serve.Engine
-	// EngineOptions configures an Engine's batching and caching.
+	// EngineOptions configures an Engine's prediction cache.
 	EngineOptions = serve.Options
 	// HTTPServer is the network front end over an Engine: the versioned
 	// classify/swap JSON API plus health and Prometheus metrics
@@ -178,7 +178,7 @@ const (
 // NewMonitor builds a job monitor over a labeler and a policy. Pass the
 // trained classifier directly, or — for an always-on deployment — an
 // Engine wrapping it, so the monitor inherits prediction caching and
-// micro-batched ObserveAll classification.
+// windowed ObserveAll classification.
 func NewMonitor(labeler MonitorLabeler, policy MonitorPolicy) *Monitor {
 	return monitor.New(labeler, policy)
 }
@@ -190,11 +190,11 @@ func NewCollector(opt CollectorOptions) *Collector {
 	return collector.New(opt)
 }
 
-// NewEngine starts a serving engine over a trained classifier. The
-// engine micro-batches concurrent Classify calls into the classifier's
-// batch path and fronts them with an exact-hash prediction cache, so
-// duplicate submissions — the common case in the paper's always-on
-// deployment — skip featurisation entirely. Hand the engine to
+// NewEngine builds a serving engine over a trained classifier. The
+// engine fronts the classifier with an exact-hash prediction cache and
+// coalesces concurrent submissions of one binary, so duplicate
+// submissions — the common case in the paper's always-on deployment —
+// skip featurisation entirely. Hand the engine to
 // NewMonitor as the labeler of a production Figure-1 workflow, and
 // Close it when done. The zero EngineOptions selects serving defaults.
 //
@@ -208,7 +208,7 @@ func NewEngine(clf *Classifier, opt EngineOptions) *Engine {
 // NewHTTPServer puts an engine on the network: a versioned JSON API
 // (POST /v1/classify, /v1/classify/batch, /v1/model/swap) with health
 // probes and a Prometheus /metrics endpoint wired into the engine's
-// cache, batching and swap counters. The zero HTTPServerOptions selects
+// cache, batch and swap counters. The zero HTTPServerOptions selects
 // production defaults: 64 MiB body limit, 8x GOMAXPROCS concurrent
 // requests (excess answered 429), server-local path requests disabled.
 // Run with Serve, drain with Shutdown; the caller keeps ownership of

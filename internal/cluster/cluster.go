@@ -28,12 +28,13 @@
 //
 // Model promotion is a coordinated, staged rollout rather than N
 // independent swaps: /v1/model/swap drives the canary shard first,
-// gates on the canary answering probe traffic, then expands shard by
-// shard; any failure rolls every already-swapped shard back to the
-// incumbent artifact (the rollback set internal/retrain's artifact
-// history maintains). The whole tier is observable through
-// fhc_cluster_* metrics — per-shard requests, hedges fired and won,
-// ejections, rollout state — on the router's /metrics.
+// gates on the canary answering /readyz (and any configured classify
+// probes), then expands shard by shard; any failure rolls every
+// already-swapped shard back to the incumbent artifact (the rollback
+// set internal/retrain's artifact history maintains). The whole tier
+// is observable through fhc_cluster_* metrics — per-shard requests,
+// hedges fired and won, ejections, rollout state — on the router's
+// /metrics.
 //
 // Concurrency contract: one Router serves arbitrarily many concurrent
 // requests; every handler, Stats and WorkerStates are safe from any
@@ -108,7 +109,9 @@ type Options struct {
 	// hope.
 	IncumbentArtifact string
 	// GateProbes are classify request bodies (JSON protocol) the canary
-	// must answer 200 after its swap, before the rollout expands.
+	// must answer 200 after its swap, before the rollout expands. The
+	// canary's /readyz is checked first either way; fhc route sets no
+	// probes.
 	GateProbes [][]byte
 	// Gate, when non-nil, runs after the built-in canary checks; a
 	// non-nil error fails the rollout and triggers rollback.

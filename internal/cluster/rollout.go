@@ -158,9 +158,9 @@ func (c *Coordinator) setStatus(mut func(*RolloutStatus)) {
 
 // Rollout promotes artifact across the fleet in stages: swap the
 // canary (the first ready shard in registration order), gate it on
-// GateProbes and the optional Gate hook, then expand shard by shard in
-// registration order; on success the artifact becomes the new
-// incumbent. Any failure rolls every already-swapped shard back to the
+// its /readyz, GateProbes and the optional Gate hook, then expand
+// shard by shard in registration order; on success the artifact
+// becomes the new incumbent. Any failure rolls every already-swapped shard back to the
 // incumbent and reports ErrRolloutFailed (the status has the detail).
 // Shards ejected when the rollout reaches them are skipped and listed
 // in Skipped — they serve whatever they served before, and the runbook
@@ -255,9 +255,13 @@ func (c *Coordinator) Rollout(artifact string) (RolloutStatus, error) {
 	return c.Status(), nil
 }
 
-// gateCanary runs the configured gate probes (classify bodies that
-// must answer 200) and the optional Gate hook against the canary.
+// gateCanary requires one /readyz 200 from the canary, then runs the
+// configured gate probes (classify bodies that must answer 200) and
+// the optional Gate hook against it.
 func (c *Coordinator) gateCanary(canary *Worker) error {
+	if !c.rt.member.probe(canary) {
+		return errors.New("readyz did not answer 200 after the swap")
+	}
 	for i, probe := range c.rt.opt.GateProbes {
 		code, err := c.post(canary.classifyURL, probe)
 		if err != nil {

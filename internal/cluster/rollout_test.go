@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,6 +160,65 @@ func TestRolloutPoisonedCanary(t *testing.T) {
 	m := scrapeMetrics(t, c.URL())
 	if !strings.Contains(m, `fhc_cluster_rollouts_total{outcome="rolled_back"} 1`) {
 		t.Fatalf("rollback not counted:\n%s", m)
+	}
+}
+
+// TestRolloutCanaryGateChecksReadiness swaps a canary that accepts the
+// swap and then stops being ready: with no GateProbes and no Gate hook
+// configured — exactly how fhc route runs — the gate must still refuse
+// to promote it and roll the canary back.
+func TestRolloutCanaryGateChecksReadiness(t *testing.T) {
+	var mu sync.Mutex
+	var swaps []string
+	swapped := false
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch r.URL.Path {
+		case "/readyz":
+			if swapped {
+				w.WriteHeader(http.StatusServiceUnavailable)
+			}
+		case "/v1/model/swap":
+			var req httpserve.SwapRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				w.WriteHeader(http.StatusBadRequest)
+				return
+			}
+			swaps = append(swaps, req.Path)
+			swapped = true
+			w.Write([]byte("{}"))
+		default:
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	defer worker.Close()
+	rt, err := cluster.New([]cluster.WorkerSpec{{Name: "w0", URL: worker.URL}}, cluster.Options{
+		HedgeAfter:        -1,
+		IncumbentArtifact: "incumbent.json",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	st, err := rt.Rollout("candidate.json")
+	if !errors.Is(err, cluster.ErrRolloutFailed) {
+		t.Fatalf("rollout over an unready canary returned %v (%+v), want ErrRolloutFailed", err, st)
+	}
+	if st.State != "rolled_back" || !st.RolledBack {
+		t.Fatalf("unready canary not rolled back: %+v", st)
+	}
+	if !strings.Contains(st.Error, "canary gate") {
+		t.Fatalf("rollout error %q does not name the canary gate", st.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(swaps) != 2 || swaps[0] != "candidate.json" || swaps[1] != "incumbent.json" {
+		t.Fatalf("canary swaps = %q, want the candidate then the incumbent", swaps)
+	}
+	if inc := rt.Coordinator().Incumbent(); inc != "incumbent.json" {
+		t.Fatalf("incumbent changed on a failed rollout: %q", inc)
 	}
 }
 

@@ -103,33 +103,42 @@ func (c *Classifier) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile writes a classifier artifact atomically: the JSON is written
-// to a temporary file in the destination directory and renamed into
-// place, so a crash mid-write can never leave a truncated artifact where
-// LoadFile (or a model-swap endpoint) would find it. It is the
-// artifact-write path the continuous-learning layer uses to persist
-// promoted models.
+// SaveFile writes a classifier artifact with WriteFileAtomic, so a
+// crash can never leave a truncated artifact where LoadFile (or a
+// model-swap endpoint) would find it. It is the artifact-write path
+// the continuous-learning layer uses to persist promoted models.
 func SaveFile(path string, c *Classifier) error {
+	return WriteFileAtomic(path, c.Save)
+}
+
+// WriteFileAtomic writes a file through a temporary file in the
+// destination directory: write fills it, Sync makes its bytes durable,
+// and only then is it renamed over path. A crash or a failing write
+// therefore leaves path absent or holding its previous content, never
+// empty or torn, and no temporary file is left behind. Model
+// artifacts, the retraining store and its latest pointer are all
+// written this way.
+func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
 	}
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("core: saving model: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := c.Save(tmp); err != nil {
-		tmp.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: saving model: %w", err)
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("core: saving model: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // LoadFile reads a classifier artifact from disk. It is the

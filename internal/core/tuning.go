@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/rf"
 )
 
@@ -106,46 +106,33 @@ func tune(trainSamples []dataset.Sample, cfg Config, grid *Grid) (tuneResult, []
 	if innerWorkers < 1 {
 		innerWorkers = 1
 	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				params := points[i]
-				params.Balanced = true
-				params.Workers = innerWorkers
-				results[i].params = params
-				m, err := model.Train(cfg.Model, xTrain, yTrain, len(split.KnownClasses), model.Options{
-					Forest: params,
-					KNN:    cfg.KNN,
-					SVM:    cfg.SVM,
-				})
-				if err != nil {
-					results[i].err = fmt.Errorf("grid point %+v: %w", params, err)
-					continue
-				}
-				probas := m.PredictProbaBatch(xVal, innerWorkers)
-				curve := make([]ThresholdScore, 0, len(thresholds))
-				for _, th := range thresholds {
-					yPred := applyThreshold(probas, split.KnownClasses, th)
-					report, err := ml.ClassificationReport(yTrue, yPred)
-					if err != nil {
-						results[i].err = err
-						break
-					}
-					curve = append(curve, ThresholdScore{Threshold: th, Scores: report.Scores()})
-				}
-				results[i].curve = curve
+	par.Map(len(points), workers, func(i int) {
+		params := points[i]
+		params.Balanced = true
+		params.Workers = innerWorkers
+		results[i].params = params
+		m, err := model.Train(cfg.Model, xTrain, yTrain, len(split.KnownClasses), model.Options{
+			Forest: params,
+			KNN:    cfg.KNN,
+			SVM:    cfg.SVM,
+		})
+		if err != nil {
+			results[i].err = fmt.Errorf("grid point %+v: %w", params, err)
+			return
+		}
+		probas := m.PredictProbaBatch(xVal, innerWorkers)
+		curve := make([]ThresholdScore, 0, len(thresholds))
+		for _, th := range thresholds {
+			yPred := applyThreshold(probas, split.KnownClasses, th)
+			report, err := ml.ClassificationReport(yTrue, yPred)
+			if err != nil {
+				results[i].err = err
+				break
 			}
-		}()
-	}
-	for i := range points {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+			curve = append(curve, ThresholdScore{Threshold: th, Scores: report.Scores()})
+		}
+		results[i].curve = curve
+	})
 
 	best := tuneResult{params: base, threshold: fallbackThreshold, combined: -1}
 	var bestCurve []ThresholdScore

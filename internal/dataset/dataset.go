@@ -20,12 +20,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/extract"
+	"repro/internal/par"
 	"repro/internal/synth"
 	"repro/ssdeep"
 )
@@ -138,34 +137,18 @@ func FromBinary(class, version, exe string, bin []byte) (Sample, error) {
 // FromCorpus extracts features from every sample of a synthetic corpus
 // using a bounded worker pool. workers <= 0 selects GOMAXPROCS.
 func FromCorpus(c *synth.Corpus, workers int) ([]Sample, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]Sample, len(c.Samples))
 	errs := make([]error, len(c.Samples))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				src := &c.Samples[i]
-				s, err := FromBinary(src.Class, src.Version, src.Exe, src.Binary)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				s.UnknownClass = src.Unknown
-				out[i] = s
-			}
-		}()
-	}
-	for i := range c.Samples {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.Map(len(c.Samples), workers, func(i int) {
+		src := &c.Samples[i]
+		s, err := FromBinary(src.Class, src.Version, src.Exe, src.Binary)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		s.UnknownClass = src.Unknown
+		out[i] = s
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -209,43 +192,27 @@ func Scan(root string, workers int) ([]Sample, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: scanning %s: %w", root, err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]Sample, len(jobs))
 	keep := make([]bool, len(jobs))
 	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				j := jobs[i]
-				bin, err := os.ReadFile(j.path)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				if !extract.IsELF(bin) {
-					continue
-				}
-				s, err := FromBinary(j.class, j.version, j.exe, bin)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				out[i] = s
-				keep[i] = true
-			}
-		}()
-	}
-	for i := range jobs {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
+	par.Map(len(jobs), workers, func(i int) {
+		j := jobs[i]
+		bin, err := os.ReadFile(j.path)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if !extract.IsELF(bin) {
+			return
+		}
+		s, err := FromBinary(j.class, j.version, j.exe, bin)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		out[i] = s
+		keep[i] = true
+	})
 	var samples []Sample
 	for i := range jobs {
 		if errs[i] != nil {

@@ -6,7 +6,7 @@
 // versioned JSON API:
 //
 //	POST /v1/classify        classify one binary (JSON, raw stream, or hash-first)
-//	POST /v1/classify/batch  classify many binaries in one engine window
+//	POST /v1/classify/batch  classify many binaries in one engine call
 //	POST /v1/model/swap      hot-swap a persisted model artifact
 //	POST /v1/retrain         kick a continuous-learning cycle (wait optional)
 //	GET  /v1/retrain/status  retrainer counters and the last cycle's result
@@ -56,10 +56,10 @@
 // bodies are size-limited, classification routes sit behind a
 // concurrency semaphore that answers 429 when saturated (backpressure
 // instead of queue collapse), per-route request counts and latency
-// histograms are exported together with the engine's cache/batching/
-// swap counters through internal/metrics, and Shutdown stops accepting
-// work, lets in-flight requests drain through the engine's windows, and
-// only then returns.
+// histograms are exported together with the engine's cache, backend-
+// call and swap counters through internal/metrics, and Shutdown stops
+// accepting work, lets in-flight requests finish, and only then
+// returns.
 //
 // Concurrency contract: one Server serves arbitrarily many concurrent
 // requests; every handler is safe for concurrent use, model swaps
@@ -301,13 +301,13 @@ func (s *Server) registerMetrics() {
 		"Zero-downtime model hot-swaps installed.",
 		stat(func(st serve.Stats) float64 { return float64(st.Swaps) }))
 	reg.CounterFunc("fhc_engine_batches_total",
-		"Micro-batch windows dispatched.",
+		"Backend calls made for cache misses.",
 		stat(func(st serve.Stats) float64 { return float64(st.Batches) }))
 	reg.CounterFunc("fhc_engine_batched_samples_total",
-		"Samples classified through micro-batch windows.",
+		"Samples classified through backend calls.",
 		stat(func(st serve.Stats) float64 { return float64(st.BatchedSamples) }))
 	reg.GaugeFunc("fhc_engine_batch_max",
-		"Largest micro-batch window observed.",
+		"Most samples classified in one backend call.",
 		stat(func(st serve.Stats) float64 { return float64(st.MaxBatch) }))
 	reg.GaugeFunc("fhc_engine_cache_entries",
 		"Current prediction-cache population.",
@@ -341,8 +341,8 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Shutdown drains the server gracefully: /readyz flips to 503 so load
 // balancers stop routing here, no new connections are accepted, and
-// in-flight requests — including classifications riding engine windows —
-// run to completion (bounded by ctx). The engine itself stays open;
+// in-flight requests — including their classifications — run to
+// completion (bounded by ctx). The engine itself stays open;
 // its owner closes it after Shutdown returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
@@ -382,8 +382,8 @@ type ClassifyResponse struct {
 	Error      string  `json:"error,omitempty"`
 }
 
-// BatchRequest carries many classify requests that should share engine
-// windows.
+// BatchRequest carries many classify requests, classified through one
+// engine call.
 type BatchRequest struct {
 	Samples []ClassifyRequest `json:"samples"`
 }
@@ -618,8 +618,8 @@ func (s *Server) Classify(sample *dataset.Sample) core.Prediction {
 	return pred
 }
 
-// ClassifyAll is Classify over a burst, classified in shared engine
-// windows. It satisfies monitor.BatchLabeler.
+// ClassifyAll is Classify over a burst, whose cache misses share
+// 64-sample engine windows. It satisfies monitor.BatchLabeler.
 func (s *Server) ClassifyAll(samples []dataset.Sample) []core.Prediction {
 	preds := s.engine.ClassifyAll(samples)
 	for i := range preds {

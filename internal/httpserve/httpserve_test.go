@@ -330,7 +330,7 @@ func TestHTTPClassifyWhileSwap(t *testing.T) {
 	// MaxConcurrent is pinned above workers+swapper: on a small
 	// GOMAXPROCS box the default limit can legitimately 429 the
 	// swapper, which is backpressure working, not a swap failure.
-	ts, engine, _ := newTestServer(t, serve.Options{BatchSize: 8}, Options{MaxConcurrent: 64})
+	ts, engine, _ := newTestServer(t, serve.Options{}, Options{MaxConcurrent: 64})
 	client := ts.Client()
 
 	validLabels := map[string]bool{core.UnknownLabel: true}
@@ -495,7 +495,7 @@ func (b *blockingBackend) PredictFromProba(p []float64) core.Prediction {
 func TestHTTPBackpressure(t *testing.T) {
 	fixture(t)
 	bb := &blockingBackend{entered: make(chan struct{}, 4), release: make(chan struct{})}
-	engine := serve.New(bb, serve.Options{BatchSize: 1, CacheEntries: -1})
+	engine := serve.New(bb, serve.Options{CacheEntries: -1})
 	defer engine.Close()
 	s := New(engine, Options{MaxConcurrent: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -531,11 +531,11 @@ func TestHTTPBackpressure(t *testing.T) {
 
 // TestHTTPGracefulShutdown drives Serve on a real listener: Shutdown
 // must flip readiness, stop accepting connections, and still let the
-// in-flight classification drain through its engine window.
+// in-flight classification drain through the engine.
 func TestHTTPGracefulShutdown(t *testing.T) {
 	fixture(t)
 	bb := &blockingBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	engine := serve.New(bb, serve.Options{BatchSize: 1, CacheEntries: -1})
+	engine := serve.New(bb, serve.Options{CacheEntries: -1})
 	defer engine.Close()
 	s := New(engine, Options{})
 

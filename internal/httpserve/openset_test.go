@@ -318,7 +318,7 @@ func TestHTTPOpenSetSwapRebaselinesDrift(t *testing.T) {
 // thresholds (or vice versa) would produce a tuple matching neither.
 func TestHTTPOpenSetClassifyWhileSwapAtomic(t *testing.T) {
 	clf, calPath := calibratedRF(t)
-	engine := serve.New(clf, serve.Options{BatchSize: 8})
+	engine := serve.New(clf, serve.Options{})
 	s := New(engine, Options{MaxConcurrent: 64})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

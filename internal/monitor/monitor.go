@@ -14,7 +14,7 @@
 // Concurrency contract: a Monitor is safe for concurrent Observe and
 // ObserveAll calls — per-user history updates are serialised internally,
 // and classification concurrency is delegated to the labeler (hand the
-// serving engine to New for cached, micro-batched labelling).
+// serving engine to New for cached, coalesced labelling).
 package monitor
 
 import (
@@ -30,15 +30,16 @@ import (
 // (internal/serve) satisfy it, as does the classify service
 // (internal/httpserve.Server), which is the labeler fhc serve hands to
 // New: duplicate submissions then hit the engine's prediction cache,
-// concurrent submissions share micro-batches, and every label is
-// harvested and drift-observed exactly as on the HTTP surface.
+// concurrent submissions of one binary share one featurisation, and
+// every label is harvested and drift-observed exactly as on the HTTP
+// surface.
 type Labeler interface {
 	Classify(*dataset.Sample) core.Prediction
 }
 
 // BatchLabeler is the optional batch surface of a Labeler. ObserveAll
-// uses it when available so a burst of submissions is classified in one
-// window; the serving engine and the classify service satisfy it.
+// uses it when available so a burst of submissions is classified in
+// one call; the serving engine and the classify service satisfy it.
 type BatchLabeler interface {
 	ClassifyAll(samples []dataset.Sample) []core.Prediction
 }
@@ -157,7 +158,7 @@ func (m *Monitor) Observe(e Event) (core.Prediction, []Finding) {
 
 // ObserveAll labels a burst of job events and applies policy to each.
 // When the labeler supports batch classification the whole burst is
-// classified in one window; policy and history are then applied
+// classified in one call; policy and history are then applied
 // sequentially in event order, so the findings equal those of calling
 // Observe event by event.
 func (m *Monitor) ObserveAll(events []Event) []Observation {

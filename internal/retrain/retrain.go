@@ -703,7 +703,7 @@ func (r *Retrainer) persistArtifact(c *core.Classifier, now time.Time) (string, 
 	// The pointer file is itself written atomically, so readers see
 	// either the previous artifact name or this one, never a torn write.
 	pointer := filepath.Join(r.opt.ArtifactDir, LatestPointerName)
-	err = atomicWrite(pointer, func(w io.Writer) error {
+	err = core.WriteFileAtomic(pointer, func(w io.Writer) error {
 		_, err := io.WriteString(w, name+"\n")
 		return err
 	})

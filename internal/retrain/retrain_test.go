@@ -588,7 +588,7 @@ func (s *stallBackend) PredictFromProba(proba []float64) core.Prediction {
 func TestInstallDoesNotHoldStateLockAcrossSwap(t *testing.T) {
 	fixture(t)
 	stall := &stallBackend{entered: make(chan struct{}), release: make(chan struct{})}
-	engine := serve.New(stall, serve.Options{BatchSize: 1, Workers: 1})
+	engine := serve.New(stall, serve.Options{})
 	defer engine.Close()
 	rt, err := New(engine, fixAB, Options{MinNewSamples: -1})
 	if err != nil {

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/serve"
 )
@@ -227,30 +227,6 @@ func (s *Store) Snapshot() []dataset.Sample {
 	return out
 }
 
-// atomicWrite writes a file via a temp file in the destination
-// directory plus a rename, so a crash mid-write never leaves a torn
-// file where a reader would find it — the one write discipline the
-// store, the latest pointer and core's artifacts all follow.
-func atomicWrite(path string, write func(w io.Writer) error) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // Save persists the store to its configured path, atomically. A store
 // without a path is memory-only and Save is a no-op.
 func (s *Store) Save() error {
@@ -258,7 +234,7 @@ func (s *Store) Save() error {
 		return nil
 	}
 	snapshot := s.Snapshot()
-	err := atomicWrite(s.opt.Path, func(w io.Writer) error {
+	err := core.WriteFileAtomic(s.opt.Path, func(w io.Writer) error {
 		return dataset.SaveSamples(w, snapshot)
 	})
 	if err != nil {

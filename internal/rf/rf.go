@@ -230,32 +230,18 @@ func Train(X [][]float64, y []int, numClasses int, p Params) (*Forest, error) {
 	root := rng.New(p.Seed)
 	importances := make([][]float64, p.NumTrees)
 
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < p.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range jobs {
-				src := root.ChildN(uint64(t))
-				b := &treeBuilder{
-					X: X, y: y,
-					numClasses:   numClasses,
-					params:       p,
-					classWeights: classWeights,
-					src:          src,
-					importance:   make([]float64, numFeatures),
-				}
-				f.Trees[t] = b.build()
-				importances[t] = b.importance
-			}
-		}()
-	}
-	for t := 0; t < p.NumTrees; t++ {
-		jobs <- t
-	}
-	close(jobs)
-	wg.Wait()
+	par.Map(p.NumTrees, p.Workers, func(t int) {
+		b := &treeBuilder{
+			X: X, y: y,
+			numClasses:   numClasses,
+			params:       p,
+			classWeights: classWeights,
+			src:          root.ChildN(uint64(t)),
+			importance:   make([]float64, numFeatures),
+		}
+		f.Trees[t] = b.build()
+		importances[t] = b.importance
+	})
 
 	// Average per-tree normalised importances, then renormalise, matching
 	// scikit-learn's feature_importances_.

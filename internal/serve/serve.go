@@ -5,19 +5,17 @@
 // executable" (§1), so repeated submissions of identical binaries are
 // the common case and concurrent submissions arrive in bursts.
 //
-// The engine fronts a trained classifier with two layers:
-//
-//   - an exact-hash prediction cache (sharded, LRU-bounded, keyed by the
-//     sample's SHA-256) so duplicate submissions skip featurisation and
-//     the forest entirely, with in-flight coalescing so N concurrent
-//     submissions of one new binary pay for one featurisation;
-//   - a micro-batcher that gathers concurrent cache misses into
-//     size- and latency-bounded windows and runs them through the
-//     classifier's featurizeBatch/PredictProbaBatch path, amortising
-//     worker-pool start-up over the window.
+// The engine fronts a trained classifier with an exact-hash prediction
+// cache (sharded, LRU-bounded, keyed by the sample's SHA-256), so
+// duplicate submissions skip featurisation and the forest entirely,
+// and with in-flight coalescing, so N concurrent submissions of one new
+// binary pay for one featurisation. A cache miss is classified on the
+// caller's own goroutine. ClassifyAll classifies its own misses in
+// fixed windows of 64 samples, one backend call per window, run in
+// parallel on up to GOMAXPROCS goroutines.
 //
 // Predictions are bit-identical to calling Classifier.Classify directly:
-// batching changes scheduling, never arithmetic.
+// windowing changes scheduling, never arithmetic.
 //
 // Retrain-and-redeploy is first class: Swap atomically installs a new
 // backend without stopping the engine. The cache, the coalescing map and
@@ -28,20 +26,21 @@
 //
 // Concurrency contract: every Engine method — Classify, ClassifyAll,
 // Swap, Stats, Close — is safe to call from any number of goroutines
-// simultaneously; Close is idempotent, and Classify after Close degrades
-// to direct unbatched classification rather than failing. The Backend
-// handed to New/Swap must itself tolerate concurrent PredictProbaBatch
-// calls (up to Options.Workers windows execute at once).
+// simultaneously; Close is idempotent and only flips Closed, so
+// Classify after Close still answers. The Backend handed to New/Swap
+// must itself tolerate concurrent PredictProbaBatch calls. A backend
+// panic reaches the caller whose call panicked and leaves no flight
+// behind; inside a ClassifyAll spanning several windows it runs on a
+// pool goroutine and, like any goroutine panic, ends the process.
 package serve
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/par"
 )
 
 // Backend is the narrow classifier surface the engine serves:
@@ -57,38 +56,14 @@ type Backend interface {
 
 // Options configures an Engine. The zero value selects serving defaults.
 type Options struct {
-	// BatchSize caps a micro-batch window; a window is dispatched as
-	// soon as it fills. Default 64.
-	BatchSize int
-	// MaxLatency bounds how long a partial window lingers for
-	// stragglers once every executor is busy. The dispatcher is
-	// work-conserving: with an idle executor a drained queue dispatches
-	// immediately, so lone requests never pay the latency bound.
-	// Default 2ms.
-	MaxLatency time.Duration
-	// Workers bounds how many windows execute concurrently.
-	// Default GOMAXPROCS.
-	Workers int
 	// CacheEntries bounds the prediction cache. 0 selects the default
 	// (65536 entries); negative disables caching and coalescing.
 	CacheEntries int
 }
 
-func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
-	}
-	if o.MaxLatency <= 0 {
-		o.MaxLatency = 2 * time.Millisecond
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.CacheEntries == 0 {
-		o.CacheEntries = 65536
-	}
-	return o
-}
+// window caps how many of one ClassifyAll call's misses share a
+// backend call.
+const window = 64
 
 // Stats is a snapshot of engine activity.
 type Stats struct {
@@ -104,8 +79,8 @@ type Stats struct {
 	Evicted uint64
 	// Swaps counts backend hot-swaps.
 	Swaps uint64
-	// Batches and BatchedSamples describe the dispatched windows;
-	// MaxBatch is the largest window observed.
+	// Batches and BatchedSamples describe the backend calls; MaxBatch
+	// is the most samples one call classified.
 	Batches, BatchedSamples, MaxBatch uint64
 	// CacheEntries is the current epoch's prediction-cache population.
 	CacheEntries int
@@ -114,24 +89,30 @@ type Stats struct {
 	Inflight int
 }
 
-// request is one enqueued classification.
-type request struct {
-	sample *dataset.Sample
-	out    chan core.Prediction
-}
-
 // flight is an in-progress classification other callers may wait on.
+// pred and ok are written by the owner before done closes; ok stays
+// false when the owner's backend call panicked.
 type flight struct {
 	done chan struct{}
 	pred core.Prediction
+	ok   bool
+}
+
+// miss is one sample a classify call answers through the backend (or
+// waits for on another caller's flight).
+type miss struct {
+	i   int // index into the call's samples
+	key Key
+	f   *flight // nil for unkeyed samples or with caching off
 }
 
 // epoch groups the serving state that must change together on a model
 // swap: the backend plus the prediction cache and coalescing map built
-// over that backend's outputs. Classify captures one epoch pointer and
-// uses it throughout, so a request's cache bookkeeping can never cross
-// model generations; Swap replaces the whole epoch atomically, instantly
-// orphaning every prediction cached under the previous model.
+// over that backend's outputs. A classify call captures one epoch
+// pointer and uses it throughout, so a request's cache bookkeeping can
+// never cross model generations; Swap replaces the whole epoch
+// atomically, instantly orphaning every prediction cached under the
+// previous model.
 type epoch struct {
 	backend Backend
 	cache   *Cache[core.Prediction] // nil when disabled
@@ -140,26 +121,51 @@ type epoch struct {
 	inflight   map[Key]*flight
 }
 
+// claim resolves key against the cache and the coalescing map: it
+// returns a cached prediction (nil flight), the flight another caller
+// owns, or a new flight the caller owns and must land.
+func (st *epoch) claim(key Key) (p core.Prediction, f *flight, own bool) {
+	if p, ok := st.cache.Get(key); ok {
+		return p, nil, false
+	}
+	st.inflightMu.Lock()
+	defer st.inflightMu.Unlock()
+	if f, ok := st.inflight[key]; ok {
+		return p, f, false
+	}
+	// A flight may have landed since the lookup above; re-check under
+	// the lock so a finished binary is never featurised again.
+	if p, ok := st.cache.Get(key); ok {
+		return p, nil, false
+	}
+	f = &flight{done: make(chan struct{})}
+	st.inflight[key] = f
+	return p, f, true
+}
+
+// land retires an owned flight and wakes its waiters. The caller caches
+// a successful prediction first, so a lookup that no longer finds the
+// flight finds the cache entry.
+func (st *epoch) land(key Key, f *flight) {
+	st.inflightMu.Lock()
+	delete(st.inflight, key)
+	st.inflightMu.Unlock()
+	close(f.done)
+}
+
 // Engine is a concurrency-safe serving front for a classifier.
 // Create with New, release with Close.
 type Engine struct {
 	opt   Options
 	state atomic.Pointer[epoch]
 
-	// swapMu is held shared for the whole execute-and-deliver span of a
-	// batch and exclusively by Swap: acquiring the write lock drains
-	// every in-flight window, so after Swap returns no prediction
-	// computed by the previous backend is still undelivered.
+	// swapMu is held shared for the whole span of every backend call,
+	// from resolving the backend to writing its predictions, and
+	// exclusively by Swap: acquiring the write lock drains every call
+	// still computing on the previous backend.
 	swapMu sync.RWMutex
 
-	queue  chan *request
-	sem    chan struct{} // bounds concurrent window executions
-	loopWG sync.WaitGroup
-
-	sendMu sync.RWMutex // guards queue sends against Close
-	closed bool
-
-	closeOnce sync.Once
+	closed atomic.Bool
 
 	hits, misses, coalesced       atomic.Uint64
 	batches, batchedSamples, maxB atomic.Uint64
@@ -179,40 +185,35 @@ func (e *Engine) newEpoch(backend Backend) *epoch {
 	return ep
 }
 
-// New starts an engine over a backend. The caller owns the backend;
-// retuning it (SetThreshold on a classifier)
+// New builds an engine over a backend; it starts no goroutine. The
+// caller owns the backend; retuning it (SetThreshold on a classifier)
 // while the engine serves is safe, but predictions cached before a
 // threshold change keep their old labels — Swap in a fresh backend (or
 // the same one) when relabelling history matters.
 func New(backend Backend, opt Options) *Engine {
-	opt = opt.withDefaults()
-	e := &Engine{
-		opt: opt,
-		// Four windows of pending requests let callers keep enqueueing
-		// while the dispatcher waits for a free executor.
-		queue: make(chan *request, 4*opt.BatchSize),
-		sem:   make(chan struct{}, opt.Workers),
+	if opt.CacheEntries == 0 {
+		opt.CacheEntries = 65536
 	}
+	e := &Engine{opt: opt}
 	e.state.Store(e.newEpoch(backend))
-	e.loopWG.Add(1)
-	go e.dispatch()
 	return e
 }
 
 // Swap atomically replaces the serving backend with zero downtime:
 // concurrent Classify calls keep flowing, none is dropped, and each is
 // answered entirely by one backend. Swap installs a fresh epoch — new
-// cache, new coalescing map — and then waits for every window still
-// executing on the previous backend to deliver, so when Swap returns:
+// cache, new coalescing map — and then waits for every backend call
+// still computing on the previous backend to finish, so when Swap
+// returns:
 //
-//   - every subsequently delivered prediction was computed by the new
-//     backend (or a newer one);
+//   - every prediction computed afterwards comes from the new backend
+//     (or a newer one);
 //   - no prediction cached under the previous model can ever be served
 //     again — the old cache is orphaned wholesale, not invalidated
 //     entry by entry.
 //
 // The old backend is released to the garbage collector once its last
-// straggler delivers. Swap is safe to call concurrently with Classify,
+// straggler returns. Swap is safe to call concurrently with Classify,
 // Close and other Swaps.
 func (e *Engine) Swap(backend Backend) {
 	ns := e.newEpoch(backend)
@@ -222,55 +223,21 @@ func (e *Engine) Swap(backend Backend) {
 	e.swaps.Add(1)
 }
 
-// Classify predicts one sample, blocking until the prediction is
-// available. Duplicate submissions (by content digest) are served from
-// the cache or coalesced onto an in-flight classification; fresh
-// binaries ride a micro-batch window.
+// Classify predicts one sample on the caller's goroutine. A duplicate
+// submission (by content digest) is served from the cache without
+// allocating, or coalesced onto an in-flight classification.
 func (e *Engine) Classify(s *dataset.Sample) core.Prediction {
-	st := e.state.Load()
-	key, keyed := SampleKey(s)
-	if !keyed || st.cache == nil {
-		e.misses.Add(1)
-		return e.enqueue(s)
+	if st := e.state.Load(); st.cache != nil {
+		if key, ok := SampleKey(s); ok {
+			if p, ok := st.cache.Get(key); ok {
+				e.hits.Add(1)
+				return p
+			}
+		}
 	}
-	if p, ok := st.cache.Get(key); ok {
-		e.hits.Add(1)
-		return p
-	}
-
-	st.inflightMu.Lock()
-	if f, ok := st.inflight[key]; ok {
-		st.inflightMu.Unlock()
-		e.coalesced.Add(1)
-		<-f.done
-		return f.pred
-	}
-	// Losing the Get race above to a completed flight is possible;
-	// re-check the cache under the inflight lock so we never refeaturise
-	// a binary that finished in the gap.
-	if p, ok := st.cache.Get(key); ok {
-		st.inflightMu.Unlock()
-		e.hits.Add(1)
-		return p
-	}
-	f := &flight{done: make(chan struct{})}
-	st.inflight[key] = f
-	st.inflightMu.Unlock()
-
-	e.misses.Add(1)
-	pred := e.enqueue(s)
-	f.pred = pred
-	// Bookkeeping stays within the captured epoch: if a Swap retired it
-	// while this request was in flight, the Add lands in the orphaned
-	// cache and is never served — the live epoch only ever caches
-	// predictions computed by its own backend (or a newer one, equally
-	// fresh by then).
-	st.cache.Add(key, pred)
-	st.inflightMu.Lock()
-	delete(st.inflight, key)
-	st.inflightMu.Unlock()
-	close(f.done)
-	return pred
+	var out [1]core.Prediction
+	e.classify([]dataset.Sample{*s}, out[:])
+	return out[0]
 }
 
 // Lookup probes the current epoch's prediction cache by content digest
@@ -278,7 +245,7 @@ func (e *Engine) Classify(s *dataset.Sample) core.Prediction {
 // hash-first protocol leg: a client that already knows its binary's
 // SHA-256 asks whether a prediction exists before shipping any bytes.
 // A hit counts toward Stats.Hits like any cache-served prediction; a
-// miss is free — no counter moves, nothing is enqueued — because the
+// miss is free — no counter moves, nothing is classified — because the
 // client will follow up with the body and that request does the real
 // accounting. Allocation-free on both outcomes.
 //
@@ -295,151 +262,107 @@ func (e *Engine) Lookup(key Key) (core.Prediction, bool) {
 	return p, ok
 }
 
-// ClassifyAll predicts many samples concurrently through the batching
-// and caching layers, preserving input order. Concurrency is what fills
-// micro-batch windows, so a stream of N samples costs N goroutines;
-// chunk very large streams.
+// ClassifyAll predicts many samples through the cache, preserving input
+// order. Its misses, duplicates within the call included, are
+// classified once each, in windows of 64 per backend call.
 func (e *Engine) ClassifyAll(samples []dataset.Sample) []core.Prediction {
 	out := make([]core.Prediction, len(samples))
-	var wg sync.WaitGroup
-	for i := range samples {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = e.Classify(&samples[i])
-		}(i)
-	}
-	wg.Wait()
+	e.classify(samples, out)
 	return out
 }
 
-// enqueue hands one sample to the batcher and waits for its prediction.
-// After Close the engine degrades to direct unbatched classification.
-func (e *Engine) enqueue(s *dataset.Sample) core.Prediction {
-	r := &request{sample: s, out: make(chan core.Prediction, 1)}
-	e.sendMu.RLock()
-	if e.closed {
-		e.sendMu.RUnlock()
-		return e.direct(s)
-	}
-	// The send must stay under sendMu: Close takes the write lock before
-	// closing the queue, so holding the read lock is exactly what makes
-	// this send close-safe. The queue is buffered and drained by a
-	// dedicated dispatcher, so blocking here means backpressure, not a
-	// lock-holder stall.
-	e.queue <- r //fhcvet:ignore lockhold send under sendMu.RLock is the close-safety idiom; Close excludes it via the write lock
-	e.sendMu.RUnlock()
-	return <-r.out
-}
-
-// direct classifies one sample synchronously, bypassing the batcher.
-// Like a batch, it runs entirely on one backend under the swap lock.
-func (e *Engine) direct(s *dataset.Sample) core.Prediction {
-	e.swapMu.RLock()
-	defer e.swapMu.RUnlock()
-	backend := e.state.Load().backend
-	probas := backend.PredictProbaBatch([]dataset.Sample{*s})
-	return backend.PredictFromProba(probas[0])
-}
-
-// dispatch accumulates requests into windows bounded by BatchSize and
-// MaxLatency and hands each window to an executor, at most Workers of
-// which run at once.
-func (e *Engine) dispatch() {
-	defer e.loopWG.Done()
-	for {
-		first, ok := <-e.queue
-		if !ok {
-			return
-		}
-		batch, acquired := e.fill(first)
-		if !acquired {
-			e.sem <- struct{}{}
-		}
-		e.loopWG.Add(1)
-		go func(b []*request) {
-			defer e.loopWG.Done()
-			defer func() { <-e.sem }()
-			e.runBatch(b)
-		}(batch)
-	}
-}
-
-// fill grows a window starting at first. It is work-conserving: whatever
-// is already queued is taken greedily, and once the queue drains the
-// window only lingers for stragglers — bounded by MaxLatency — while
-// every executor is busy, because lingering with an idle executor buys
-// batching nothing. Reports whether it already acquired an executor
-// slot.
-func (e *Engine) fill(first *request) (batch []*request, acquired bool) {
-	batch = []*request{first}
-	for len(batch) < e.opt.BatchSize {
-		select {
-		case r, ok := <-e.queue:
-			if !ok {
-				return batch, false
-			}
-			batch = append(batch, r)
+// classify is the one miss path. Cache hits are answered directly; a
+// sample whose binary is already being classified waits on that
+// flight; every other sample is this call's to classify. The call
+// lands the flights it owns before it waits on anyone else's, so two
+// calls that each own a flight the other needs cannot deadlock.
+func (e *Engine) classify(samples []dataset.Sample, out []core.Prediction) {
+	st := e.state.Load()
+	var mine, waits []miss
+	for i := range samples {
+		key, keyed := SampleKey(&samples[i])
+		if !keyed || st.cache == nil {
+			mine = append(mine, miss{i: i})
 			continue
+		}
+		p, f, own := st.claim(key)
+		switch {
+		case f == nil:
+			e.hits.Add(1)
+			out[i] = p
+		case own:
+			mine = append(mine, miss{i, key, f})
 		default:
-		}
-		break
-	}
-	if len(batch) >= e.opt.BatchSize {
-		return batch, false
-	}
-	select {
-	case e.sem <- struct{}{}: // idle executor: dispatch what we have
-		return batch, true
-	default:
-	}
-	deadline := time.NewTimer(e.opt.MaxLatency)
-	defer deadline.Stop()
-	for len(batch) < e.opt.BatchSize {
-		select {
-		case r, ok := <-e.queue:
-			if !ok {
-				return batch, false
-			}
-			batch = append(batch, r)
-		case e.sem <- struct{}{}: // an executor freed up: go now
-			return batch, true
-		case <-deadline.C:
-			return batch, false
+			e.coalesced.Add(1)
+			waits = append(waits, miss{i, key, f})
 		}
 	}
-	return batch, false
+	e.misses.Add(uint64(len(mine)))
+	e.run(st, samples, mine, out)
+	for _, w := range waits {
+		<-w.f.done
+		if w.f.ok {
+			out[w.i] = w.f.pred
+			continue
+		}
+		// The owner's backend call panicked: classify again here, so
+		// this caller sees the backend's own outcome.
+		out[w.i] = e.Classify(&samples[w.i])
+	}
 }
 
-// runBatch executes one window and delivers per-request predictions
-// with a fresh threshold read each. The backend is resolved once, under
-// the swap lock, and used for the whole window — probability prediction
-// and thresholding — so every request in the window is answered by
-// exactly one model generation. Delivery happens inside the lock span:
-// Swap's write lock therefore drains every window computed by the
-// outgoing backend before it returns.
-func (e *Engine) runBatch(b []*request) {
+// run classifies mine in windows and lands every flight it owns — also
+// when a backend call panics, so no waiter is left on an orphaned
+// flight. Bookkeeping stays within the captured epoch: if a Swap
+// retired it meanwhile, the predictions land in the orphaned cache and
+// are never served.
+func (e *Engine) run(st *epoch, samples []dataset.Sample, mine []miss, out []core.Prediction) {
+	completed := false
+	defer func() {
+		for _, m := range mine {
+			if m.f == nil {
+				continue
+			}
+			if completed {
+				m.f.pred, m.f.ok = out[m.i], true
+				st.cache.Add(m.key, out[m.i])
+			}
+			st.land(m.key, m.f)
+		}
+	}()
+	par.Map((len(mine)+window-1)/window, 0, func(w int) {
+		ms := mine[w*window : min((w+1)*window, len(mine))]
+		batch := make([]dataset.Sample, len(ms))
+		for j, m := range ms {
+			batch[j] = samples[m.i]
+		}
+		e.predict(batch, ms, out)
+	})
+	completed = true
+}
+
+// predict makes one backend call over batch and writes prediction j to
+// out[ms[j].i]. The backend is resolved once, under the swap lock, and
+// used for probability prediction and thresholding alike, so every
+// prediction comes from exactly one model generation; the predictions
+// are written inside the lock span, which is what Swap's drain waits
+// for.
+func (e *Engine) predict(batch []dataset.Sample, ms []miss, out []core.Prediction) {
+	n := uint64(len(batch))
 	e.batches.Add(1)
-	e.batchedSamples.Add(uint64(len(b)))
+	e.batchedSamples.Add(n)
 	for {
 		cur := e.maxB.Load()
-		if uint64(len(b)) <= cur || e.maxB.CompareAndSwap(cur, uint64(len(b))) {
+		if n <= cur || e.maxB.CompareAndSwap(cur, n) {
 			break
 		}
 	}
-	samples := make([]dataset.Sample, len(b))
-	for i, r := range b {
-		samples[i] = *r.sample
-	}
 	e.swapMu.RLock()
 	defer e.swapMu.RUnlock()
 	backend := e.state.Load().backend
-	probas := backend.PredictProbaBatch(samples)
-	for i, r := range b {
-		// Delivery must stay inside the swapMu span — that is the drain
-		// invariant Swap relies on — and each out channel is buffered
-		// (capacity 1, one send ever), so the send cannot block.
-		r.out <- backend.PredictFromProba(probas[i]) //fhcvet:ignore lockhold delivery under swapMu.RLock is the drain invariant; out has capacity 1
+	probas := backend.PredictProbaBatch(batch)
+	for j, m := range ms {
+		out[m.i] = backend.PredictFromProba(probas[j])
 	}
 }
 
@@ -465,25 +388,12 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// Closed reports whether Close has completed. A closed engine still
-// answers Classify (degraded to direct classification), so Closed is a
-// readiness signal, not a liveness one — the HTTP layer's /readyz uses
-// it to stop advertising the batching path during shutdown.
-func (e *Engine) Closed() bool {
-	e.sendMu.RLock()
-	defer e.sendMu.RUnlock()
-	return e.closed
-}
+// Closed reports whether Close has been called. A closed engine still
+// answers Classify, so Closed is a readiness signal, not a liveness
+// one — the HTTP layer's /readyz uses it to stop advertising the
+// engine during shutdown.
+func (e *Engine) Closed() bool { return e.closed.Load() }
 
-// Close drains pending requests and stops the batcher. It is idempotent
-// and safe alongside concurrent Classify calls, which fall back to
-// direct classification once the engine is closed.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		e.sendMu.Lock()
-		e.closed = true
-		close(e.queue)
-		e.sendMu.Unlock()
-		e.loopWG.Wait()
-	})
-}
+// Close marks the engine closed. It is idempotent and safe alongside
+// concurrent Classify calls, which keep being answered.
+func (e *Engine) Close() { e.closed.Store(true) }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,23 +16,17 @@ import (
 // fakeBackend is a recording Backend whose "probability" derives from
 // the sample digest, making predictions deterministic without training.
 type fakeBackend struct {
-	gate    chan struct{} // when non-nil, PredictProbaBatch blocks on it
-	entered chan int      // when non-nil, receives len(samples) on entry
+	gate chan struct{} // when non-nil, PredictProbaBatch blocks on it
 
-	mu         sync.Mutex
-	batchSizes []int
-	samples    int
+	mu      sync.Mutex
+	samples int
 }
 
 func (f *fakeBackend) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
-	if f.entered != nil {
-		f.entered <- len(samples)
-	}
 	if f.gate != nil {
 		<-f.gate
 	}
 	f.mu.Lock()
-	f.batchSizes = append(f.batchSizes, len(samples))
 	f.samples += len(samples)
 	f.mu.Unlock()
 	out := make([][]float64, len(samples))
@@ -63,7 +58,7 @@ func keyedSample(id byte) dataset.Sample {
 
 func TestEngineCacheHitMiss(t *testing.T) {
 	fb := &fakeBackend{}
-	e := New(fb, Options{BatchSize: 1})
+	e := New(fb, Options{})
 	defer e.Close()
 
 	a, b := keyedSample(1), keyedSample(2)
@@ -87,7 +82,7 @@ func TestEngineCacheHitMiss(t *testing.T) {
 
 func TestEngineLookup(t *testing.T) {
 	fb := &fakeBackend{}
-	e := New(fb, Options{BatchSize: 1})
+	e := New(fb, Options{})
 	defer e.Close()
 
 	a := keyedSample(1)
@@ -129,7 +124,7 @@ func TestEngineLookup(t *testing.T) {
 
 func TestEngineLookupCacheDisabled(t *testing.T) {
 	fb := &fakeBackend{}
-	e := New(fb, Options{BatchSize: 1, CacheEntries: -1})
+	e := New(fb, Options{CacheEntries: -1})
 	defer e.Close()
 	a := keyedSample(1)
 	e.Classify(&a)
@@ -141,7 +136,7 @@ func TestEngineLookupCacheDisabled(t *testing.T) {
 
 func TestEngineLRUEviction(t *testing.T) {
 	fb := &fakeBackend{}
-	e := New(fb, Options{BatchSize: 1, CacheEntries: 2})
+	e := New(fb, Options{CacheEntries: 2})
 	defer e.Close()
 
 	a, b, c := keyedSample(1), keyedSample(2), keyedSample(3)
@@ -163,7 +158,7 @@ func TestEngineLRUEviction(t *testing.T) {
 
 func TestEngineInflightCoalescing(t *testing.T) {
 	fb := &fakeBackend{gate: make(chan struct{})}
-	e := New(fb, Options{BatchSize: 1})
+	e := New(fb, Options{})
 	defer e.Close()
 
 	const waiters = 8
@@ -204,101 +199,9 @@ func TestEngineInflightCoalescing(t *testing.T) {
 	}
 }
 
-// occupyExecutor parks one classification inside the gated backend so
-// the engine's only executor is busy and later requests must window up.
-// It returns after the backend has entered.
-func occupyExecutor(e *Engine, fb *fakeBackend, wg *sync.WaitGroup, id byte) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s := keyedSample(id)
-		e.Classify(&s)
-	}()
-	<-fb.entered
-}
-
-// waitForMisses polls until n requests have passed the cache and entered
-// the batching pipeline.
-func waitForMisses(t *testing.T, e *Engine, n uint64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for e.Stats().Misses < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests entered the pipeline", e.Stats().Misses, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestEngineBatchFlushOnSize(t *testing.T) {
-	fb := &fakeBackend{gate: make(chan struct{}), entered: make(chan int, 8)}
-	// The executor is busy and the deadline far away: the second window
-	// can only close by filling to BatchSize.
-	e := New(fb, Options{BatchSize: 8, MaxLatency: time.Minute, Workers: 1})
-	defer e.Close()
-
-	var wg sync.WaitGroup
-	occupyExecutor(e, fb, &wg, 9)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := keyedSample(byte(10 + i))
-			e.Classify(&s)
-		}(i)
-	}
-	waitForMisses(t, e, 9)
-	// Give the dispatcher a beat to pull the queued 8 into its window;
-	// only the size bound can release it (deadline is a minute away).
-	time.Sleep(50 * time.Millisecond)
-	close(fb.gate)
-	wg.Wait()
-	st := e.Stats()
-	if st.Batches != 2 || st.MaxBatch != 8 || st.BatchedSamples != 9 {
-		t.Fatalf("stats = %+v, want the occupier plus one full window of 8", st)
-	}
-}
-
-func TestEngineBatchFlushOnDeadline(t *testing.T) {
-	fb := &fakeBackend{gate: make(chan struct{}), entered: make(chan int, 8)}
-	// The executor is busy and the window can never fill: only the
-	// latency bound can seal it.
-	const maxLatency = 50 * time.Millisecond
-	e := New(fb, Options{BatchSize: 1024, MaxLatency: maxLatency, Workers: 1})
-	defer e.Close()
-
-	var wg sync.WaitGroup
-	occupyExecutor(e, fb, &wg, 19)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := keyedSample(byte(20 + i))
-			e.Classify(&s)
-		}(i)
-	}
-	waitForMisses(t, e, 4)
-	// Far past the latency bound the window of 3 must be sealed; a
-	// straggler arriving now must start the next window instead.
-	time.Sleep(10 * maxLatency)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s := keyedSample(24)
-		e.Classify(&s)
-	}()
-	waitForMisses(t, e, 5)
-	close(fb.gate)
-	wg.Wait()
-	st := e.Stats()
-	if st.Batches != 3 || st.MaxBatch != 3 || st.BatchedSamples != 5 {
-		t.Fatalf("stats = %+v, want windows of 1 (occupier), 3 (deadline-sealed) and 1 (straggler)", st)
-	}
-}
-
 func TestEngineUnkeyedSamplesBypassCache(t *testing.T) {
 	fb := &fakeBackend{}
-	e := New(fb, Options{BatchSize: 1})
+	e := New(fb, Options{})
 	defer e.Close()
 
 	s := dataset.Sample{Exe: "no-digest"} // zero SHA256
@@ -314,7 +217,7 @@ func TestEngineUnkeyedSamplesBypassCache(t *testing.T) {
 
 func TestEngineClassifyAfterClose(t *testing.T) {
 	fb := &fakeBackend{}
-	e := New(fb, Options{BatchSize: 4})
+	e := New(fb, Options{})
 	s := keyedSample(30)
 	e.Classify(&s)
 	e.Close()
@@ -375,15 +278,24 @@ func realClassifier(t *testing.T) (*core.Classifier, []dataset.Sample) {
 
 // TestEngineDifferential is the acceptance gate: for a stream with
 // duplicates, engine output must be bit-identical — labels, closest
-// classes and confidences — to sequential Classifier.Classify.
+// classes and confidences — to sequential Classifier.Classify. The
+// stream spans more than two 64-sample windows and carries duplicates
+// within one call and unkeyed samples.
 func TestEngineDifferential(t *testing.T) {
 	clf, samples := realClassifier(t)
 	// A stream with heavy duplication, out of class order.
 	var stream []dataset.Sample
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 5; round++ {
 		for i := range samples {
-			stream = append(stream, samples[(i*7+round)%len(samples)])
+			s := samples[(i*7+round)%len(samples)]
+			if (i+round)%11 == 0 {
+				s.SHA256 = [32]byte{} // unkeyed: never cached or coalesced
+			}
+			stream = append(stream, s)
 		}
+	}
+	if len(stream) <= 2*window {
+		t.Fatalf("stream of %d samples fits in two windows", len(stream))
 	}
 
 	want := make([]core.Prediction, len(stream))
@@ -392,18 +304,154 @@ func TestEngineDifferential(t *testing.T) {
 	}
 
 	for _, opt := range []Options{
-		{},                              // defaults: cache + coalescing on
-		{CacheEntries: -1},              // cache disabled: everything batches
-		{BatchSize: 3, CacheEntries: 8}, // tiny windows, evicting cache
+		{},                 // defaults: cache + coalescing on
+		{CacheEntries: -1}, // cache disabled: every sample is a miss
+		{CacheEntries: 8},  // evicting cache
 	} {
 		e := New(clf, opt)
-		got := e.ClassifyAll(stream)
-		e.Close()
-		for i := range stream {
-			if got[i] != want[i] {
-				t.Fatalf("opts %+v sample %d: engine %+v, direct %+v", opt, i, got[i], want[i])
+		for pass := 0; pass < 2; pass++ {
+			got := e.ClassifyAll(stream)
+			for i := range stream {
+				if got[i] != want[i] {
+					t.Fatalf("opts %+v pass %d sample %d: engine %+v, direct %+v", opt, pass, i, got[i], want[i])
+				}
 			}
 		}
+		for i := range stream {
+			if got := e.Classify(&stream[i]); got != want[i] {
+				t.Fatalf("opts %+v Classify sample %d: engine %+v, direct %+v", opt, i, got, want[i])
+			}
+		}
+		if st := e.Stats(); st.Inflight != 0 {
+			t.Fatalf("opts %+v: %d flights left behind", opt, st.Inflight)
+		}
+		e.Close()
+	}
+}
+
+// TestEngineClassifyAllOpposingOrder runs two overlapping ClassifyAll
+// calls over the same keys in opposite order. When their claims
+// interleave, each call owns flights the other waits on; both must
+// still finish, with every prediction correct.
+func TestEngineClassifyAllOpposingOrder(t *testing.T) {
+	const n, rounds = 3 * window, 50
+	fwd := make([]dataset.Sample, n)
+	rev := make([]dataset.Sample, n)
+	for i := 0; i < n; i++ {
+		fwd[i] = keyedSample(byte(i))
+		rev[n-1-i] = keyedSample(byte(i))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for r := 0; r < rounds; r++ {
+			fb := &fakeBackend{}
+			e := New(fb, Options{})
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for _, stream := range [][]dataset.Sample{fwd, rev} {
+				wg.Add(1)
+				go func(stream []dataset.Sample) {
+					defer wg.Done()
+					<-start
+					for i, p := range e.ClassifyAll(stream) {
+						if want := float64(stream[i].SHA256[1]) / 255; p.Confidence != want {
+							t.Errorf("round %d sample %d: confidence %v, want %v", r, i, p.Confidence, want)
+							return
+						}
+					}
+				}(stream)
+			}
+			close(start)
+			wg.Wait()
+			if got := fb.classified(); got != n {
+				t.Errorf("round %d: backend classified %d samples, want %d (one per key)", r, got, n)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("opposing ClassifyAll calls deadlocked")
+	}
+}
+
+// panicBackend panics on its first call, after letting the test park a
+// coalescing waiter on the panicking call's flight, and then recovers.
+type panicBackend struct {
+	fakeBackend
+	calls   atomic.Int32
+	entered chan struct{}
+	proceed chan struct{}
+}
+
+func (p *panicBackend) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
+	if p.calls.Add(1) == 1 {
+		close(p.entered)
+		<-p.proceed
+		panic("backend failure")
+	}
+	return p.fakeBackend.PredictProbaBatch(samples)
+}
+
+// TestEngineBackendPanicReleasesFlight: a panicking backend call panics
+// in its caller, a waiter coalesced onto that call's flight classifies
+// for itself, and a later Classify of the same key returns instead of
+// hanging on an orphaned flight.
+func TestEngineBackendPanicReleasesFlight(t *testing.T) {
+	pb := &panicBackend{entered: make(chan struct{}), proceed: make(chan struct{})}
+	e := New(pb, Options{})
+	defer e.Close()
+	s := keyedSample(5)
+
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		local := s
+		e.Classify(&local)
+	}()
+	<-pb.entered
+	waited := make(chan core.Prediction, 1)
+	go func() {
+		local := s
+		waited <- e.Classify(&local)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Stats().Coalesced != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiter never coalesced: %+v", e.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(pb.proceed)
+
+	if r := <-panicked; r == nil {
+		t.Fatal("the panicking call returned normally")
+	}
+	want := core.Prediction{Label: "L", Class: "L", Confidence: float64(s.SHA256[1]) / 255}
+	select {
+	case p := <-waited:
+		if p != want {
+			t.Fatalf("waiter got %+v, want %+v", p, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter hangs on the panicked call's flight")
+	}
+	got := make(chan core.Prediction, 1)
+	go func() {
+		local := s
+		got <- e.Classify(&local)
+	}()
+	select {
+	case p := <-got:
+		if p != want {
+			t.Fatalf("later Classify got %+v, want %+v", p, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("later Classify hangs on an orphaned flight")
+	}
+	if st := e.Stats(); st.Inflight != 0 {
+		t.Fatalf("%d flights left behind", st.Inflight)
 	}
 }
 
@@ -412,7 +460,7 @@ func TestEngineDifferential(t *testing.T) {
 // this is the regression test for the unsynchronised-retune hazard.
 func TestEngineServesWhileRetuning(t *testing.T) {
 	clf, samples := realClassifier(t)
-	e := New(clf, Options{BatchSize: 4, CacheEntries: -1})
+	e := New(clf, Options{CacheEntries: -1})
 	defer e.Close()
 
 	stop := make(chan struct{})

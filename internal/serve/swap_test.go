@@ -48,7 +48,7 @@ func (g *generationBackend) PredictFromProba(proba []float64) core.Prediction {
 func TestEngineSwapUnderLoad(t *testing.T) {
 	oldB := &generationBackend{id: 1}
 	newB := &generationBackend{id: 2}
-	e := New(oldB, Options{BatchSize: 4})
+	e := New(oldB, Options{})
 	defer e.Close()
 
 	// Prime the cache under the old model so stale-hit leaks would show.
@@ -117,7 +117,7 @@ func TestEngineSwapUnderLoad(t *testing.T) {
 func TestEngineSwapEpochsCache(t *testing.T) {
 	oldB := &generationBackend{id: 1}
 	newB := &generationBackend{id: 2}
-	e := New(oldB, Options{BatchSize: 1})
+	e := New(oldB, Options{})
 	defer e.Close()
 
 	s := keyedSample(7)
@@ -148,7 +148,7 @@ func TestEngineSwapEpochsCache(t *testing.T) {
 func TestEngineSwapNoCache(t *testing.T) {
 	oldB := &generationBackend{id: 1}
 	newB := &generationBackend{id: 2}
-	e := New(oldB, Options{BatchSize: 1, CacheEntries: -1})
+	e := New(oldB, Options{CacheEntries: -1})
 	defer e.Close()
 	s := keyedSample(3)
 	if p := e.Classify(&s); p.Label != "gen-1" {
@@ -180,7 +180,7 @@ func TestEngineSwapDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(clf, Options{BatchSize: 8})
+	e := New(clf, Options{})
 	defer e.Close()
 	before := e.ClassifyAll(samples) // primes the old epoch's cache
 	for i := range samples {
