@@ -168,7 +168,7 @@ func cmdServe(args []string) error {
 		return errors.New("-input none requires -http: nothing to serve")
 	}
 
-	clf, err := loadModel(*modelPath)
+	clf, err := core.LoadFile(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -379,7 +379,7 @@ func cmdServe(args []string) error {
 					return err
 				}
 				res := serveResult{Reloaded: ev.Reload}
-				if next, err := loadModel(ev.Reload); err != nil {
+				if next, err := core.LoadFile(ev.Reload); err != nil {
 					// The previous model keeps serving; the stream continues.
 					res.Error = fmt.Sprintf("line %d: %v", lineNo, err)
 				} else {
@@ -507,9 +507,4 @@ func readEventLine(r *bufio.Reader, max int) ([]byte, error) {
 		line = bytes.TrimSuffix(line, []byte{'\n'})
 		return bytes.TrimSuffix(line, []byte{'\r'}), nil
 	}
-}
-
-// loadModel reads a trained classifier of any registered kind.
-func loadModel(path string) (*core.Classifier, error) {
-	return core.LoadFile(path)
 }

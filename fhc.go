@@ -25,9 +25,6 @@
 package fhc
 
 import (
-	"fmt"
-	"os"
-
 	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -253,12 +250,7 @@ func Train(samples []Sample, cfg Config) (*Classifier, error) {
 
 // LoadFile reads a classifier previously stored with Classifier.Save.
 func LoadFile(path string) (*Classifier, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("fhc: %w", err)
-	}
-	defer f.Close()
-	return core.Load(f)
+	return core.LoadFile(path)
 }
 
 // ScanTree loads labelled samples from an install tree laid out as

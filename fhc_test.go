@@ -12,7 +12,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -302,5 +304,116 @@ func TestFacadeNamesDocumented(t *testing.T) {
 	if len(unused) > 0 {
 		t.Fatalf("%d facade names are named by no doc, example or command: %s",
 			len(unused), strings.Join(unused, ", "))
+	}
+}
+
+// testOnlyFuncs are the exported functions under internal/ and ssdeep/
+// that only tests call, each kept for the test it serves.
+var testOnlyFuncs = map[string]string{
+	"repro/internal/editdist.DamerauLevenshtein": "reference for the dl <= osa <= lev property in FuzzBitParallelMatchesDP",
+	"repro/internal/editdist.UnitCosts":          "TestWeightedUnitEqualsOSA",
+	"repro/internal/synth.GenerateOne":           "one-class corpus fixture of the dataset ingestion tests",
+	"repro/internal/synth.OpenSetManifest":       "class layout of the openset statistical harness (stats_test.go)",
+	"repro/internal/synth.TotalSamples":          "TestPaperManifestShape and TestGenerateArbitraryManifests",
+}
+
+// testSupportPkgs hold helpers for other packages' tests; their exports
+// are for tests by design.
+var testSupportPkgs = []string{
+	"repro/internal/cluster/clustertest",
+	"repro/internal/tools/fhcvet/analysis/analysistest",
+}
+
+// TestNoTestOnlyExports keeps production code from carrying functions
+// only tests reach: every exported top-level func declared in a non-test
+// file under internal/ or ssdeep/ (testSupportPkgs aside) must be
+// referenced by a non-test file of the root module or of bench/, or be
+// listed in testOnlyFuncs.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	var declared []string
+	used := map[string]bool{}
+	for _, mod := range []struct{ dir, path string }{{".", "repro"}, {"bench", "repro/bench"}} {
+		err := filepath.WalkDir(mod.dir, func(file string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if file != mod.dir && (file == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				return err
+			}
+			pkg := mod.path
+			if dir := filepath.ToSlash(filepath.Dir(file)); dir != mod.dir {
+				pkg += "/" + strings.TrimPrefix(dir, mod.dir+"/")
+			}
+			checked := (strings.HasPrefix(pkg, "repro/internal/") || pkg == "repro/ssdeep") &&
+				!slices.Contains(testSupportPkgs, pkg)
+			imports := map[string]string{}
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				name := p[strings.LastIndex(p, "/")+1:]
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = p
+			}
+			var visit func(ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if checked && n.Recv == nil && n.Name.IsExported() {
+						declared = append(declared, pkg+"."+n.Name.Name)
+					}
+					if n.Recv != nil {
+						ast.Inspect(n.Recv, visit)
+					}
+					ast.Inspect(n.Type, visit)
+					if n.Body != nil {
+						ast.Inspect(n.Body, visit)
+					}
+					return false
+				case *ast.SelectorExpr:
+					if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
+						used[imports[id.Name]+"."+n.Sel.Name] = true
+						return false
+					}
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Ident:
+					used[pkg+"."+n.Name] = true
+				}
+				return true
+			}
+			ast.Inspect(f, visit)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var unused []string
+	for _, name := range declared {
+		if !used[name] && testOnlyFuncs[name] == "" {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Fatalf("%d exported funcs have no non-test caller; delete them or list them in testOnlyFuncs: %s",
+			len(unused), strings.Join(unused, ", "))
+	}
+	for name := range testOnlyFuncs {
+		if used[name] {
+			t.Errorf("%s has a non-test caller; drop it from testOnlyFuncs", name)
+		}
 	}
 }

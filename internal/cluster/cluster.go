@@ -28,8 +28,8 @@
 //
 // Model promotion is a coordinated, staged rollout rather than N
 // independent swaps: /v1/model/swap drives the canary shard first,
-// gates on the canary answering /readyz (and any configured classify
-// probes), then expands shard by shard; any failure rolls every
+// gates on the canary answering /readyz (and on the optional Gate
+// hook), then expands shard by shard; any failure rolls every
 // already-swapped shard back to the incumbent artifact (the rollback
 // set internal/retrain's artifact history maintains). The whole tier
 // is observable through fhc_cluster_* metrics — per-shard requests,
@@ -108,13 +108,9 @@ type Options struct {
 	// because a rollout that cannot roll back is not staged, it is
 	// hope.
 	IncumbentArtifact string
-	// GateProbes are classify request bodies (JSON protocol) the canary
-	// must answer 200 after its swap, before the rollout expands. The
-	// canary's /readyz is checked first either way; fhc route sets no
-	// probes.
-	GateProbes [][]byte
-	// Gate, when non-nil, runs after the built-in canary checks; a
-	// non-nil error fails the rollout and triggers rollback.
+	// Gate, when non-nil, runs after the canary answers /readyz; a
+	// non-nil error fails the rollout and triggers rollback. fhc route
+	// sets none.
 	Gate func(canary *Worker) error
 	// Transport substitutes the forwarding round-tripper. Default: a
 	// dedicated http.Transport. Tests inject fault-injecting wrappers.
@@ -363,12 +359,6 @@ func (rt *Router) WorkerStates() []WorkerState {
 		out[i] = WorkerState{Name: w.name, URL: w.base, Ready: w.Ready()}
 	}
 	return out
-}
-
-// Rollout runs a staged model rollout across the fleet; see
-// Coordinator.Rollout.
-func (rt *Router) Rollout(artifact string) (RolloutStatus, error) {
-	return rt.coord.Rollout(artifact)
 }
 
 // Coordinator returns the rollout coordinator, for callers that drive

@@ -147,7 +147,7 @@ func TestE2ERolloutUnderLoad(t *testing.T) {
 	// so the health timeout sits far above the loaded readyz latency.
 	c := startCluster(t, cluster.Options{
 		HedgeAfter:     -1,
-		GateProbes:     [][]byte{gateProbe(t, fixBins[0])},
+		Gate:           gateProbes(t, fixBins[0]),
 		HealthInterval: 100 * time.Millisecond,
 		HealthTimeout:  3 * time.Second,
 	})

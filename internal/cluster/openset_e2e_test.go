@@ -117,7 +117,7 @@ func TestE2ERolloutCarriesCalibration(t *testing.T) {
 		Cluster: cluster.Options{
 			HedgeAfter:        -1,
 			IncumbentArtifact: fixRFPath,
-			GateProbes:        [][]byte{gateProbe(t, fixBins[0])},
+			Gate:              gateProbes(t, fixBins[0]),
 			HealthInterval:    100 * time.Millisecond,
 			HealthTimeout:     3 * time.Second,
 		},

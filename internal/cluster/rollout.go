@@ -141,14 +141,6 @@ func (c *Coordinator) Status() RolloutStatus {
 	return st
 }
 
-// Incumbent returns the artifact the fleet is considered to be
-// serving — the rollback target of the next rollout.
-func (c *Coordinator) Incumbent() string {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	return c.incumbent
-}
-
 // setStatus replaces the published status under stateMu.
 func (c *Coordinator) setStatus(mut func(*RolloutStatus)) {
 	c.stateMu.Lock()
@@ -158,7 +150,7 @@ func (c *Coordinator) setStatus(mut func(*RolloutStatus)) {
 
 // Rollout promotes artifact across the fleet in stages: swap the
 // canary (the first ready shard in registration order), gate it on
-// its /readyz, GateProbes and the optional Gate hook, then expand
+// its /readyz and the optional Gate hook, then expand
 // shard by shard in registration order; on success the artifact
 // becomes the new incumbent. Any failure rolls every already-swapped shard back to the
 // incumbent and reports ErrRolloutFailed (the status has the detail).
@@ -256,22 +248,10 @@ func (c *Coordinator) Rollout(artifact string) (RolloutStatus, error) {
 }
 
 // gateCanary requires one /readyz 200 from the canary, then runs the
-// configured gate probes (classify bodies that must answer 200) and
-// the optional Gate hook against it.
+// optional Gate hook against it.
 func (c *Coordinator) gateCanary(canary *Worker) error {
 	if !c.rt.member.probe(canary) {
 		return errors.New("readyz did not answer 200 after the swap")
-	}
-	for i, probe := range c.rt.opt.GateProbes {
-		code, err := c.post(canary.classifyURL, probe)
-		if err != nil {
-			return err
-		}
-		// A cache miss on a hash-first probe is a healthy answer — the
-		// canary's cache was cleared by the swap, by design.
-		if code != http.StatusOK && code != http.StatusNotFound {
-			return errors.New("gate probe " + strconv.Itoa(i) + " answered " + strconv.Itoa(code))
-		}
 	}
 	if c.rt.opt.Gate != nil {
 		if err := c.rt.opt.Gate(canary); err != nil {

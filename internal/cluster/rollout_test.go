@@ -1,9 +1,12 @@
 package cluster_test
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,16 +22,34 @@ import (
 	"repro/internal/retrain"
 )
 
-// gateProbe renders an inline-b64 classify body for GateProbes.
-func gateProbe(t testing.TB, bin []byte) []byte {
+// gateProbes returns a rollout Gate that posts one inline-b64 classify
+// body per binary to the canary and demands a 200 for each.
+func gateProbes(t testing.TB, bins ...[]byte) func(*cluster.Worker) error {
 	t.Helper()
-	b, err := json.Marshal(httpserve.ClassifyRequest{
-		Exe: "gate", BinaryB64: base64.StdEncoding.EncodeToString(bin),
-	})
-	if err != nil {
-		t.Fatal(err)
+	var bodies [][]byte
+	for _, bin := range bins {
+		b, err := json.Marshal(httpserve.ClassifyRequest{
+			Exe: "gate", BinaryB64: base64.StdEncoding.EncodeToString(bin),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, b)
 	}
-	return b
+	return func(canary *cluster.Worker) error {
+		for i, body := range bodies {
+			resp, err := http.Post(canary.URL()+"/v1/classify", "application/json", bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("gate probe %d answered %d", i, resp.StatusCode)
+			}
+		}
+		return nil
+	}
 }
 
 // swapVia drives the router's rollout endpoint.
@@ -80,7 +101,7 @@ func TestRolloutStagedSuccess(t *testing.T) {
 		Cluster: cluster.Options{
 			HedgeAfter:        -1,
 			IncumbentArtifact: fixRFPath,
-			GateProbes:        [][]byte{gateProbe(t, fixBins[0]), gateProbe(t, fixBins[1])},
+			Gate:              gateProbes(t, fixBins[0], fixBins[1]),
 		},
 	})
 	c.WaitReady(t, 3, 5*time.Second)
@@ -106,7 +127,7 @@ func TestRolloutStagedSuccess(t *testing.T) {
 		}
 	}
 	assertFleetServes(t, c, "post-rollout candidate", modelWant(t, "knn"))
-	if inc := c.Router.Coordinator().Incumbent(); inc != fixKNNPath {
+	if inc := c.Router.Coordinator().Status().Incumbent; inc != fixKNNPath {
 		t.Fatalf("incumbent after promote = %q, want %q", inc, fixKNNPath)
 	}
 
@@ -154,7 +175,7 @@ func TestRolloutPoisonedCanary(t *testing.T) {
 	// The fleet serves the incumbent bit-identically, and the rollout
 	// never reached past the canary.
 	assertFleetServes(t, c, "post-rollback incumbent", modelWant(t, "rf"))
-	if inc := c.Router.Coordinator().Incumbent(); inc != fixRFPath {
+	if inc := c.Router.Coordinator().Status().Incumbent; inc != fixRFPath {
 		t.Fatalf("incumbent changed on a failed rollout: %q", inc)
 	}
 	m := scrapeMetrics(t, c.URL())
@@ -164,8 +185,8 @@ func TestRolloutPoisonedCanary(t *testing.T) {
 }
 
 // TestRolloutCanaryGateChecksReadiness swaps a canary that accepts the
-// swap and then stops being ready: with no GateProbes and no Gate hook
-// configured — exactly how fhc route runs — the gate must still refuse
+// swap and then stops being ready: with no Gate hook configured —
+// exactly how fhc route runs — the gate must still refuse
 // to promote it and roll the canary back.
 func TestRolloutCanaryGateChecksReadiness(t *testing.T) {
 	var mu sync.Mutex
@@ -202,7 +223,7 @@ func TestRolloutCanaryGateChecksReadiness(t *testing.T) {
 	}
 	defer rt.Close()
 
-	st, err := rt.Rollout("candidate.json")
+	st, err := rt.Coordinator().Rollout("candidate.json")
 	if !errors.Is(err, cluster.ErrRolloutFailed) {
 		t.Fatalf("rollout over an unready canary returned %v (%+v), want ErrRolloutFailed", err, st)
 	}
@@ -217,7 +238,7 @@ func TestRolloutCanaryGateChecksReadiness(t *testing.T) {
 	if len(swaps) != 2 || swaps[0] != "candidate.json" || swaps[1] != "incumbent.json" {
 		t.Fatalf("canary swaps = %q, want the candidate then the incumbent", swaps)
 	}
-	if inc := rt.Coordinator().Incumbent(); inc != "incumbent.json" {
+	if inc := rt.Coordinator().Status().Incumbent; inc != "incumbent.json" {
 		t.Fatalf("incumbent changed on a failed rollout: %q", inc)
 	}
 }
@@ -297,13 +318,13 @@ func TestRolloutRefusals(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Router.Rollout(fixKNNPath)
+		_, err := c.Router.Coordinator().Rollout(fixKNNPath)
 		done <- err
 	}()
 	<-entered
 	// Second rollout while the first sits in the gate: refused busy,
 	// over HTTP as a 409.
-	if _, err := c.Router.Rollout(fixRFPath); !errors.Is(err, cluster.ErrRolloutBusy) {
+	if _, err := c.Router.Coordinator().Rollout(fixRFPath); !errors.Is(err, cluster.ErrRolloutBusy) {
 		t.Fatalf("concurrent rollout error = %v, want ErrRolloutBusy", err)
 	}
 	code, body := swapVia(t, c.URL(), fixRFPath)
@@ -320,7 +341,7 @@ func TestRolloutRefusals(t *testing.T) {
 		Model:   fixRF,
 		Cluster: cluster.Options{HedgeAfter: -1},
 	})
-	if _, err := c2.Router.Rollout(fixKNNPath); !errors.Is(err, cluster.ErrNoIncumbent) {
+	if _, err := c2.Router.Coordinator().Rollout(fixKNNPath); !errors.Is(err, cluster.ErrNoIncumbent) {
 		t.Fatalf("no-incumbent rollout error = %v, want ErrNoIncumbent", err)
 	}
 	if code, body := swapVia(t, c2.URL(), fixKNNPath); code != http.StatusConflict {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/openset"
-	"repro/internal/rf"
 	"repro/ssdeep"
 )
 
@@ -395,14 +394,4 @@ func (c *Classifier) FeatureImportance() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// ForestParams returns the Random Forest parameters of the fitted model
-// (after any grid search); the zero value when the model is not a
-// forest.
-func (c *Classifier) ForestParams() rf.Params {
-	if fm, ok := c.mdl.(interface{ Forest() *rf.Forest }); ok {
-		return fm.Forest().Params
-	}
-	return rf.Params{}
 }

@@ -143,8 +143,8 @@ func TestBuildProfilesDropsUnparseableDigests(t *testing.T) {
 	if p.prepared[0].IsZero() {
 		t.Fatal("class A prepared slot is zero-valued")
 	}
-	if got := ps.indexes[dataset.FeatureFile].Len(); got != 2 {
-		t.Fatalf("index holds %d entries, want 2 (the parseable digests)", got)
+	if got := ps.indexes[dataset.FeatureFile].Query(bad, 1); len(got) != 0 {
+		t.Fatalf("index matched the unparseable digest: %+v", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/rf"
@@ -29,6 +30,21 @@ func tuningSamples(t *testing.T) []dataset.Sample {
 		t.Fatal(err)
 	}
 	return samples
+}
+
+// forestParams reads the fitted forest's parameters back from the
+// model's persisted JSON.
+func forestParams(t *testing.T, c *Classifier) rf.Params {
+	t.Helper()
+	data, err := json.Marshal(c.mdl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct{ Params rf.Params }
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	return f.Params
 }
 
 // TestGridSearchDeterministicAcrossWorkerCounts guards the parallelised
@@ -60,7 +76,7 @@ func TestGridSearchDeterministicAcrossWorkerCounts(t *testing.T) {
 		if clf.Threshold() != base.Threshold() {
 			t.Fatalf("workers=%d: threshold %v, want %v", workers, clf.Threshold(), base.Threshold())
 		}
-		got, want := clf.ForestParams(), base.ForestParams()
+		got, want := forestParams(t, clf), forestParams(t, base)
 		if got.MaxDepth != want.MaxDepth || got.MinSamplesSplit != want.MinSamplesSplit {
 			t.Fatalf("workers=%d: winning params %+v, want %+v", workers, got, want)
 		}

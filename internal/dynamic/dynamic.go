@@ -261,15 +261,3 @@ func channelStats(xs []float64) []float64 {
 	}
 	return []float64{mean, std, pct(0.10), pct(0.50), pct(0.90), auto, bursts}
 }
-
-// FeatureNames labels the fingerprint dimensions, metric-major.
-func FeatureNames() []string {
-	stats := []string{"mean", "std", "p10", "p50", "p90", "autocorr", "burstiness"}
-	out := make([]string, 0, FingerprintSize)
-	for m := Metric(0); m < NumMetrics; m++ {
-		for _, s := range stats {
-			out = append(out, fmt.Sprintf("%s.%s", m, s))
-		}
-	}
-	return out
-}

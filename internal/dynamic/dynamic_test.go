@@ -49,10 +49,6 @@ func TestFingerprintSize(t *testing.T) {
 	if len(f) != FingerprintSize {
 		t.Fatalf("fingerprint has %d dims, want %d", len(f), FingerprintSize)
 	}
-	names := FeatureNames()
-	if len(names) != FingerprintSize {
-		t.Fatalf("%d feature names for %d dims", len(names), FingerprintSize)
-	}
 }
 
 func TestInputScaleChangesBehaviour(t *testing.T) {

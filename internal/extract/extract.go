@@ -196,40 +196,3 @@ func NeededText(data []byte) ([]byte, error) {
 func IsELF(data []byte) bool {
 	return len(data) >= 4 && data[0] == 0x7f && data[1] == 'E' && data[2] == 'L' && data[3] == 'F'
 }
-
-// IsScript reports whether data is an interpreter script (shebang line).
-// Wrapper scripts are the limitation the paper's §5 calls out: they load
-// code dynamically at run time, so static executable analysis cannot see
-// what they will execute. Callers should surface them for separate
-// handling rather than hash them.
-func IsScript(data []byte) bool {
-	return len(data) >= 2 && data[0] == '#' && data[1] == '!'
-}
-
-// ScriptInterpreter returns the interpreter path of a shebang script,
-// e.g. "/usr/bin/env" or "/bin/bash", and reports whether data is a
-// script at all.
-func ScriptInterpreter(data []byte) (string, bool) {
-	if !IsScript(data) {
-		return "", false
-	}
-	line := data[2:]
-	if i := bytes.IndexByte(line, '\n'); i >= 0 {
-		line = line[:i]
-	}
-	fields := bytes.Fields(line)
-	if len(fields) == 0 {
-		return "", true
-	}
-	return string(fields[0]), true
-}
-
-// IsStripped reports whether the ELF binary in data lacks a symbol table.
-func IsStripped(data []byte) (bool, error) {
-	f, err := elf.NewFile(bytes.NewReader(data))
-	if err != nil {
-		return false, fmt.Errorf("extract: parsing ELF: %w", err)
-	}
-	defer f.Close()
-	return f.Section(".symtab") == nil, nil
-}

@@ -49,8 +49,6 @@ func FuzzELFInputs(f *testing.F) {
 		_, _ = SymbolsText(data)
 		_, _ = NeededLibraries(data)
 		_, _ = NeededText(data)
-		_, _ = IsStripped(data)
 		_ = IsELF(data)
-		_, _ = ScriptInterpreter(data)
 	})
 }

@@ -446,12 +446,6 @@ var instrumentCodes = []int{
 	http.StatusInternalServerError, http.StatusServiceUnavailable,
 }
 
-// statusText renders a status code without fmt; codes outside the
-// precomputed set take the strconv path.
-func statusText(code int) string {
-	return strconv.Itoa(code)
-}
-
 // recPool recycles status recorders so instrumentation allocates
 // nothing per request.
 var recPool = sync.Pool{New: func() any { return new(statusRecorder) }}
@@ -468,7 +462,7 @@ func (s *Server) instrument(route, method string, limited bool, h http.HandlerFu
 		codes:   make(map[int]*metrics.Counter, len(instrumentCodes)),
 	}
 	for _, code := range instrumentCodes {
-		ri.codes[code] = s.requests.With(route, statusText(code))
+		ri.codes[code] = s.requests.With(route, strconv.Itoa(code))
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -480,7 +474,7 @@ func (s *Server) instrument(route, method string, limited bool, h http.HandlerFu
 			if c, ok := ri.codes[rec.code]; ok {
 				c.Inc()
 			} else {
-				s.requests.With(route, statusText(rec.code)).Inc()
+				s.requests.With(route, strconv.Itoa(rec.code)).Inc()
 			}
 			ri.latency.Observe(time.Since(start).Seconds())
 			if r.ContentLength >= 0 {

@@ -98,18 +98,6 @@ func (c *Classifier) PredictProba(x []float64) []float64 {
 	return proba
 }
 
-// Predict returns the majority class among the K nearest neighbours.
-func (c *Classifier) Predict(x []float64) int {
-	proba := c.PredictProba(x)
-	best, bestP := 0, -1.0
-	for cl, p := range proba {
-		if p > bestP {
-			best, bestP = cl, p
-		}
-	}
-	return best
-}
-
 // PredictProbaBatch predicts many samples with a bounded worker pool;
 // workers <= 0 selects GOMAXPROCS.
 func (c *Classifier) PredictProbaBatch(X [][]float64, workers int) [][]float64 {

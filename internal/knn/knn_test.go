@@ -23,6 +23,17 @@ func blobs(seed uint64, perClass int) ([][]float64, []int) {
 	return X, y
 }
 
+// argmax returns the index of the largest probability.
+func argmax(proba []float64) int {
+	best, bestP := 0, -1.0
+	for c, p := range proba {
+		if p > bestP {
+			best, bestP = c, p
+		}
+	}
+	return best
+}
+
 func TestPredictSeparable(t *testing.T) {
 	X, y := blobs(1, 40)
 	c, err := Train(X, y, 3, Params{K: 5})
@@ -32,7 +43,7 @@ func TestPredictSeparable(t *testing.T) {
 	testX, testY := blobs(2, 20)
 	correct := 0
 	for i := range testX {
-		if c.Predict(testX[i]) == testY[i] {
+		if argmax(c.PredictProba(testX[i])) == testY[i] {
 			correct++
 		}
 	}
@@ -82,8 +93,8 @@ func TestKClampedToTrainingSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Predict([]float64{0.1}); got != 0 && got != 1 {
-		t.Fatalf("Predict = %d", got)
+	if got := argmax(c.PredictProba([]float64{0.1})); got != 0 && got != 1 {
+		t.Fatalf("predicted class = %d", got)
 	}
 }
 

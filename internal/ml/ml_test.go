@@ -291,27 +291,3 @@ func TestF1ScoresCombined(t *testing.T) {
 		t.Fatalf("combined = %v", f.Combined())
 	}
 }
-
-func TestLabelEncoder(t *testing.T) {
-	enc := NewLabelEncoder([]string{"b", "a", "c", "a"})
-	if enc.NumClasses() != 3 {
-		t.Fatalf("NumClasses = %d", enc.NumClasses())
-	}
-	if enc.Encode("a") != 0 || enc.Encode("b") != 1 || enc.Encode("c") != 2 {
-		t.Fatal("encoding not sorted")
-	}
-	if enc.Encode("zzz") != -1 {
-		t.Fatal("unseen class did not encode to -1")
-	}
-	if enc.Decode(1) != "b" {
-		t.Fatalf("Decode(1) = %q", enc.Decode(1))
-	}
-	if enc.Decode(-1) != UnknownLabel || enc.Decode(99) != UnknownLabel {
-		t.Fatal("out-of-range labels must decode to the unknown marker")
-	}
-	classes := enc.Classes()
-	classes[0] = "mutated"
-	if enc.Decode(0) == "mutated" {
-		t.Fatal("Classes() leaked internal state")
-	}
-}

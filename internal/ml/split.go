@@ -158,53 +158,6 @@ func stratifyClass(idx []int, trainFraction float64, src *rng.Source) (train, te
 	return shuffled[:nTrain], shuffled[nTrain:]
 }
 
-// LabelEncoder maps class names to contiguous integer labels.
-type LabelEncoder struct {
-	classes []string
-	index   map[string]int
-}
-
-// NewLabelEncoder builds an encoder over the sorted unique classes.
-func NewLabelEncoder(classes []string) *LabelEncoder {
-	uniq := map[string]bool{}
-	for _, c := range classes {
-		uniq[c] = true
-	}
-	sorted := make([]string, 0, len(uniq))
-	for c := range uniq {
-		sorted = append(sorted, c)
-	}
-	sort.Strings(sorted)
-	enc := &LabelEncoder{classes: sorted, index: make(map[string]int, len(sorted))}
-	for i, c := range sorted {
-		enc.index[c] = i
-	}
-	return enc
-}
-
-// NumClasses returns the number of encoded classes.
-func (e *LabelEncoder) NumClasses() int { return len(e.classes) }
-
-// Classes returns the encoded class names in label order.
-func (e *LabelEncoder) Classes() []string { return append([]string(nil), e.classes...) }
-
-// Encode returns the integer label of class, or -1 if unseen.
-func (e *LabelEncoder) Encode(class string) int {
-	if i, ok := e.index[class]; ok {
-		return i
-	}
-	return -1
-}
-
-// Decode returns the class name of label; out-of-range labels decode to
-// the paper's unknown marker "-1".
-func (e *LabelEncoder) Decode(label int) string {
-	if label < 0 || label >= len(e.classes) {
-		return UnknownLabel
-	}
-	return e.classes[label]
-}
-
 // UnknownLabel is the paper's label for samples not attributable to any
 // known class.
 const UnknownLabel = "-1"

@@ -204,8 +204,8 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestForestIntrospection covers the optional surfaces core relies on
-// for Table 5 and the fitted-parameter report.
+// TestForestIntrospection covers the optional surface core relies on
+// for Table 5.
 func TestForestIntrospection(t *testing.T) {
 	X, y, nc := testData()
 	m, err := Train(KindRF, X, y, nc, Options{Forest: rf.Params{NumTrees: 10, Seed: 2}})
@@ -218,9 +218,6 @@ func TestForestIntrospection(t *testing.T) {
 	}
 	if got := imp.Importances(); len(got) != len(X[0]) {
 		t.Fatalf("importances length %d, want %d", len(got), len(X[0]))
-	}
-	if _, ok := m.(interface{ Forest() *rf.Forest }); !ok {
-		t.Fatal("rf model does not expose the underlying forest")
 	}
 	for _, kind := range []string{KindKNN, KindSVM} {
 		m, err := Train(kind, X, y, nc, Options{})

@@ -53,10 +53,6 @@ func (m *forestModel) PredictProbaBatch(X [][]float64, workers int) [][]float64 
 // importances (the Importancer optional interface).
 func (m *forestModel) Importances() []float64 { return m.f.Importances }
 
-// Forest exposes the underlying forest for rf-specific introspection
-// (fitted hyper-parameters, OOB score).
-func (m *forestModel) Forest() *rf.Forest { return m.f }
-
 func (m *forestModel) MarshalJSON() ([]byte, error) {
 	return json.Marshal(m.f)
 }

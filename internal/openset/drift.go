@@ -9,6 +9,22 @@ import (
 	"repro/internal/metrics"
 )
 
+// Alarm bounds of the drift detector.
+const (
+	// chiSquareThreshold bounds the confidence-distribution chi-square
+	// statistic (BaselineBins-1 = 9 degrees of freedom). 27.88 is the
+	// p=0.001 critical value: at a healthy population, one window in a
+	// thousand false-alarms.
+	chiSquareThreshold = 27.88
+	// unknownZThreshold bounds the one-sided two-proportion z statistic
+	// on the unknown-verdict rate. At 4.0 (p well under 1e-4) only a
+	// genuine excess of unknowns over the calibration baseline fires.
+	unknownZThreshold = 4.0
+	// hysteresis re-arms a latched alarm only after both statistics drop
+	// below threshold*hysteresis, so one excursion cannot flap the alarm.
+	hysteresis = 0.5
+)
+
 // DriftOptions configures a Detector. The zero value selects serving
 // defaults.
 type DriftOptions struct {
@@ -17,20 +33,6 @@ type DriftOptions struct {
 	// MinSamples is the smallest window the statistics run on; below
 	// it the detector only accumulates. Default Window/4.
 	MinSamples int
-	// ChiSquareThreshold is the alarm bound for the confidence-
-	// distribution chi-square statistic (BaselineBins-1 = 9 degrees of
-	// freedom). The default 27.88 is the p=0.001 critical value: at a
-	// healthy population, one window in a thousand false-alarms.
-	ChiSquareThreshold float64
-	// UnknownZThreshold is the alarm bound for the one-sided
-	// two-proportion z statistic on the unknown-verdict rate. Default
-	// 4.0 (p well under 1e-4): only a genuine excess of unknowns over
-	// the calibration baseline fires.
-	UnknownZThreshold float64
-	// Hysteresis re-arms a latched alarm only after both statistics
-	// drop below threshold*Hysteresis, so one excursion cannot flap
-	// the alarm. Default 0.5; clamped to [0, 1].
-	Hysteresis float64
 	// Registry receives the fhc_openset_* and fhc_drift_* metrics. A
 	// nil value registers them on a private, unexported registry.
 	Registry *metrics.Registry
@@ -49,16 +51,6 @@ func (o DriftOptions) withDefaults() DriftOptions {
 	if o.MinSamples > o.Window {
 		o.MinSamples = o.Window
 	}
-	if o.ChiSquareThreshold == 0 {
-		o.ChiSquareThreshold = 27.88
-	}
-	if o.UnknownZThreshold == 0 {
-		o.UnknownZThreshold = 4.0
-	}
-	if o.Hysteresis == 0 {
-		o.Hysteresis = 0.5
-	}
-	o.Hysteresis = math.Min(1, math.Max(0, o.Hysteresis))
 	return o
 }
 
@@ -289,15 +281,14 @@ func (d *Detector) Observe(v Verdict, confidence float64) {
 		d.lastChi.store(chi)
 		d.lastZ.store(z)
 		d.windowRate.store(rate)
-		over := chi > d.opt.ChiSquareThreshold || z > d.opt.UnknownZThreshold
-		under := chi < d.opt.ChiSquareThreshold*d.opt.Hysteresis &&
-			z < d.opt.UnknownZThreshold*d.opt.Hysteresis
+		over := chi > chiSquareThreshold || z > unknownZThreshold
+		under := chi < chiSquareThreshold*hysteresis && z < unknownZThreshold*hysteresis
 		if over && !d.alarmed {
 			d.alarmed = true
 			d.alarmGauge.Store(true)
 			d.alarms.Add(1)
 			hooks = append(make([]func(string), 0, len(d.hooks)), d.hooks...)
-			reason = alarmReason(chi, z, d.opt)
+			reason = alarmReason(chi, z)
 		} else if under && d.alarmed {
 			d.alarmed = false
 			d.alarmGauge.Store(false)
@@ -337,14 +328,14 @@ func (d *Detector) statisticsLocked(n int) (chi, z, rate float64) {
 }
 
 // alarmReason names which statistic latched the alarm.
-func alarmReason(chi, z float64, opt DriftOptions) string {
+func alarmReason(chi, z float64) string {
 	switch {
-	case chi > opt.ChiSquareThreshold && z > opt.UnknownZThreshold:
+	case chi > chiSquareThreshold && z > unknownZThreshold:
 		return fmt.Sprintf("drift: confidence distribution chi2=%.1f and unknown-rate z=%.1f exceed thresholds", chi, z)
-	case z > opt.UnknownZThreshold:
-		return fmt.Sprintf("drift: unknown-verdict rate z=%.1f exceeds threshold %.1f", z, opt.UnknownZThreshold)
+	case z > unknownZThreshold:
+		return fmt.Sprintf("drift: unknown-verdict rate z=%.1f exceeds threshold %.1f", z, unknownZThreshold)
 	default:
-		return fmt.Sprintf("drift: confidence distribution chi2=%.1f exceeds threshold %.1f", chi, opt.ChiSquareThreshold)
+		return fmt.Sprintf("drift: confidence distribution chi2=%.1f exceeds threshold %.1f", chi, chiSquareThreshold)
 	}
 }
 

@@ -7,20 +7,25 @@
 //
 // Concurrency contract: Map blocks until every fn(i) returns, happens-
 // before included — writes made by the workers are visible to the caller
-// afterwards. Nesting Map inside fn is safe but multiplies goroutines;
+// afterwards. A panic in fn never ends the process from a pool
+// goroutine: Map re-raises it on the caller once every worker has
+// stopped. Nesting Map inside fn is safe but multiplies goroutines;
 // size worker counts at one level only.
 package par
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Map runs fn(i) for every i in [0, n) on a bounded worker pool and
 // returns when all calls complete. workers <= 0 selects GOMAXPROCS.
 // Calls are distributed dynamically, so uneven per-index cost balances
 // across workers; fn must be safe for concurrent invocation on distinct
-// indices.
+// indices. If some fn(i) panics, indices not yet started are skipped,
+// and Map panics on the caller with the first panic value after every
+// worker has stopped.
 func Map(n, workers int, fn func(i int)) {
 	if n == 0 {
 		return
@@ -37,20 +42,34 @@ func Map(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		panicked atomic.Bool
+		once     sync.Once
+		first    any
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { first = r })
+					panicked.Store(true)
+				}
+			}()
+			for !panicked.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				fn(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
 	wg.Wait()
+	if panicked.Load() {
+		panic(first)
+	}
 }

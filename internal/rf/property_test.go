@@ -82,33 +82,6 @@ func TestImportanceNormalisationProperty(t *testing.T) {
 	}
 }
 
-// Property: Predict agrees with the argmax of PredictProba.
-func TestPredictArgmaxProperty(t *testing.T) {
-	f := func(seed uint64, nSel, dSel, cSel uint8) bool {
-		X, y, numClasses := randomProblem(seed, nSel, dSel, cSel)
-		forest, err := Train(X, y, numClasses, Params{NumTrees: 9, Seed: seed})
-		if err != nil {
-			return singleClass(y)
-		}
-		for i := 0; i < len(X); i += 4 {
-			proba := forest.PredictProba(X[i])
-			best, bestP := 0, -1.0
-			for c, p := range proba {
-				if p > bestP {
-					best, bestP = c, p
-				}
-			}
-			if forest.Predict(X[i]) != best {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func singleClass(y []int) bool {
 	for _, v := range y[1:] {
 		if v != y[0] {

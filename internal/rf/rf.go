@@ -62,10 +62,6 @@ type Params struct {
 	// Balanced applies class weights inversely proportional to class
 	// frequencies, the paper's answer to its imbalanced dataset.
 	Balanced bool
-	// ComputeOOB estimates generalisation accuracy from out-of-bag
-	// samples (each tree predicts the training samples missing from its
-	// bootstrap), populating Forest.OOBScore.
-	ComputeOOB bool
 	// Seed drives bootstrap and feature sampling; equal seeds and data
 	// give identical forests regardless of worker count.
 	Seed uint64
@@ -151,9 +147,6 @@ type Forest struct {
 	// Importances are normalised mean-decrease-in-impurity feature
 	// importances (sum to 1 when any split occurred).
 	Importances []float64
-	// OOBScore is the out-of-bag accuracy estimate; -1 when not computed
-	// (Params.ComputeOOB unset).
-	OOBScore float64
 	// Params echoes the training configuration.
 	Params Params
 
@@ -266,62 +259,7 @@ func Train(X [][]float64, y []int, numClasses int, p Params) (*Forest, error) {
 			f.Importances[i] /= total
 		}
 	}
-	f.OOBScore = -1
-	if p.ComputeOOB {
-		f.OOBScore = oobScore(f, X, y, root)
-	}
 	return f, nil
-}
-
-// oobScore estimates generalisation accuracy: every tree votes on the
-// training samples absent from its bootstrap, and the aggregated votes
-// are scored against the labels. The bootstrap of tree t is regenerated
-// from the same derived seed the builder used, so no per-tree state needs
-// to be retained.
-func oobScore(f *Forest, X [][]float64, y []int, root *rng.Source) float64 {
-	votes := make([][]float64, len(X))
-	inBag := make([]bool, len(X))
-	for t, tree := range f.Trees {
-		src := root.ChildN(uint64(t))
-		for i := range inBag {
-			inBag[i] = false
-		}
-		for i := 0; i < len(X); i++ {
-			inBag[src.Intn(len(X))] = true
-		}
-		for i := range X {
-			if inBag[i] {
-				continue
-			}
-			leaf := tree.leaf(X[i])
-			if votes[i] == nil {
-				votes[i] = make([]float64, f.NumClasses)
-			}
-			for k, c := range leaf.Classes {
-				votes[i][c] += float64(leaf.Weights[k])
-			}
-		}
-	}
-	correct, counted := 0, 0
-	for i, v := range votes {
-		if v == nil {
-			continue // in every bag; no OOB evidence
-		}
-		counted++
-		best, bestV := 0, -1.0
-		for c, w := range v {
-			if w > bestV {
-				best, bestV = c, w
-			}
-		}
-		if best == y[i] {
-			correct++
-		}
-	}
-	if counted == 0 {
-		return -1
-	}
-	return float64(correct) / float64(counted)
 }
 
 // PredictProba returns the class-probability distribution for one sample:
@@ -359,18 +297,6 @@ func (f *Forest) predictProbaOracle(x []float64) []float64 {
 		proba[i] *= inv
 	}
 	return proba
-}
-
-// Predict returns the most probable class for one sample.
-func (f *Forest) Predict(x []float64) int {
-	proba := f.PredictProba(x)
-	best, bestP := 0, -1.0
-	for c, p := range proba {
-		if p > bestP {
-			best, bestP = c, p
-		}
-	}
-	return best
 }
 
 // batchChunk is the number of samples one batch-traversal task owns.
@@ -420,8 +346,7 @@ func (f *Forest) PredictProbaBatch(X [][]float64, workers int) [][]float64 {
 }
 
 // leaf walks the tree to the leaf owning x. This pointer-chasing walk is
-// the oracle form of flatTree.accumulate; training-time OOB scoring uses
-// it directly.
+// the oracle form of flatTree.accumulate.
 //
 // fhc:hotpath
 func (t *Tree) leaf(x []float64) *Node {

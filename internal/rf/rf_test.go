@@ -28,6 +28,17 @@ func blobs(seed uint64, perClass int) ([][]float64, []int) {
 	return X, y
 }
 
+// predict returns the most probable class for one sample.
+func predict(f *Forest, x []float64) int {
+	best, bestP := 0, -1.0
+	for c, p := range f.PredictProba(x) {
+		if p > bestP {
+			best, bestP = c, p
+		}
+	}
+	return best
+}
+
 func TestTrainAndPredictSeparable(t *testing.T) {
 	X, y := blobs(1, 60)
 	f, err := Train(X, y, 3, Params{NumTrees: 50, Seed: 7})
@@ -37,7 +48,7 @@ func TestTrainAndPredictSeparable(t *testing.T) {
 	testX, testY := blobs(99, 30)
 	correct := 0
 	for i := range testX {
-		if f.Predict(testX[i]) == testY[i] {
+		if predict(f, testX[i]) == testY[i] {
 			correct++
 		}
 	}
@@ -152,7 +163,7 @@ func TestBalancedWeightsHelpMinorityRecall(t *testing.T) {
 		tp, fn := 0, 0
 		for i := 0; i < 200; i++ {
 			x := []float64{1.2 + src.NormFloat64()}
-			if f.Predict(x) == 1 {
+			if predict(f, x) == 1 {
 				tp++
 			} else {
 				fn++
@@ -203,7 +214,7 @@ func TestMinSamplesLeaf(t *testing.T) {
 	// be shallow — just verify it still predicts sensibly.
 	correct := 0
 	for i := range X {
-		if f.Predict(X[i]) == y[i] {
+		if predict(f, X[i]) == y[i] {
 			correct++
 		}
 	}
@@ -220,7 +231,7 @@ func TestEntropyCriterion(t *testing.T) {
 	}
 	correct := 0
 	for i := range X {
-		if f.Predict(X[i]) == y[i] {
+		if predict(f, X[i]) == y[i] {
 			correct++
 		}
 	}
@@ -302,7 +313,7 @@ func TestConstantFeaturesYieldLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Predict([]float64{1, 1}); got != 0 {
+	if got := predict(f, []float64{1, 1}); got != 0 {
 		t.Fatalf("constant-feature forest predicted %d, want majority 0", got)
 	}
 }
@@ -333,40 +344,6 @@ func TestForestJSONRoundTrip(t *testing.T) {
 				t.Fatalf("prediction changed at sample %d", i)
 			}
 		}
-	}
-}
-
-func TestOOBScore(t *testing.T) {
-	X, y := blobs(30, 60)
-	f, err := Train(X, y, 3, Params{NumTrees: 40, Seed: 8, ComputeOOB: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.OOBScore < 0.9 {
-		t.Fatalf("OOB score on separable blobs = %.3f, want >= 0.9", f.OOBScore)
-	}
-	// OOB must track held-out accuracy reasonably.
-	testX, testY := blobs(31, 40)
-	correct := 0
-	for i := range testX {
-		if f.Predict(testX[i]) == testY[i] {
-			correct++
-		}
-	}
-	holdout := float64(correct) / float64(len(testX))
-	if math.Abs(f.OOBScore-holdout) > 0.15 {
-		t.Fatalf("OOB %.3f far from held-out accuracy %.3f", f.OOBScore, holdout)
-	}
-}
-
-func TestOOBDisabledByDefault(t *testing.T) {
-	X, y := blobs(32, 20)
-	f, err := Train(X, y, 3, Params{NumTrees: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.OOBScore != -1 {
-		t.Fatalf("OOBScore = %v without ComputeOOB, want -1", f.OOBScore)
 	}
 }
 

@@ -30,8 +30,7 @@
 // Classify after Close still answers. The Backend handed to New/Swap
 // must itself tolerate concurrent PredictProbaBatch calls. A backend
 // panic reaches the caller whose call panicked and leaves no flight
-// behind; inside a ClassifyAll spanning several windows it runs on a
-// pool goroutine and, like any goroutine panic, ends the process.
+// behind.
 package serve
 
 import (

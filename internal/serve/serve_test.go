@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -452,6 +453,65 @@ func TestEngineBackendPanicReleasesFlight(t *testing.T) {
 	}
 	if st := e.Stats(); st.Inflight != 0 {
 		t.Fatalf("%d flights left behind", st.Inflight)
+	}
+}
+
+// windowPanicBackend panics on the second window of the first
+// ClassifyAll and classifies normally afterwards.
+type windowPanicBackend struct {
+	fakeBackend
+	calls atomic.Int32
+}
+
+func (p *windowPanicBackend) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
+	if p.calls.Add(1) == 2 {
+		panic("backend failure")
+	}
+	return p.fakeBackend.PredictProbaBatch(samples)
+}
+
+// TestEngineClassifyAllWindowPanic: a backend panic inside a ClassifyAll
+// spanning three windows runs on a pool goroutine, yet panics on the
+// caller, leaves no flight behind, and a later Classify of the same keys
+// returns.
+func TestEngineClassifyAllWindowPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	e := New(&windowPanicBackend{}, Options{})
+	defer e.Close()
+	samples := make([]dataset.Sample, 3*window)
+	for i := range samples {
+		samples[i] = keyedSample(byte(i))
+	}
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		e.ClassifyAll(samples)
+	}()
+	select {
+	case r := <-panicked:
+		if r != "backend failure" {
+			t.Fatalf("ClassifyAll recovered %v, want the backend's panic", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ClassifyAll hangs after a window panicked")
+	}
+	if st := e.Stats(); st.Inflight != 0 {
+		t.Fatalf("%d flights left behind", st.Inflight)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range samples {
+			want := float64(samples[i].SHA256[1]) / 255
+			if p := e.Classify(&samples[i]); p.Confidence != want {
+				t.Errorf("sample %d: confidence %v, want %v", i, p.Confidence, want)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("later Classify hangs on an orphaned flight")
 	}
 }
 

@@ -147,18 +147,6 @@ func (c *Classifier) PredictProba(x []float64) []float64 {
 	return m
 }
 
-// Predict returns the class with the largest margin.
-func (c *Classifier) Predict(x []float64) int {
-	m := c.decision(x)
-	best, bestV := 0, math.Inf(-1)
-	for cls, v := range m {
-		if v > bestV {
-			best, bestV = cls, v
-		}
-	}
-	return best
-}
-
 // PredictProbaBatch predicts calibrated distributions for many samples
 // with a bounded worker pool, matching the batch surface of the rf and
 // knn packages. workers <= 0 selects GOMAXPROCS.

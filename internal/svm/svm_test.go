@@ -23,6 +23,17 @@ func blobs(seed uint64, perClass int) ([][]float64, []int) {
 	return X, y
 }
 
+// argmax returns the index of the largest probability.
+func argmax(proba []float64) int {
+	best, bestP := 0, -1.0
+	for c, p := range proba {
+		if p > bestP {
+			best, bestP = c, p
+		}
+	}
+	return best
+}
+
 func TestPredictSeparable(t *testing.T) {
 	X, y := blobs(1, 60)
 	c, err := Train(X, y, 3, Params{Seed: 2})
@@ -32,7 +43,7 @@ func TestPredictSeparable(t *testing.T) {
 	testX, testY := blobs(7, 30)
 	correct := 0
 	for i := range testX {
-		if c.Predict(testX[i]) == testY[i] {
+		if argmax(c.PredictProba(testX[i])) == testY[i] {
 			correct++
 		}
 	}

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -289,8 +290,9 @@ func TestStrippedFraction(t *testing.T) {
 	stripped := 0
 	for i := range c.Samples {
 		s := &c.Samples[i]
-		isStripped, err := extract.IsStripped(s.Binary)
-		if err != nil {
+		_, err := extract.GlobalSymbols(s.Binary)
+		isStripped := errors.Is(err, extract.ErrNoSymbolTable)
+		if err != nil && !isStripped {
 			t.Fatal(err)
 		}
 		if isStripped != s.Stripped {

@@ -25,14 +25,13 @@ const NoGroup = -1
 // auditing — the paper's CellRanger vs Cell-Ranger case — and ad-hoc
 // lookups) via Query, and the classifier's profile featurisation via
 // grouped queries: entries added with AddGroup carry an owner-group id,
-// and QueryGroupsDistance returns the best score per group in one pass
+// and QueryGroupsPrepared returns the best score per group in one pass
 // over the candidates.
 //
 // An Index is safe for concurrent queries; Add/AddGroup must not run
 // concurrently with queries or each other.
 type Index struct {
 	entries []Prepared
-	digests []Digest
 	// groups holds the owner-group id of each entry, NoGroup if none.
 	groups []int32
 	// buckets maps block size -> gram hash -> posting list. For each entry
@@ -104,15 +103,6 @@ func NewIndex() *Index {
 	}
 }
 
-// Len returns the number of indexed digests.
-func (ix *Index) Len() int { return len(ix.entries) }
-
-// Digest returns the id-th indexed digest.
-func (ix *Index) Digest(id int) Digest { return ix.digests[id] }
-
-// Group returns the owner-group id of the id-th entry, NoGroup if none.
-func (ix *Index) Group(id int) int { return int(ix.groups[id]) }
-
 // Add indexes d with no owner group and returns its id.
 func (ix *Index) Add(d Digest) int {
 	return ix.AddGroup(d, NoGroup)
@@ -128,7 +118,6 @@ func (ix *Index) AddGroup(d Digest, group int) int {
 	id := int32(len(ix.entries))
 	p := Prepare(d)
 	ix.entries = append(ix.entries, p)
-	ix.digests = append(ix.digests, d)
 	ix.groups = append(ix.groups, int32(group))
 
 	ix.post(p.BlockSize, p.grams1, id)
@@ -211,17 +200,7 @@ type Match struct {
 // minScore (> 0), sorted by descending score then ascending id, using the
 // default Damerau–Levenshtein scoring.
 func (ix *Index) Query(d Digest, minScore int) []Match {
-	return ix.QueryDistance(d, minScore, DistanceDL)
-}
-
-// QueryDistance is Query with an explicit signature distance.
-func (ix *Index) QueryDistance(d Digest, minScore int, dist DistanceFunc) []Match {
-	return ix.QueryPreparedDistance(Prepare(d), minScore, dist)
-}
-
-// QueryPreparedDistance is QueryDistance over an already-prepared query
-// digest, sparing repeated callers the preparation cost.
-func (ix *Index) QueryPreparedDistance(q Prepared, minScore int, dist DistanceFunc) []Match {
+	q := Prepare(d)
 	if minScore < 1 {
 		minScore = 1
 	}
@@ -230,7 +209,7 @@ func (ix *Index) QueryPreparedDistance(q Prepared, minScore int, dist DistanceFu
 
 	var out []Match
 	ix.visit(q, s, func(id int32) {
-		if score := ComparePrepared(q, ix.entries[id], dist); score >= minScore {
+		if score := ComparePrepared(q, ix.entries[id], DistanceDL); score >= minScore {
 			out = append(out, Match{ID: int(id), Score: score})
 		}
 	})
@@ -244,24 +223,14 @@ func (ix *Index) QueryPreparedDistance(q Prepared, minScore int, dist DistanceFu
 	return out
 }
 
-// QueryGroups returns, for each owner group in [0, numGroups), the best
-// similarity between d and any entry of that group, using the default
-// Damerau–Levenshtein scoring. Groups with no entry sharing a 7-gram
-// (or exact match) with d score 0 — exactly what a full scan would
-// report, since the common-substring gate zeroes every skipped pair.
-func (ix *Index) QueryGroups(d Digest, numGroups int) []int {
-	return ix.QueryGroupsDistance(d, numGroups, DistanceDL)
-}
-
-// QueryGroupsDistance is QueryGroups with an explicit signature distance.
-func (ix *Index) QueryGroupsDistance(d Digest, numGroups int, dist DistanceFunc) []int {
-	return ix.QueryGroupsPrepared(Prepare(d), numGroups, dist)
-}
-
-// QueryGroupsPrepared is QueryGroupsDistance over an already-prepared
-// query digest. The hot path of classifier featurisation: one call per
-// (sample, feature kind) replaces a scan of every training digest of
-// every class, and the digest is prepared once instead of once per class.
+// QueryGroupsPrepared returns, for each owner group in [0, numGroups),
+// the best similarity under dist between the prepared query q and any
+// entry of that group. Groups with no entry sharing a 7-gram (or exact
+// match) with q score 0 — exactly what a full scan would report, since
+// the common-substring gate zeroes every skipped pair. The hot path of
+// classifier featurisation: one call per (sample, feature kind) replaces
+// a scan of every training digest of every class, and the digest is
+// prepared once instead of once per class.
 func (ix *Index) QueryGroupsPrepared(q Prepared, numGroups int, dist DistanceFunc) []int {
 	if numGroups <= 0 {
 		return nil

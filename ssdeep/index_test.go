@@ -97,10 +97,11 @@ func TestIndexMinScoreFilters(t *testing.T) {
 
 func TestIndexSortedByScore(t *testing.T) {
 	ix := NewIndex()
-	for _, d := range family(t, 4, 8, 35000) {
+	fam := family(t, 4, 8, 35000)
+	for _, d := range fam {
 		ix.Add(d)
 	}
-	matches := ix.Query(ix.Digest(0), 1)
+	matches := ix.Query(fam[0], 1)
 	for i := 1; i < len(matches); i++ {
 		if matches[i-1].Score < matches[i].Score {
 			t.Fatal("matches not sorted by descending score")
@@ -130,18 +131,6 @@ func TestIndexIdenticalShortDigests(t *testing.T) {
 	matches := ix.Query(d, 1)
 	if len(matches) != 1 || matches[0].ID != id || matches[0].Score != 100 {
 		t.Fatalf("identical short digest not found: %+v", matches)
-	}
-}
-
-func TestIndexDigestAccessor(t *testing.T) {
-	ix := NewIndex()
-	d := mustHash(t, corpus(60, 5000))
-	id := ix.Add(d)
-	if ix.Digest(id) != d {
-		t.Fatal("Digest accessor mismatch")
-	}
-	if ix.Len() != 1 {
-		t.Fatalf("Len = %d", ix.Len())
 	}
 }
 
@@ -197,6 +186,11 @@ func groupedCorpus(t *testing.T, ix *Index, nGroups, perGroup, size int) ([]Dige
 	return digests, groups
 }
 
+// queryGroups is a grouped query under the default scoring.
+func queryGroups(ix *Index, d Digest, numGroups int) []int {
+	return ix.QueryGroupsPrepared(Prepare(d), numGroups, DistanceDL)
+}
+
 func TestQueryGroupsMatchesBruteForce(t *testing.T) {
 	for _, dist := range []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum} {
 		ix := NewIndex()
@@ -209,7 +203,7 @@ func TestQueryGroupsMatchesBruteForce(t *testing.T) {
 					want[groups[i]] = s
 				}
 			}
-			got := ix.QueryGroupsDistance(q, nGroups, dist)
+			got := ix.QueryGroupsPrepared(Prepare(q), nGroups, dist)
 			for g := range want {
 				if got[g] != want[g] {
 					t.Fatalf("query %d group %d: index score %d, brute force %d", qi, g, got[g], want[g])
@@ -223,26 +217,26 @@ func TestQueryGroupsEmptyGroups(t *testing.T) {
 	ix := NewIndex()
 	q := mustHash(t, corpus(80, 20000))
 	// Empty index: every group scores zero.
-	for g, s := range ix.QueryGroups(q, 3) {
+	for g, s := range queryGroups(ix, q, 3) {
 		if s != 0 {
 			t.Fatalf("empty index scored %d for group %d", s, g)
 		}
 	}
 	// Entries exist but only in group 0; groups 1 and 2 stay empty.
 	ix.AddGroup(q, 0)
-	got := ix.QueryGroups(q, 3)
+	got := queryGroups(ix, q, 3)
 	if got[0] != 100 || got[1] != 0 || got[2] != 0 {
-		t.Fatalf("QueryGroups = %v, want [100 0 0]", got)
+		t.Fatalf("queryGroups = %v, want [100 0 0]", got)
 	}
 	// Zero or negative groups requested: empty result, no panic.
-	if got := ix.QueryGroups(q, 0); len(got) != 0 {
-		t.Fatalf("QueryGroups with 0 groups returned %v", got)
+	if got := queryGroups(ix, q, 0); len(got) != 0 {
+		t.Fatalf("queryGroups with 0 groups returned %v", got)
 	}
-	if got := ix.QueryGroups(q, -1); len(got) != 0 {
-		t.Fatalf("QueryGroups with -1 groups returned %v", got)
+	if got := queryGroups(ix, q, -1); len(got) != 0 {
+		t.Fatalf("queryGroups with -1 groups returned %v", got)
 	}
 	// A zero query digest scores nothing anywhere.
-	for g, s := range ix.QueryGroups(Digest{}, 3) {
+	for g, s := range queryGroups(ix, Digest{}, 3) {
 		if s != 0 {
 			t.Fatalf("zero digest scored %d for group %d", s, g)
 		}
@@ -257,9 +251,9 @@ func TestQueryGroupsShortSignatures(t *testing.T) {
 	ix := NewIndex()
 	ix.AddGroup(d, 1)
 	ix.AddGroup(other, 0)
-	got := ix.QueryGroups(d, 2)
+	got := queryGroups(ix, d, 2)
 	if got[0] != 0 || got[1] != 100 {
-		t.Fatalf("QueryGroups = %v, want [0 100]", got)
+		t.Fatalf("queryGroups = %v, want [0 100]", got)
 	}
 }
 
@@ -267,13 +261,10 @@ func TestQueryGroupsIgnoresUngroupedEntries(t *testing.T) {
 	ix := NewIndex()
 	d := mustHash(t, corpus(81, 20000))
 	ix.Add(d) // no owner group
-	for g, s := range ix.QueryGroups(d, 2) {
+	for g, s := range queryGroups(ix, d, 2) {
 		if s != 0 {
 			t.Fatalf("ungrouped entry scored %d for group %d", s, g)
 		}
-	}
-	if ix.Group(0) != NoGroup {
-		t.Fatalf("Group(0) = %d, want NoGroup", ix.Group(0))
 	}
 }
 
@@ -287,7 +278,7 @@ func TestIndexConcurrentQueries(t *testing.T) {
 	}
 	serial := make([]result, len(digests))
 	for i, d := range digests {
-		serial[i] = result{ix.Query(d, 1), ix.QueryGroups(d, nGroups)}
+		serial[i] = result{ix.Query(d, 1), queryGroups(ix, d, nGroups)}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, len(digests))
@@ -297,7 +288,7 @@ func TestIndexConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 4; rep++ {
 				m := ix.Query(d, 1)
-				g := ix.QueryGroups(d, nGroups)
+				g := queryGroups(ix, d, nGroups)
 				if !reflect.DeepEqual(m, serial[i].matches) || !reflect.DeepEqual(g, serial[i].scores) {
 					errs <- "concurrent query diverged from serial result"
 					return
