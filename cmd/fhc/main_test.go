@@ -372,7 +372,7 @@ func TestCmdServe(t *testing.T) {
 	lines := []string{
 		`{"job_id":"1","user":"alice","account":"bio-1","exe":"a","path":"` + binary + `"}`,
 		`{not json`, // malformed line: error slot, stream continues
-		// The same binary again: must be served from the caches.
+		// The same binary again: the same label, from the prediction cache.
 		`{"job_id":"2","user":"alice","account":"bio-1","exe":"b","path":"` + binary + `"}`,
 		`{"job_id":"3","user":"bob","exe":"c"}`, // no content: error slot
 	}
@@ -396,8 +396,9 @@ func TestCmdServe(t *testing.T) {
 	if !strings.Contains(got[1], `"error"`) || strings.Contains(got[1], `"label"`) {
 		t.Fatalf("malformed line not reported as an error slot: %s", got[1])
 	}
-	if !strings.Contains(got[2], `"cached":true`) || !strings.Contains(got[2], `"job_id":"2"`) {
-		t.Fatalf("duplicate submission not cached: %s", got[2])
+	if !strings.Contains(got[2], `"label":"AppOne"`) || !strings.Contains(got[2], `"job_id":"2"`) ||
+		strings.Contains(got[2], `"cached"`) {
+		t.Fatalf("duplicate submission: %s", got[2])
 	}
 	if !strings.Contains(got[3], `"error"`) || !strings.Contains(got[3], `"job_id":"3"`) {
 		t.Fatalf("content-less event not reported in order: %s", got[3])

@@ -2,10 +2,10 @@ package main
 
 // The serve subcommand runs the paper's Figure 1 workflow as an
 // always-on service: job events arrive as JSON lines, each naming an
-// executable by path or carrying its content inline; the collector
-// deduplicates extraction by exact hash, the serving engine classifies
-// behind a prediction cache, and the monitor applies
-// allocation policy. One prediction (plus findings) is emitted per event,
+// executable by path or carrying its content inline; each is featurised
+// in one streaming pass, the serving engine classifies behind an
+// exact-hash prediction cache, and the monitor applies allocation
+// policy. One prediction (plus findings) is emitted per event,
 // as JSON lines, in input order.
 //
 // Event input, one JSON object per line:
@@ -28,7 +28,7 @@ package main
 // internal/httpserve: it decodes events, hands their sources to
 // Server.Collect, labels windows through Server.ClassifyAll (via the
 // monitor) and installs reloads with Server.Install, so the stream and
-// the network surface share one engine, one extraction cache and one
+// the network surface share one engine, one prediction cache and one
 // harvest/drift path. With -http ADDR the same service is also put on
 // the wire: classify, batch-classify, model-swap, health and Prometheus
 // metrics endpoints. `-input none -http :8080` serves HTTP only and runs
@@ -71,7 +71,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/httpserve"
 	"repro/internal/metrics"
@@ -109,7 +108,6 @@ type serveResult struct {
 	Class      string         `json:"class,omitempty"`
 	Confidence float64        `json:"confidence,omitempty"`
 	Verdict    string         `json:"verdict,omitempty"`
-	Cached     bool           `json:"cached,omitempty"`
 	Findings   []serveFinding `json:"findings,omitempty"`
 	Reloaded   string         `json:"reloaded,omitempty"`
 	ModelKind  string         `json:"model_kind,omitempty"`
@@ -141,9 +139,9 @@ func cmdServe(args []string) error {
 	httpPaths := fs.Bool("http-paths", false, "allow HTTP classify requests naming server-local paths")
 	httpModels := fs.String("http-models", "", "confine HTTP model-swap artifact paths to this directory (empty allows any)")
 	httpSpill := fs.Int("http-spill", 0, "spill-buffer bound for streamed ingestion on both surfaces; binaries beyond it skip ELF structural features (0 = default)")
-	cacheSize := fs.Int("cache", 0, "entries bounding both the prediction cache and the extraction cache (0 = default 65536; negative disables the prediction cache only)")
+	cacheSize := fs.Int("cache", 0, "prediction-cache entries (0 = default 65536; negative disables the cache)")
 	chunk := fs.Int("chunk", 256, "events observed per window; bounds memory")
-	stats := fs.Bool("stats", false, "print engine and collector statistics to stderr at EOF")
+	stats := fs.Bool("stats", false, "print engine, retrain and drift statistics to stderr at EOF")
 	retrainOn := fs.Bool("retrain", false, "enable continuous learning: harvest labels, retrain in the background, auto-swap gated candidates")
 	retrainEvery := fs.Int("retrain-every", 256, "retrain after this many newly harvested samples (negative disables the sample trigger)")
 	retrainInterval := fs.Duration("retrain-interval", 0, "retrain on this wall-clock interval (0 disables)")
@@ -198,15 +196,6 @@ func cmdServe(args []string) error {
 
 	engine := serve.New(clf, serve.Options{CacheEntries: *cacheSize})
 	defer engine.Close()
-	// The extraction cache is bounded like the prediction cache: a
-	// streamed body's SHA-256 is known only after featurisation, so the
-	// cache only recognises repeats and must not grow with every
-	// distinct binary the service ever sees.
-	collEntries := *cacheSize
-	if collEntries <= 0 {
-		collEntries = httpserve.DefaultCollectorEntries
-	}
-	coll := collector.New(collector.Options{MaxEntries: collEntries})
 	reg := metrics.NewRegistry()
 
 	// A calibrated artifact carries its own serving-population baseline,
@@ -250,12 +239,11 @@ func cmdServe(args []string) error {
 	// a thin adapter over it, and -http also puts it on the wire. Every
 	// served verdict is harvested and drift-observed by the same code, a
 	// drift alarm kicks the retrainer, and a binary seen on either
-	// surface is extracted once.
+	// surface is answered from the same prediction cache.
 	hs := httpserve.New(engine, httpserve.Options{
 		AllowPaths:    *httpPaths,
 		ModelDir:      *httpModels,
 		MaxSpillBytes: *httpSpill,
-		Collector:     coll,
 		Retrainer:     rt,
 		Registry:      reg,
 		Drift:         det,
@@ -395,12 +383,12 @@ func cmdServe(args []string) error {
 			}
 			// The operator's own event stream may name any local path.
 			req := httpserve.ClassifyRequest{Exe: ev.Exe, Path: ev.Path, BinaryB64: ev.BinaryB64}
-			sample, cached, _, err := hs.Collect(&req, true)
+			sample, _, err := hs.Collect(&req, true)
 			if err != nil {
 				fail(ev.JobID, lineNo, err)
 				continue
 			}
-			results = append(results, serveResult{JobID: ev.JobID, Cached: cached})
+			results = append(results, serveResult{JobID: ev.JobID})
 			obsIndex = append(obsIndex, len(pending))
 			pending = append(pending, monitor.Event{
 				JobID: ev.JobID, User: ev.User, Account: ev.Account,
@@ -448,12 +436,10 @@ func cmdServe(args []string) error {
 	}
 
 	if *stats {
-		es, cs := engine.Stats(), coll.Stats()
+		es := engine.Stats()
 		fmt.Fprintf(os.Stderr,
 			"engine: %d hits, %d misses, %d coalesced, %d evicted, %d swaps, %d batches (%d samples, max %d), %d cached\n",
 			es.Hits, es.Misses, es.Coalesced, es.Evicted, es.Swaps, es.Batches, es.BatchedSamples, es.MaxBatch, es.CacheEntries)
-		fmt.Fprintf(os.Stderr, "collector: %d seen, %d unique, %d cache hits, %d evicted\n",
-			cs.Seen, cs.Unique, cs.CacheHits, cs.Evicted)
 		if rt != nil {
 			rs := rt.Stats()
 			fmt.Fprintf(os.Stderr,

@@ -44,9 +44,6 @@ func trainModel(t *testing.T, dir string, extra ...string) string {
 // the oversized line becomes its own error result, and the stream goes
 // on to the next event.
 func TestCmdServeOversizedLine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("writes and streams a 65 MiB event line")
-	}
 	dir, binary := makeTree(t)
 	model := trainModel(t, dir)
 
@@ -96,11 +93,11 @@ func TestCmdServeOversizedLine(t *testing.T) {
 	}
 }
 
-// TestCmdServeCollectorCacheBounded: -cache bounds the extraction cache
-// as well as the prediction cache, so a long-running fhc serve does not
-// keep one sample per distinct binary it has ever seen. Three distinct
-// binaries through -cache 2 must evict.
-func TestCmdServeCollectorCacheBounded(t *testing.T) {
+// TestCmdServeCacheBounded: -cache bounds the prediction cache, so a
+// long-running fhc serve does not keep one prediction per distinct
+// binary it has ever seen. Three distinct binaries through -cache 2
+// must evict one entry, as the -stats engine line reports.
+func TestCmdServeCacheBounded(t *testing.T) {
 	dir, _ := makeTree(t)
 	model := trainModel(t, dir)
 	var lines []string
@@ -133,16 +130,16 @@ func TestCmdServeCollectorCacheBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	var seen, unique, hits, evicted int
+	var hits, misses, coalesced, evicted int
 	for _, line := range strings.Split(string(stderr), "\n") {
-		if strings.HasPrefix(line, "collector: ") {
-			fmt.Sscanf(line, "collector: %d seen, %d unique, %d cache hits, %d evicted",
-				&seen, &unique, &hits, &evicted)
+		if strings.HasPrefix(line, "engine: ") {
+			fmt.Sscanf(line, "engine: %d hits, %d misses, %d coalesced, %d evicted",
+				&hits, &misses, &coalesced, &evicted)
 		}
 	}
-	if seen != 3 || unique != 3 || evicted != 1 {
-		t.Fatalf("collector stats seen=%d unique=%d evicted=%d, want 3/3/1:\n%s",
-			seen, unique, evicted, stderr)
+	if hits != 0 || misses != 3 || evicted != 1 {
+		t.Fatalf("engine stats hits=%d misses=%d evicted=%d, want 0/3/1:\n%s",
+			hits, misses, evicted, stderr)
 	}
 }
 

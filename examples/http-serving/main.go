@@ -85,6 +85,22 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// metric reads one series from the Prometheus exposition.
+	metric := func(name string) string {
+		r, err := client.Get(base + "/metrics")
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer r.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(r.Body)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		return "absent"
+	}
 
 	// --- Single submissions: cold, then the duplicate-heavy common case
 	bin := corpus.Samples[0].Binary
@@ -93,10 +109,15 @@ func main() {
 		Exe: "job-1", BinaryB64: base64.StdEncoding.EncodeToString(bin),
 	}, &pred)
 	fmt.Printf("cold submission:      %s (confidence %.2f)\n", pred.Label, pred.Confidence)
+	// The duplicate's digests are extracted again (its SHA-256 is known
+	// only once the body is read), but the prediction comes from the
+	// engine cache.
+	hits := metric("fhc_engine_cache_hits_total")
 	post("/v1/classify", fhc.HTTPClassifyRequest{
 		Exe: "job-2", BinaryB64: base64.StdEncoding.EncodeToString(bin),
 	}, &pred)
-	fmt.Printf("duplicate submission: %s (extraction cached: %v)\n", pred.Label, pred.Cached)
+	fmt.Printf("duplicate submission: %s (engine cache hits %s -> %s)\n",
+		pred.Label, hits, metric("fhc_engine_cache_hits_total"))
 
 	// --- Hash-first: probe by digest, upload only when asked -----------
 	// A client that can hash locally never re-uploads a known binary:
@@ -197,23 +218,12 @@ func main() {
 	fmt.Printf("new class post-swap:  %s\n", late.Label)
 
 	// --- Observability: the Prometheus exposition ----------------------
-	mresp, err := client.Get(base + "/metrics")
-	if err != nil {
-		log.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(mresp.Body)
-	mresp.Body.Close()
 	fmt.Println("\nselected metrics:")
-	for _, line := range strings.Split(buf.String(), "\n") {
-		for _, name := range []string{
-			"fhc_engine_cache_hits_total ", "fhc_engine_swaps_total ",
-			"fhc_collector_unique_total ", "fhc_http_in_flight ",
-		} {
-			if strings.HasPrefix(line, name) {
-				fmt.Printf("  %s\n", line)
-			}
-		}
+	for _, name := range []string{
+		"fhc_engine_cache_hits_total", "fhc_engine_cache_misses_total",
+		"fhc_engine_swaps_total", "fhc_http_in_flight",
+	} {
+		fmt.Printf("  %s %s\n", name, metric(name))
 	}
 
 	// --- Graceful drain ------------------------------------------------

@@ -10,8 +10,10 @@
 //
 // The extraction cache is the same sharded LRU structure, under the same
 // SHA-256 key, as the serving engine's prediction cache (package serve):
-// one content digest, computed here, identifies the binary through
-// extraction, classification and prediction reuse alike.
+// one content digest identifies the binary through extraction,
+// classification and prediction reuse alike. The HTTP serving legs do
+// not use it: they see a body's digest only after streaming it through
+// dataset.FromReader, when there is no extraction left to skip.
 //
 // Concurrency contract: a Collector is safe for concurrent Collect,
 // CollectStream and Stats calls from any number of scheduler hooks.

@@ -31,7 +31,7 @@ func TestBuildArbitrarySpecs(t *testing.T) {
 			limit := map[Section]int{Text: len(spec.Text), ROData: len(spec.ROData), Data: len(spec.Data)}[sec]
 			spec.Symbols = append(spec.Symbols, Symbol{
 				Name:    fmt.Sprintf("sym_%d", i),
-				Global:  src.Bool(0.5),
+				Global:  src.Float64() < 0.5,
 				Type:    SymbolType(src.Intn(2)),
 				Section: sec,
 				Value:   uint64(src.Intn(limit + 1)),

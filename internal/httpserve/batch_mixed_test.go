@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/collector"
+	"repro/internal/dataset"
 	"repro/internal/serve"
 )
 
@@ -57,10 +57,9 @@ func TestHTTPBatchMixedProtocols(t *testing.T) {
 
 	// Oracle answers for the good inline items, computed outside the
 	// server so a blended or neighbour-corrupted response cannot match.
-	coll := collector.New(collector.Options{})
 	oracle := func(bin []byte) ClassifyResponse {
 		t.Helper()
-		sample, _, err := coll.Collect("oracle", bin)
+		sample, err := dataset.FromBinary("", "", "oracle", bin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,10 +97,10 @@ func TestHTTPBatchMixedProtocols(t *testing.T) {
 		t.Fatalf("empty slot: %+v", r)
 	}
 
-	// The duplicated inline binary (slots 0 and 7) shares one extraction;
-	// the later slot must report the extraction-cache hit.
-	if !resp.Results[7].Cached {
-		t.Fatalf("duplicate inline slot not served from the extraction cache: %+v", resp.Results[7])
+	// The duplicated inline binary (slots 0 and 7) answers the same
+	// label; both carried a body, so neither is flagged cached.
+	if r0, r7 := resp.Results[0], resp.Results[7]; r7.Label != r0.Label || r0.Cached || r7.Cached {
+		t.Fatalf("duplicate inline slots: %+v and %+v", r0, r7)
 	}
 
 	// A second all-corrupt batch still answers 200 with per-item errors —

@@ -17,8 +17,8 @@ import (
 
 // BenchmarkHTTPClassify measures the warm path — duplicate submissions
 // answered from the prediction cache — through the full network stack:
-// JSON encode, HTTP round trip, base64 decode, collector dedup, engine
-// cache hit, JSON response. Compare against BenchmarkEngineClassify,
+// JSON encode, HTTP round trip, base64 decode, streaming digest
+// extraction, engine cache hit, JSON response. Compare against BenchmarkEngineClassify,
 // the same warm path without HTTP, to read the wire tax.
 func BenchmarkHTTPClassify(b *testing.B) {
 	fixture(b)

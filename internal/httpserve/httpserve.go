@@ -89,7 +89,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -97,14 +96,6 @@ import (
 	"repro/internal/retrain"
 	"repro/internal/serve"
 )
-
-// DefaultCollectorEntries bounds the extraction cache of a Server's
-// private collector. The streaming legs learn a body's SHA-256 only
-// after featurising it, so this cache never saves an extraction there;
-// it only recognises repeats for the cached flag and the collector
-// counters, and the bound keeps a long-running server from holding one
-// sample per distinct binary forever.
-const DefaultCollectorEntries = 65536
 
 // Options configures a Server. The zero value selects production
 // defaults.
@@ -143,10 +134,6 @@ type Options struct {
 	// arbitrary files. Empty trusts the network with any path — the
 	// posture of a prolog-only cluster service behind its own perimeter.
 	ModelDir string
-	// Collector deduplicates feature extraction across requests. A nil
-	// value creates a private collector whose cache holds
-	// DefaultCollectorEntries samples.
-	Collector *collector.Collector
 	// Retrainer, when non-nil, enables the continuous-learning surface:
 	// the classify routes harvest confident predictions into its
 	// training store, POST /v1/retrain kicks a cycle, GET
@@ -181,9 +168,6 @@ func (o Options) withDefaults() Options {
 	} else if o.ReadTimeout < 0 {
 		o.ReadTimeout = 0
 	}
-	if o.Collector == nil {
-		o.Collector = collector.New(collector.Options{MaxEntries: DefaultCollectorEntries})
-	}
 	if o.Registry == nil {
 		o.Registry = metrics.NewRegistry()
 	}
@@ -211,7 +195,7 @@ type Server struct {
 }
 
 // New builds a Server over an engine. The caller keeps ownership of the
-// engine (and of Options.Collector/Registry when provided): Shutdown
+// engine (and of Options.Registry when provided): Shutdown
 // drains HTTP traffic but closes none of them.
 func New(engine *serve.Engine, opt Options) *Server {
 	opt = opt.withDefaults()
@@ -251,7 +235,7 @@ func New(engine *serve.Engine, opt Options) *Server {
 }
 
 // registerMetrics wires the request-level instruments and exports the
-// engine's and collector's atomic counters as scrape-time functions, so
+// engine's atomic counters as scrape-time functions, so
 // observability adds no second bookkeeping path to the serving hot loop.
 func (s *Server) registerMetrics() {
 	reg := s.opt.Registry
@@ -268,22 +252,19 @@ func (s *Server) registerMetrics() {
 	s.hashFirstHits = reg.Counter("fhc_classify_hash_first_hits_total",
 		"Hash-first classify probes answered from the prediction cache without a body upload.")
 
-	// One engine/collector snapshot per scrape, captured by a
-	// BeforeWrite hook: every series in a single exposition then agrees
-	// with every other (hits + misses match request counts), and a
-	// scrape takes the engine's stat locks once, not once per series.
-	engine, coll := s.engine, s.opt.Collector
-	type snapshot struct {
-		eng  serve.Stats
-		coll collector.Stats
-	}
-	var snap atomic.Pointer[snapshot]
-	snap.Store(&snapshot{})
+	// One engine snapshot per scrape, captured by a BeforeWrite hook:
+	// every series in a single exposition then agrees with every other
+	// (hits + misses match request counts), and a scrape takes the
+	// engine's stat locks once, not once per series.
+	engine := s.engine
+	var snap atomic.Pointer[serve.Stats]
+	snap.Store(&serve.Stats{})
 	reg.BeforeWrite(func() {
-		snap.Store(&snapshot{eng: engine.Stats(), coll: coll.Stats()})
+		st := engine.Stats()
+		snap.Store(&st)
 	})
 	stat := func(pick func(serve.Stats) float64) func() float64 {
-		return func() float64 { return pick(snap.Load().eng) }
+		return func() float64 { return pick(*snap.Load()) }
 	}
 	reg.CounterFunc("fhc_engine_cache_hits_total",
 		"Predictions served from the exact-hash cache.",
@@ -315,16 +296,6 @@ func (s *Server) registerMetrics() {
 	reg.GaugeFunc("fhc_engine_inflight_coalescing",
 		"Distinct new binaries being featurised right now.",
 		stat(func(st serve.Stats) float64 { return float64(st.Inflight) }))
-
-	reg.CounterFunc("fhc_collector_seen_total",
-		"Binaries submitted for collection.",
-		func() float64 { return float64(snap.Load().coll.Seen) })
-	reg.CounterFunc("fhc_collector_unique_total",
-		"Distinct binaries that paid feature extraction.",
-		func() float64 { return float64(snap.Load().coll.Unique) })
-	reg.CounterFunc("fhc_collector_cache_hits_total",
-		"Collected binaries recognised as repeats by the exact-hash extraction cache (streamed bodies are still extracted).",
-		func() float64 { return float64(snap.Load().coll.CacheHits) })
 }
 
 // Handler returns the routed handler; use it to mount the API in an
@@ -369,9 +340,10 @@ type ClassifyRequest struct {
 // ClassifyResponse is one prediction. Verdict is the open-set decision
 // ("class", "unknown" or "ambiguous") and is omitted when the served
 // model carries no calibration, so closed-set deployments see the exact
-// response shape they always did. Cached reports an extraction-cache
-// hit (the binary was seen before); Error is set on per-item failures in
-// batch responses.
+// response shape they always did. Cached reports an answer from the
+// prediction cache without a body — a hash-first hit; body-carrying
+// answers never set it. Error is set on per-item failures in batch
+// responses.
 type ClassifyResponse struct {
 	Exe        string  `json:"exe,omitempty"`
 	Label      string  `json:"label,omitempty"`
@@ -548,7 +520,7 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 
 // Collect resolves the binary a request names — inline base64 or a
 // server-local path, exactly one of them — and streams it into the
-// collector's single-pass featuriser: base64 decodes through a
+// single-pass featuriser (dataset.FromReader): base64 decodes through a
 // streaming reader, so the binary is never materialised as a second
 // in-memory copy, and a path streams straight off the filesystem. It
 // is the one source-resolution step of the JSON classify leg, batch
@@ -558,47 +530,47 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 // status to answer: 400 for request-shape problems (missing content,
 // disabled paths, corrupt base64), 422 when a well-formed body failed
 // feature extraction.
-func (s *Server) Collect(req *ClassifyRequest, allowPaths bool) (sample dataset.Sample, cached bool, code int, err error) {
+func (s *Server) Collect(req *ClassifyRequest, allowPaths bool) (sample dataset.Sample, code int, err error) {
 	var src io.Reader
 	switch {
 	case req.Path != "" && req.BinaryB64 != "":
-		return sample, false, http.StatusBadRequest, errors.New("request has both path and binary_b64")
+		return sample, http.StatusBadRequest, errors.New("request has both path and binary_b64")
 	case req.BinaryB64 != "":
 		src = base64.NewDecoder(base64.StdEncoding, strings.NewReader(req.BinaryB64))
 	case req.Path != "":
 		if !allowPaths {
-			return sample, false, http.StatusBadRequest, errors.New("path requests are disabled on this server (send binary_b64)")
+			return sample, http.StatusBadRequest, errors.New("path requests are disabled on this server (send binary_b64)")
 		}
 		f, err := os.Open(req.Path)
 		if err != nil {
-			return sample, false, http.StatusBadRequest, fmt.Errorf("path: %w", err)
+			return sample, http.StatusBadRequest, fmt.Errorf("path: %w", err)
 		}
 		defer f.Close()
 		src = f
 	default:
-		return sample, false, http.StatusBadRequest, errors.New("request has neither path nor binary_b64")
+		return sample, http.StatusBadRequest, errors.New("request has neither path nor binary_b64")
 	}
 	return s.collectStream(req.Exe, src)
 }
 
-// collectStream feeds one body into the collector and maps a failure
-// onto the wire: 413 when the body limit tripped, 400 for corrupt
-// base64, 422 when extraction rejected a well-formed body.
-func (s *Server) collectStream(exe string, r io.Reader) (sample dataset.Sample, cached bool, code int, err error) {
-	sample, cached, err = s.opt.Collector.CollectStream(exe, r, s.opt.MaxSpillBytes)
+// collectStream featurises one body and maps a failure onto the wire:
+// 413 when the body limit tripped, 400 for corrupt base64, 422 when
+// extraction rejected a well-formed body.
+func (s *Server) collectStream(exe string, r io.Reader) (sample dataset.Sample, code int, err error) {
+	sample, _, err = dataset.FromReader("", "", exe, r, s.opt.MaxSpillBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		var corrupt base64.CorruptInputError
 		switch {
 		case errors.As(err, &tooLarge):
-			return sample, false, http.StatusRequestEntityTooLarge,
+			return sample, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
 		case errors.As(err, &corrupt):
-			return sample, false, http.StatusBadRequest, fmt.Errorf("binary_b64: %w", corrupt)
+			return sample, http.StatusBadRequest, fmt.Errorf("binary_b64: %w", corrupt)
 		}
-		return sample, false, http.StatusUnprocessableEntity, fmt.Errorf("collect: %w", err)
+		return sample, http.StatusUnprocessableEntity, fmt.Errorf("collect: %w", err)
 	}
-	return sample, cached, 0, nil
+	return sample, 0, nil
 }
 
 // Classify labels one collected sample and offers the served
@@ -710,12 +682,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // fhc:hotpath
 func (s *Server) handleClassifyRaw(w http.ResponseWriter, r *http.Request) {
 	exe := r.URL.Query().Get("exe")
-	sample, cached, code, err := s.collectStream(exe, http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	sample, code, err := s.collectStream(exe, http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
 	if err != nil {
 		writeJSON(w, code, errorResponse{Error: err.Error()})
 		return
 	}
-	writeClassifyResponse(w, exe, s.Classify(&sample), cached)
+	writeClassifyResponse(w, exe, s.Classify(&sample), false)
 }
 
 // hashFirstPrefixSize bounds the body prefix examined for the
@@ -795,12 +767,12 @@ func (s *Server) classifySlow(w http.ResponseWriter, r *http.Request, prefix []b
 		}
 		return
 	}
-	sample, cached, code, err := s.Collect(&req, s.opt.AllowPaths)
+	sample, code, err := s.Collect(&req, s.opt.AllowPaths)
 	if err != nil {
 		writeJSON(w, code, errorResponse{Error: err.Error()})
 		return
 	}
-	writeClassifyResponse(w, req.Exe, s.Classify(&sample), cached)
+	writeClassifyResponse(w, req.Exe, s.Classify(&sample), false)
 }
 
 // ----- hash-first fast path ---------------------------------------------
@@ -1071,35 +1043,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			case err != nil:
 				resp.Results[i].Error = err.Error()
 			case hit:
-				resp.Results[i] = classifyResponse(item.Exe, pred, true)
+				resp.Results[i] = classifyResponse(item.Exe, pred)
+				resp.Results[i].Cached = true
 			default:
 				resp.Results[i].Error = "needs_body"
 			}
 			continue
 		}
-		sample, cached, _, err := s.Collect(item, s.opt.AllowPaths)
+		sample, _, err := s.Collect(item, s.opt.AllowPaths)
 		if err != nil {
 			resp.Results[i].Error = err.Error()
 			continue
 		}
-		resp.Results[i].Cached = cached
 		good = append(good, i)
 		batch = append(batch, sample)
 	}
 	if len(batch) > 0 {
 		for j, pred := range s.ClassifyAll(batch) {
 			i := good[j]
-			resp.Results[i] = classifyResponse(req.Samples[i].Exe, pred, resp.Results[i].Cached)
+			resp.Results[i] = classifyResponse(req.Samples[i].Exe, pred)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // classifyResponse renders one batch item's prediction.
-func classifyResponse(exe string, pred core.Prediction, cached bool) ClassifyResponse {
+func classifyResponse(exe string, pred core.Prediction) ClassifyResponse {
 	return ClassifyResponse{
 		Exe: exe, Label: pred.Label, Class: pred.Class,
-		Confidence: pred.Confidence, Verdict: string(pred.Verdict), Cached: cached,
+		Confidence: pred.Confidence, Verdict: string(pred.Verdict),
 	}
 }
 

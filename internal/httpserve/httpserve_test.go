@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/retrain"
@@ -170,10 +169,9 @@ func classifyOver(t *testing.T, client *http.Client, base string, bin []byte) Cl
 // classifier — directly, JSON round-trip included.
 func TestHTTPClassifyDifferential(t *testing.T) {
 	ts, _, _ := newTestServer(t, serve.Options{}, Options{})
-	coll := collector.New(collector.Options{})
 	for i, bin := range fixBins {
 		got := classifyOver(t, ts.Client(), ts.URL, bin)
-		sample, _, err := coll.Collect("check", bin)
+		sample, err := dataset.FromBinary("", "", "check", bin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,9 +180,11 @@ func TestHTTPClassifyDifferential(t *testing.T) {
 			t.Fatalf("sample %d: HTTP %+v, direct %+v", i, got, want)
 		}
 	}
-	// A duplicate submission reports the extraction-cache hit.
-	if got := classifyOver(t, ts.Client(), ts.URL, fixBins[0]); !got.Cached {
-		t.Fatalf("duplicate submission not marked cached: %+v", got)
+	// A duplicate submission is answered with the same label; it carried
+	// a body, so it is not flagged cached.
+	want := classifyOver(t, ts.Client(), ts.URL, fixBins[0])
+	if got := classifyOver(t, ts.Client(), ts.URL, fixBins[0]); got != want || got.Cached {
+		t.Fatalf("duplicate submission %+v, first %+v", got, want)
 	}
 }
 
@@ -214,7 +214,6 @@ func TestHTTPBatch(t *testing.T) {
 	if len(resp.Results) != len(req.Samples) {
 		t.Fatalf("batch returned %d results for %d samples", len(resp.Results), len(req.Samples))
 	}
-	coll := collector.New(collector.Options{})
 	for i, r := range resp.Results {
 		switch i {
 		case 3, 4:
@@ -226,7 +225,7 @@ func TestHTTPBatch(t *testing.T) {
 			if i > 4 {
 				bini = i - 2
 			}
-			sample, _, err := coll.Collect("check", fixBins[bini])
+			sample, err := dataset.FromBinary("", "", "check", fixBins[bini])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,8 +263,7 @@ func TestHTTPSwap(t *testing.T) {
 
 	// The resubmitted binary is answered by the new model, not the old
 	// cache epoch.
-	coll := collector.New(collector.Options{})
-	sample, _, err := coll.Collect("check", fixBins[0])
+	sample, err := dataset.FromBinary("", "", "check", fixBins[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,8 +709,10 @@ func TestHTTPMetricsMoveUnderLoad(t *testing.T) {
 	if v := metricValue(t, after, `fhc_http_request_seconds_count{route="/v1/classify"}`); v < 5 {
 		t.Fatalf("latency histogram count = %v, want >= 5", v)
 	}
-	if v := metricValue(t, after, "fhc_collector_seen_total"); v < 5 {
-		t.Fatalf("collector counter = %v, want >= 5", v)
+	// The prediction cache is the worker's only cache: no collector
+	// series is exported.
+	if strings.Contains(after, "fhc_collector_") {
+		t.Fatalf("exposition carries a collector series:\n%s", after)
 	}
 	// 429/413 and other codes land in the same family with their code
 	// label; probe one to keep the label path covered.

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -75,9 +74,8 @@ func TestHTTPOpenSetVerdictAllProtocols(t *testing.T) {
 		engine.Close()
 	})
 	client := ts.Client()
-	coll := collector.New(collector.Options{})
 	direct := func(bin []byte) core.Prediction {
-		sample, _, err := coll.Collect("check", bin)
+		sample, err := dataset.FromBinary("", "", "check", bin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +223,7 @@ func TestHTTPOpenSetDriftAlarmKicksRetrain(t *testing.T) {
 	for _, bin := range fixBins {
 		classifyOver(t, client, ts.URL, bin)
 	}
-	if det.Alarmed() {
+	if det.State().Alarmed {
 		t.Fatalf("healthy traffic latched the drift alarm: %+v", det.State())
 	}
 
@@ -291,7 +289,7 @@ func TestHTTPOpenSetSwapRebaselinesDrift(t *testing.T) {
 	for _, bin := range novelBins(t, 24) {
 		classifyOver(t, client, ts.URL, bin)
 	}
-	if !det.Alarmed() {
+	if !det.State().Alarmed {
 		t.Fatalf("novel flood did not latch the alarm: %+v", det.State())
 	}
 
@@ -332,11 +330,10 @@ func TestHTTPOpenSetClassifyWhileSwapAtomic(t *testing.T) {
 		label, class, verdict string
 		conf                  float64
 	}
-	coll := collector.New(collector.Options{})
 	wantCal := make([]tuple, len(fixBins))
 	wantKNN := make([]tuple, len(fixBins))
 	for i, bin := range fixBins {
-		sample, _, err := coll.Collect("check", bin)
+		sample, err := dataset.FromBinary("", "", "check", bin)
 		if err != nil {
 			t.Fatal(err)
 		}

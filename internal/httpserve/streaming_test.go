@@ -12,8 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/collector"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/openset"
 	"repro/internal/serve"
 )
@@ -39,11 +39,11 @@ func postRaw(t *testing.T, client *http.Client, base string, exe string, bin []b
 
 // TestHTTPClassifyRawStream is the wire-level differential for the raw
 // octet-stream leg: predictions must equal the buffered JSON leg and
-// direct classification, and the extraction cache must be shared across
-// protocols.
+// direct classification, and a resubmission over another protocol
+// answers the same label.
 func TestHTTPClassifyRawStream(t *testing.T) {
 	ts, _, _ := newTestServer(t, serve.Options{}, Options{})
-	coll := collector.New(collector.Options{})
+	var first ClassifyResponse
 	for i, bin := range fixBins[:4] {
 		code, body := postRaw(t, ts.Client(), ts.URL, "raw-job", bin)
 		if code != http.StatusOK {
@@ -53,7 +53,7 @@ func TestHTTPClassifyRawStream(t *testing.T) {
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatalf("raw response: %v\n%s", err, body)
 		}
-		sample, _, err := coll.Collect("check", bin)
+		sample, err := dataset.FromBinary("", "", "check", bin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,13 +61,16 @@ func TestHTTPClassifyRawStream(t *testing.T) {
 		if got.Label != want.Label || got.Class != want.Class || got.Confidence != want.Confidence {
 			t.Fatalf("sample %d: raw HTTP %+v, direct %+v", i, got, want)
 		}
-		if got.Exe != "raw-job" {
-			t.Fatalf("sample %d: exe echo %q", i, got.Exe)
+		if got.Exe != "raw-job" || got.Cached {
+			t.Fatalf("sample %d: exe echo %q, cached %v", i, got.Exe, got.Cached)
+		}
+		if i == 0 {
+			first = got
 		}
 	}
-	// The same binary over the JSON leg hits the shared extraction cache.
-	if got := classifyOver(t, ts.Client(), ts.URL, fixBins[0]); !got.Cached {
-		t.Fatalf("JSON resubmission of a streamed binary not cached: %+v", got)
+	// The same binary over the JSON leg answers the same label.
+	if got := classifyOver(t, ts.Client(), ts.URL, fixBins[0]); got.Label != first.Label || got.Cached {
+		t.Fatalf("JSON resubmission of a streamed binary: %+v, raw %+v", got, first)
 	}
 	// A parameterised content type still selects the raw leg.
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify", bytes.NewReader(fixBins[1]))
@@ -188,6 +191,89 @@ func TestHTTPHashFirst(t *testing.T) {
 		if !strings.Contains(string(text), series) {
 			t.Fatalf("metrics exposition missing %s", series)
 		}
+	}
+}
+
+// TestHTTPCachedFlag pins what "cached":true means on the wire: an
+// answer from the prediction cache without a body. Every body-carrying
+// answer omits the field, even for a binary the worker has seen; every
+// hash-first hit sets it; a repeated upload shows up only as one more
+// engine cache hit.
+func TestHTTPCachedFlag(t *testing.T) {
+	ts, _, _ := newTestServer(t, serve.Options{}, Options{})
+	client := ts.Client()
+	bin := fixBins[0]
+	sum := sha256.Sum256(bin)
+	digest := hex.EncodeToString(sum[:])
+	post := func(ct, body string) []byte {
+		t.Helper()
+		resp, err := client.Post(ts.URL+"/v1/classify", ct, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", body, resp.StatusCode, out)
+		}
+		return out
+	}
+	noCached := func(leg string, body []byte) {
+		t.Helper()
+		if bytes.Contains(body, []byte(`"cached"`)) {
+			t.Fatalf("%s answer carries a cached field: %s", leg, body)
+		}
+	}
+	isCached := func(leg string, r ClassifyResponse) {
+		t.Helper()
+		if !r.Cached || r.Error != "" || r.Label == "" {
+			t.Fatalf("%s answer not cached: %+v", leg, r)
+		}
+	}
+
+	noCached("raw", post(octetStream, string(bin)))
+	hits0 := metricValue(t, scrape(t, client, ts.URL), "fhc_engine_cache_hits_total")
+	inline, err := json.Marshal(ClassifyRequest{BinaryB64: base64.StdEncoding.EncodeToString(bin)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noCached("inline JSON", post("application/json", string(inline)))
+	if hits := metricValue(t, scrape(t, client, ts.URL), "fhc_engine_cache_hits_total"); hits != hits0+1 {
+		t.Fatalf("repeat upload moved engine cache hits %v -> %v, want +1", hits0, hits)
+	}
+
+	code, body := postJSON(t, client, ts.URL+"/v1/classify/batch", BatchRequest{Samples: []ClassifyRequest{
+		{BinaryB64: base64.StdEncoding.EncodeToString(bin)},
+		{SHA256: digest},
+	}})
+	if code != http.StatusOK {
+		t.Fatalf("batch: %d %s", code, body)
+	}
+	var items struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(body, &items); err != nil || len(items.Results) != 2 {
+		t.Fatalf("batch response: %v %s", err, body)
+	}
+	noCached("batch body item", items.Results[0])
+	var hashItem ClassifyResponse
+	if err := json.Unmarshal(items.Results[1], &hashItem); err != nil {
+		t.Fatal(err)
+	}
+	isCached("batch hash-first item", hashItem)
+
+	for leg, probe := range map[string]string{
+		"fast-path probe": `{"sha256":"` + digest + `"}`,
+		"slow-path probe": `{"sha\u0032\u0035\u0036":"` + digest + `"}`,
+	} {
+		var r ClassifyResponse
+		if err := json.Unmarshal(post("application/json", probe), &r); err != nil {
+			t.Fatal(err)
+		}
+		isCached(leg, r)
 	}
 }
 

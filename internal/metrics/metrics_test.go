@@ -22,7 +22,8 @@ func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("fhc_requests_total", "Total requests.")
 	c.Inc()
-	c.Add(2)
+	c.Inc()
+	c.Inc()
 	g := r.Gauge("fhc_in_flight", "In-flight requests.")
 	g.Set(4)
 	g.Add(-1)

@@ -354,10 +354,3 @@ func (d *Detector) State() DriftState {
 		BaselineUnknownRate: d.base.UnknownRate,
 	}
 }
-
-// Alarmed reports whether the alarm is currently latched.
-func (d *Detector) Alarmed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.alarmed
-}

@@ -91,7 +91,7 @@ func TestOpenSetDriftHysteresisRearms(t *testing.T) {
 		t.Fatalf("first excursion fired %d times, want 1", fired)
 	}
 	feedHealthy(d, 400) // statistics drop below threshold*hysteresis
-	if d.Alarmed() {
+	if d.State().Alarmed {
 		t.Fatalf("alarm still latched after recovery: %+v", d.State())
 	}
 	if fired != 1 {
@@ -112,7 +112,7 @@ func TestOpenSetDriftHysteresisRearms(t *testing.T) {
 func TestOpenSetDriftSetBaselineResets(t *testing.T) {
 	d := NewDetector(healthyBaseline(), DriftOptions{Window: 100})
 	feedDrifting(d, 200)
-	if !d.Alarmed() {
+	if !d.State().Alarmed {
 		t.Fatal("drift did not alarm")
 	}
 	// New model expects exactly the traffic that alarmed the old one.
@@ -205,7 +205,6 @@ func TestOpenSetDriftConcurrent(t *testing.T) {
 				}
 				if i%50 == 0 {
 					d.State()
-					d.Alarmed()
 				}
 			}
 		}(g)

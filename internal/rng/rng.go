@@ -44,11 +44,6 @@ func (s *Source) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (s *Source) Uint32() uint32 {
-	return uint32(s.Uint64() >> 32)
-}
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
@@ -96,11 +91,6 @@ func (s *Source) NormFloat64() float64 {
 	}
 	u2 := s.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool {
-	return s.Float64() < p
 }
 
 // IntRange returns a uniformly distributed int in [lo, hi]. It panics if

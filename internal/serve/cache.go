@@ -10,11 +10,10 @@ import (
 )
 
 // Key is the exact-content identity shared across the serving layers:
-// the SHA-256 of the binary, as computed once by the collector and
-// carried on dataset.Sample. The collector's extraction cache and the
-// engine's prediction cache are keyed by the same value, so a repeated
-// submission pays for one digest and skips both extraction and
-// featurisation.
+// the SHA-256 of the binary, as computed once at ingestion and carried
+// on dataset.Sample. The engine's prediction cache, hash-first probes
+// and the collector's extraction cache are keyed by the same value, so
+// a repeated submission pays for one digest and skips the model.
 type Key = [sha256.Size]byte
 
 // KeyOf returns the cache key of binary content.
