@@ -381,7 +381,7 @@ func TestCmdServe(t *testing.T) {
 	}
 
 	out, err := withStdout(t, func() error {
-		return cmdServe([]string{"-model", model, "-policy", policy, "-input", events, "-chunk", "2"})
+		return cmdServe([]string{"-model", model, "-policy", policy, "-input", events})
 	})
 	if err != nil {
 		t.Fatalf("serve: %v", err)

@@ -25,16 +25,17 @@ package main
 //	{"allowed_by_account":{"bio-1":["BLAST"]},"blocklist":["XMRig"]}
 //
 // The stream loop is a thin adapter over the classify service of
-// internal/httpserve: it decodes events, hands their sources to
-// Server.Collect, labels windows through Server.ClassifyAll (via the
-// monitor) and installs reloads with Server.Install, so the stream and
-// the network surface share one engine, one prediction cache and one
-// harvest/drift path. With -http ADDR the same service is also put on
-// the wire: classify, batch-classify, model-swap, health and Prometheus
-// metrics endpoints. `-input none -http :8080` serves HTTP only and runs
-// until SIGINT/SIGTERM; with a finite -input the process drains the
-// HTTP listener gracefully once the stream ends. An event line over
-// 64 MiB is answered with that line's error and the stream continues.
+// internal/httpserve: it decodes each event, hands its source to
+// Server.Collect, labels it through Server.Classify (via the monitor)
+// and installs reloads with Server.Install, so the stream and the
+// network surface share one engine, one prediction cache and one
+// harvest/drift path. Each event is answered as soon as its line is
+// read. With -http ADDR the same service is also put on the wire:
+// classify, batch-classify, model-swap, health and Prometheus metrics
+// endpoints. `-input none -http :8080` serves HTTP only and runs until
+// SIGINT/SIGTERM; with a finite -input the process drains the HTTP
+// listener gracefully once the stream ends. An event line over 64 MiB
+// is answered with that line's error and the stream continues.
 //
 // With -retrain the service learns continuously (internal/retrain):
 // confident predictions on either surface are harvested into a bounded
@@ -88,7 +89,7 @@ func init() {
 
 // serveEvent is one JSON-lines job event. A line carrying Reload is a
 // control event: the named model file is loaded and hot-swapped into
-// the engine between stream windows.
+// the engine before the next line is read.
 type serveEvent struct {
 	JobID     string `json:"job_id"`
 	User      string `json:"user"`
@@ -140,7 +141,6 @@ func cmdServe(args []string) error {
 	httpModels := fs.String("http-models", "", "confine HTTP model-swap artifact paths to this directory (empty allows any)")
 	httpSpill := fs.Int("http-spill", 0, "spill-buffer bound for streamed ingestion on both surfaces; binaries beyond it skip ELF structural features (0 = default)")
 	cacheSize := fs.Int("cache", 0, "prediction-cache entries (0 = default 65536; negative disables the cache)")
-	chunk := fs.Int("chunk", 256, "events observed per window; bounds memory")
 	stats := fs.Bool("stats", false, "print engine, retrain and drift statistics to stderr at EOF")
 	retrainOn := fs.Bool("retrain", false, "enable continuous learning: harvest labels, retrain in the background, auto-swap gated candidates")
 	retrainEvery := fs.Int("retrain-every", 256, "retrain after this many newly harvested samples (negative disables the sample trigger)")
@@ -158,9 +158,6 @@ func cmdServe(args []string) error {
 	}
 	if *modelPath == "" {
 		return errors.New("-model is required")
-	}
-	if *chunk < 1 {
-		return errors.New("-chunk must be at least 1")
 	}
 	if *input == "none" && *httpAddr == "" {
 		return errors.New("-input none requires -http: nothing to serve")
@@ -267,137 +264,31 @@ func cmdServe(args []string) error {
 		}
 	}
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-	enc := json.NewEncoder(out)
-
-	// One window of decoded events, flushed through ObserveAll so the
-	// engine sees the whole burst at once. Events that failed collection
-	// keep a result slot (obsIndex -1) so output order matches input
-	// order.
-	var pending []monitor.Event
-	var results []serveResult
-	var obsIndex []int
-	fail := func(jobID string, lineNo int, err error) {
-		results = append(results, serveResult{JobID: jobID, Error: fmt.Sprintf("line %d: %v", lineNo, err)})
-		obsIndex = append(obsIndex, -1)
-	}
-	flush := func() error {
-		var obs []monitor.Observation
-		if len(pending) > 0 {
-			obs = mon.ObserveAll(pending)
-		}
-		for i := range results {
-			if j := obsIndex[i]; j >= 0 {
-				o := obs[j]
-				results[i].Label = o.Prediction.Label
-				results[i].Class = o.Prediction.Class
-				results[i].Confidence = o.Prediction.Confidence
-				results[i].Verdict = string(o.Prediction.Verdict)
-				for _, f := range o.Findings {
-					results[i].Findings = append(results[i].Findings, serveFinding{
-						Kind: f.Kind.String(), Message: f.Message,
-					})
-				}
-			}
-			if err := enc.Encode(&results[i]); err != nil {
-				return err
-			}
-		}
-		pending, results, obsIndex = pending[:0], results[:0], obsIndex[:0]
-		return out.Flush()
-	}
-
+	// Every event is answered as soon as its line is read, in one write:
+	// the scheduler prolog that submitted it may be waiting on the label.
 	runStream := func() error {
+		enc := json.NewEncoder(os.Stdout)
 		lines := bufio.NewReaderSize(in, 1<<20)
 		for lineNo := 1; ; lineNo++ {
 			line, err := readEventLine(lines, maxEventLine)
-			if err == io.EOF {
-				return flush()
-			}
-			if err == errEventLineTooLong {
-				fail("", lineNo, err)
-				continue
-			}
-			if err != nil {
-				// Emit what was already accepted before giving up.
-				if ferr := flush(); ferr != nil {
-					return ferr
-				}
+			var res serveResult
+			switch {
+			case err == io.EOF:
+				return nil
+			case err == errEventLineTooLong:
+				// Answered below as this line's error.
+			case err != nil:
 				return err
-			}
-			if len(line) == 0 {
+			case len(line) == 0:
 				continue
+			default:
+				res, err = serveLine(hs, mon, line)
 			}
-			var ev serveEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				fail(ev.JobID, lineNo, err)
-				continue
-			}
-			// A line that decodes to an entirely empty event is an unknown
-			// control object — a mistyped verb like {"relaod":...} or an
-			// unsupported one like {"shutdown":true}. Re-decode strictly to
-			// name the offending field instead of letting the line surface
-			// as a baffling "neither path nor binary_b64" featurisation
-			// error. Job events keep the lenient decode, so producers may
-			// add extra fields (timestamps, priorities) freely.
-			if ev == (serveEvent{}) {
-				dec := json.NewDecoder(bytes.NewReader(line))
-				dec.DisallowUnknownFields()
-				err := dec.Decode(&serveEvent{})
-				if err == nil {
-					err = errors.New("event is empty")
-				}
-				fail("", lineNo, fmt.Errorf("unknown control object: %w", err))
-				continue
-			}
-			if ev.Reload != "" {
-				// Control line: hot-swap the model. A line mixing control and
-				// job fields is a producer bug — rejecting it beats silently
-				// dropping the job's prediction.
-				if ev.JobID != "" || ev.Path != "" || ev.BinaryB64 != "" || ev.Exe != "" ||
-					ev.User != "" || ev.Account != "" || ev.JobName != "" {
-					fail(ev.JobID, lineNo, errors.New("reload control line carries job fields"))
-					continue
-				}
-				// The window in progress is flushed first so the
-				// acknowledgement lands in stream order; the engine itself
-				// needs no quiescing — the install is zero-downtime.
-				if err := flush(); err != nil {
-					return err
-				}
-				res := serveResult{Reloaded: ev.Reload}
-				if next, err := core.LoadFile(ev.Reload); err != nil {
-					// The previous model keeps serving; the stream continues.
-					res.Error = fmt.Sprintf("line %d: %v", lineNo, err)
-				} else {
-					hs.Install(next)
-					res.ModelKind = next.ModelKind()
-				}
-				results = append(results, res)
-				obsIndex = append(obsIndex, -1)
-				if err := flush(); err != nil {
-					return err
-				}
-				continue
-			}
-			// The operator's own event stream may name any local path.
-			req := httpserve.ClassifyRequest{Exe: ev.Exe, Path: ev.Path, BinaryB64: ev.BinaryB64}
-			sample, _, err := hs.Collect(&req, true)
 			if err != nil {
-				fail(ev.JobID, lineNo, err)
-				continue
+				res.Error = fmt.Sprintf("line %d: %v", lineNo, err)
 			}
-			results = append(results, serveResult{JobID: ev.JobID})
-			obsIndex = append(obsIndex, len(pending))
-			pending = append(pending, monitor.Event{
-				JobID: ev.JobID, User: ev.User, Account: ev.Account,
-				JobName: ev.JobName, Sample: sample,
-			})
-			if len(pending) >= *chunk {
-				if err := flush(); err != nil {
-					return err
-				}
+			if err := enc.Encode(&res); err != nil {
+				return err
 			}
 		}
 	}
@@ -456,6 +347,67 @@ func cmdServe(args []string) error {
 	return nil
 }
 
+// serveLine answers one non-empty event line: a job event is collected
+// and observed through the monitor, a control line installs its model.
+// A non-nil error is the line's own failure; the result still carries
+// whatever identifies the line (its job ID or the reload path).
+func serveLine(hs *httpserve.Server, mon *monitor.Monitor, line []byte) (serveResult, error) {
+	var ev serveEvent
+	if err := json.Unmarshal(line, &ev); err != nil {
+		return serveResult{JobID: ev.JobID}, err
+	}
+	// A line that decodes to an entirely empty event is an unknown
+	// control object — a mistyped verb like {"relaod":...} or an
+	// unsupported one like {"shutdown":true}. Re-decode strictly to name
+	// the offending field instead of letting the line surface as a
+	// baffling "neither path nor binary_b64" featurisation error. Job
+	// events keep the lenient decode, so producers may add extra fields
+	// (timestamps, priorities) freely.
+	if ev == (serveEvent{}) {
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&serveEvent{})
+		if err == nil {
+			err = errors.New("event is empty")
+		}
+		return serveResult{}, fmt.Errorf("unknown control object: %w", err)
+	}
+	if ev.Reload != "" {
+		// Control line: hot-swap the model. A line mixing control and job
+		// fields is a producer bug — rejecting it beats silently dropping
+		// the job's prediction.
+		if ev.JobID != "" || ev.Path != "" || ev.BinaryB64 != "" || ev.Exe != "" ||
+			ev.User != "" || ev.Account != "" || ev.JobName != "" {
+			return serveResult{JobID: ev.JobID}, errors.New("reload control line carries job fields")
+		}
+		next, err := core.LoadFile(ev.Reload)
+		if err != nil {
+			// The previous model keeps serving; the stream continues.
+			return serveResult{Reloaded: ev.Reload}, err
+		}
+		hs.Install(next)
+		return serveResult{Reloaded: ev.Reload, ModelKind: next.ModelKind()}, nil
+	}
+	// The operator's own event stream may name any local path.
+	req := httpserve.ClassifyRequest{Exe: ev.Exe, Path: ev.Path, BinaryB64: ev.BinaryB64}
+	sample, _, err := hs.Collect(&req, true)
+	if err != nil {
+		return serveResult{JobID: ev.JobID}, err
+	}
+	pred, findings := mon.Observe(monitor.Event{
+		JobID: ev.JobID, User: ev.User, Account: ev.Account,
+		JobName: ev.JobName, Sample: sample,
+	})
+	res := serveResult{
+		JobID: ev.JobID, Label: pred.Label, Class: pred.Class,
+		Confidence: pred.Confidence, Verdict: string(pred.Verdict),
+	}
+	for _, f := range findings {
+		res.Findings = append(res.Findings, serveFinding{Kind: f.Kind.String(), Message: f.Message})
+	}
+	return res, nil
+}
+
 // maxEventLine caps one JSON-lines event, inline base64 binaries
 // included; a longer line is reported as that line's error and skipped.
 const maxEventLine = 64 << 20
@@ -463,17 +415,18 @@ const maxEventLine = 64 << 20
 var errEventLineTooLong = fmt.Errorf("event line exceeds the %d-byte limit", maxEventLine)
 
 // readEventLine returns the next line of r without its line ending. A
-// line longer than max is read through to its newline without being
-// buffered, and reported as errEventLineTooLong, so one oversized event
-// costs at most max bytes of memory and leaves the stream readable. It
-// returns io.EOF once r is exhausted.
+// line whose payload is longer than max bytes, whether it ends in
+// "\n", "\r\n" or EOF, is read through to its end without being
+// buffered and reported as errEventLineTooLong, so one oversized event
+// costs at most max bytes plus its line ending and leaves the stream
+// readable. It returns io.EOF once r is exhausted.
 func readEventLine(r *bufio.Reader, max int) ([]byte, error) {
 	var line []byte
 	tooLong := false
 	for {
 		chunk, err := r.ReadSlice('\n')
 		if !tooLong {
-			if len(line)+len(chunk) > max+1 { // +1: the newline
+			if len(line)+len(chunk) > max+2 { // +2: a "\r\n" ending
 				tooLong, line = true, nil
 			} else {
 				line = append(line, chunk...)
@@ -487,10 +440,11 @@ func readEventLine(r *bufio.Reader, max int) ([]byte, error) {
 		case err != nil:
 			return nil, err
 		}
-		if tooLong {
+		line = bytes.TrimSuffix(line, []byte{'\n'})
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if tooLong || len(line) > max {
 			return nil, errEventLineTooLong
 		}
-		line = bytes.TrimSuffix(line, []byte{'\n'})
-		return bytes.TrimSuffix(line, []byte{'\r'}), nil
+		return line, nil
 	}
 }

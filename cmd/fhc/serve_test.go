@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,13 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/httpserve"
-	"repro/internal/monitor"
 )
-
-// The stream loop hands the classify service to the monitor; the batch
-// surface keeps each stream window in one engine call.
-var _ monitor.BatchLabeler = (*httpserve.Server)(nil)
 
 // trainModel trains a small model on the test tree, passing extra
 // flags to fhc train, and returns the artifact path.
@@ -90,6 +85,130 @@ func TestCmdServeOversizedLine(t *testing.T) {
 	}
 	if !strings.Contains(got[2], `"error":"line 3: `) || !strings.Contains(got[2], "exceeds") {
 		t.Fatalf("oversized line not reported as its own error result: %s", got[2])
+	}
+}
+
+// TestCmdServeAnswersLive: with default flags and the input pipe held
+// open, every line is answered before the next one is written, a
+// reload control line included, so a scheduler prolog never waits on
+// later submissions.
+func TestCmdServeAnswersLive(t *testing.T) {
+	dir, binary := makeTree(t)
+	model := trainModel(t, dir)
+
+	stdinR, stdinW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdoutR, stdoutW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldIn, oldOut := os.Stdin, os.Stdout
+	os.Stdin, os.Stdout = stdinR, stdoutW
+	done := make(chan struct{})
+	var serveErr error
+	go func() {
+		defer close(done)
+		serveErr = cmdServe([]string{"-model", model})
+		stdoutW.Close()
+	}()
+	answers := make(chan string)
+	go func() {
+		defer close(answers)
+		lines := bufio.NewScanner(stdoutR)
+		for lines.Scan() {
+			answers <- lines.Text()
+		}
+	}()
+	t.Cleanup(func() {
+		// Ending the input lets serve return even after a missed deadline.
+		stdinW.Close()
+		for range answers {
+		}
+		<-done
+		os.Stdin, os.Stdout = oldIn, oldOut
+		stdoutR.Close()
+	})
+
+	answer := func(line string) string {
+		t.Helper()
+		if _, err := io.WriteString(stdinW, line+"\n"); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case got, ok := <-answers:
+			if !ok {
+				t.Fatalf("serve exited before answering %s", line)
+			}
+			return got
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s not answered within 10s while the input stays open", line)
+		}
+		return ""
+	}
+	job := func(id string) string {
+		return `{"job_id":"` + id + `","user":"alice","exe":"a","path":"` + binary + `"}`
+	}
+	if got := answer(job("1")); !strings.Contains(got, `"job_id":"1"`) || !strings.Contains(got, `"label":"AppOne"`) {
+		t.Fatalf("first event: %s", got)
+	}
+	if got := answer(`{"reload":"` + model + `"}`); !strings.Contains(got, `"reloaded":`) || strings.Contains(got, `"error"`) {
+		t.Fatalf("reload: %s", got)
+	}
+	if got := answer(job("2")); !strings.Contains(got, `"job_id":"2"`) || !strings.Contains(got, `"label":"AppOne"`) {
+		t.Fatalf("event after the reload: %s", got)
+	}
+
+	stdinW.Close()
+	if extra, ok := <-answers; ok {
+		t.Fatalf("answer with no event: %s", extra)
+	}
+	<-done
+	if serveErr != nil {
+		t.Fatalf("serve: %v", serveErr)
+	}
+}
+
+// TestReadEventLine: the limit applies to a line's payload, whatever
+// ends the line, and the line after a rejected one is still read.
+func TestReadEventLine(t *testing.T) {
+	const tooLong = "<too long>"
+	for _, tc := range []struct {
+		name, in string
+		want     []string
+	}{
+		{"max payload, LF", "12345678\nnext\n", []string{"12345678", "next"}},
+		{"max payload, CRLF", "12345678\r\nnext\n", []string{"12345678", "next"}},
+		{"max payload, EOF", "12345678", []string{"12345678"}},
+		{"max+1 payload, LF", "123456789\nnext\n", []string{tooLong, "next"}},
+		{"max+1 payload, CRLF", "123456789\r\nnext\n", []string{tooLong, "next"}},
+		{"max+1 payload, EOF", "123456789", []string{tooLong}},
+		{"CR inside the payload counts", "1234567\r8\nnext\n", []string{tooLong, "next"}},
+		{"longer than the read buffer", strings.Repeat("x", 100) + "\r\nnext", []string{tooLong, "next"}},
+		{"empty lines", "\n\r\nnext\n", []string{"", "", "next"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := bufio.NewReaderSize(strings.NewReader(tc.in), 16)
+			var got []string
+			for {
+				line, err := readEventLine(r, 8)
+				if err == io.EOF {
+					break
+				}
+				switch err {
+				case nil:
+					got = append(got, string(line))
+				case errEventLineTooLong:
+					got = append(got, tooLong)
+				default:
+					t.Fatal(err)
+				}
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("lines %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -218,7 +337,7 @@ func TestCmdServeCrossSurface(t *testing.T) {
 
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- cmdServe([]string{"-model", model, "-input", "-", "-chunk", "1",
+		serveDone <- cmdServe([]string{"-model", model, "-input", "-",
 			"-http", "127.0.0.1:0", "-http-paths", "-retrain", "-retrain-every", "-1"})
 		stdoutW.Close()
 	}()

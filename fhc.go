@@ -174,8 +174,8 @@ const (
 
 // NewMonitor builds a job monitor over a labeler and a policy. Pass the
 // trained classifier directly, or — for an always-on deployment — an
-// Engine wrapping it, so the monitor inherits prediction caching and
-// windowed ObserveAll classification.
+// Engine wrapping it, so every Observe call inherits prediction caching
+// and in-flight coalescing.
 func NewMonitor(labeler MonitorLabeler, policy MonitorPolicy) *Monitor {
 	return monitor.New(labeler, policy)
 }

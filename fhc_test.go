@@ -317,6 +317,20 @@ var testOnlyFuncs = map[string]string{
 	"repro/internal/synth.TotalSamples":          "TestPaperManifestShape and TestGenerateArbitraryManifests",
 }
 
+// interfaceMethods are the exported methods under internal/ and ssdeep/
+// whose name no non-test file selects, each kept for the interface it
+// satisfies.
+var interfaceMethods = map[string]string{
+	"repro/internal/knn.Classifier.MarshalJSON":                      "json.Marshaler",
+	"repro/internal/knn.Classifier.UnmarshalJSON":                    "json.Unmarshaler",
+	"repro/internal/svm.Classifier.MarshalJSON":                      "json.Marshaler",
+	"repro/internal/svm.Classifier.UnmarshalJSON":                    "json.Unmarshaler",
+	"repro/internal/model.forestModel.MarshalJSON":                   "json.Marshaler",
+	"repro/internal/model.knnModel.MarshalJSON":                      "json.Marshaler",
+	"repro/internal/model.svmModel.MarshalJSON":                      "json.Marshaler",
+	"repro/internal/tools/fhcvet/analysis.mappedImporter.ImportFrom": "types.ImporterFrom",
+}
+
 // testSupportPkgs hold helpers for other packages' tests; their exports
 // are for tests by design.
 var testSupportPkgs = []string{
@@ -325,14 +339,18 @@ var testSupportPkgs = []string{
 }
 
 // TestNoTestOnlyExports keeps production code from carrying functions
-// only tests reach: every exported top-level func declared in a non-test
-// file under internal/ or ssdeep/ (testSupportPkgs aside) must be
-// referenced by a non-test file of the root module or of bench/, or be
-// listed in testOnlyFuncs.
+// and methods only tests reach. Every exported top-level func declared
+// in a non-test file under internal/ or ssdeep/ (testSupportPkgs aside)
+// must be referenced by a non-test file of the root module or of
+// bench/, or be listed in testOnlyFuncs. Every exported method declared
+// there must share its name with a member some such file selects, or be
+// listed in interfaceMethods.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	var declared []string
 	used := map[string]bool{}
+	methods := map[string]string{} // pkg.Recv.Method -> Method
+	selected := map[string]bool{}
 	for _, mod := range []struct{ dir, path string }{{".", "repro"}, {"bench", "repro/bench"}} {
 		err := filepath.WalkDir(mod.dir, func(file string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -370,8 +388,22 @@ func TestNoTestOnlyExports(t *testing.T) {
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.FuncDecl:
-					if checked && n.Recv == nil && n.Name.IsExported() {
+					switch {
+					case !checked || !n.Name.IsExported():
+					case n.Recv == nil:
 						declared = append(declared, pkg+"."+n.Name.Name)
+					default:
+						recv := n.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						switch generic := recv.(type) {
+						case *ast.IndexExpr:
+							recv = generic.X
+						case *ast.IndexListExpr:
+							recv = generic.X
+						}
+						methods[pkg+"."+recv.(*ast.Ident).Name+"."+n.Name.Name] = n.Name.Name
 					}
 					if n.Recv != nil {
 						ast.Inspect(n.Recv, visit)
@@ -386,6 +418,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 						used[imports[id.Name]+"."+n.Sel.Name] = true
 						return false
 					}
+					selected[n.Sel.Name] = true
 					ast.Inspect(n.X, visit)
 					return false
 				case *ast.Ident:
@@ -406,14 +439,24 @@ func TestNoTestOnlyExports(t *testing.T) {
 			unused = append(unused, name)
 		}
 	}
+	for key, name := range methods {
+		if !selected[name] && interfaceMethods[key] == "" {
+			unused = append(unused, key)
+		}
+	}
 	sort.Strings(unused)
 	if len(unused) > 0 {
-		t.Fatalf("%d exported funcs have no non-test caller; delete them or list them in testOnlyFuncs: %s",
+		t.Fatalf("%d exported funcs and methods have no non-test caller; delete them or list them in testOnlyFuncs or interfaceMethods: %s",
 			len(unused), strings.Join(unused, ", "))
 	}
 	for name := range testOnlyFuncs {
 		if used[name] {
 			t.Errorf("%s has a non-test caller; drop it from testOnlyFuncs", name)
+		}
+	}
+	for key := range interfaceMethods {
+		if name, ok := methods[key]; !ok || selected[name] {
+			t.Errorf("%s is not an unselected exported method; drop it from interfaceMethods", key)
 		}
 	}
 }

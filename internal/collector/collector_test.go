@@ -212,7 +212,8 @@ func TestKnown(t *testing.T) {
 }
 
 // known reports whether a binary with this content is in c's extraction
-// cache, without refreshing its recency.
+// cache. The lookup marks a present entry most recently used.
 func known(c *Collector, bin []byte) bool {
-	return c.cache.Contains(serve.KeyOf(bin))
+	_, ok := c.cache.Get(serve.KeyOf(bin))
+	return ok
 }

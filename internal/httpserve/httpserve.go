@@ -46,10 +46,11 @@
 // drift alarm kicks the retrainer when one is attached.
 //
 // Every protocol answers through one step per job: Collect resolves
-// and featurises a body, Classify (or ClassifyAll for a burst) labels
-// it, harvests it and observes its verdict, lookup answers a hash-first
-// key, and Install puts a new model in service. The fhc serve
-// JSON-lines loop is a thin adapter over the same Server, so the two
+// and featurises a body, Classify labels it, harvests it and observes
+// its verdict (the batch route does the same over its whole burst),
+// lookup answers a hash-first key, and Install puts a new model in
+// service. The fhc serve JSON-lines loop is a thin adapter over the
+// same Server, calling Collect and Classify once per event, so the two
 // surfaces cannot drift apart.
 //
 // The layer is production-shaped without being a framework: request
@@ -584,9 +585,9 @@ func (s *Server) Classify(sample *dataset.Sample) core.Prediction {
 	return pred
 }
 
-// ClassifyAll is Classify over a burst, whose cache misses share
-// 64-sample engine windows. It satisfies monitor.BatchLabeler.
-func (s *Server) ClassifyAll(samples []dataset.Sample) []core.Prediction {
+// classifyAll is Classify over handleBatch's burst, whose cache misses
+// share 64-sample engine windows.
+func (s *Server) classifyAll(samples []dataset.Sample) []core.Prediction {
 	preds := s.engine.ClassifyAll(samples)
 	for i := range preds {
 		s.served(&samples[i], preds[i])
@@ -1014,7 +1015,7 @@ func appendJSONString[T string | []byte](dst []byte, s T) []byte {
 	return append(dst, '"')
 }
 
-// handleBatch classifies many binaries through one ClassifyAll call, so
+// handleBatch classifies many binaries through one classifyAll call, so
 // a submitted burst fans into shared engine windows instead of N
 // sequential classifications. Items that fail resolution or extraction
 // keep their slot with a per-item error; order is preserved.
@@ -1059,7 +1060,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		batch = append(batch, sample)
 	}
 	if len(batch) > 0 {
-		for j, pred := range s.ClassifyAll(batch) {
+		for j, pred := range s.classifyAll(batch) {
 			i := good[j]
 			resp.Results[i] = classifyResponse(req.Samples[i].Exe, pred)
 		}

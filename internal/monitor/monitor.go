@@ -11,9 +11,9 @@
 //  3. Is an application similar to a (known) set of applications that
 //     should not be executed on the HPC system?
 //
-// Concurrency contract: a Monitor is safe for concurrent Observe and
-// ObserveAll calls — per-user history updates are serialised internally,
-// and classification concurrency is delegated to the labeler (hand the
+// Concurrency contract: a Monitor is safe for concurrent Observe calls
+// — per-user history updates are serialised internally, and
+// classification concurrency is delegated to the labeler (hand the
 // serving engine to New for cached, coalesced labelling).
 package monitor
 
@@ -35,13 +35,6 @@ import (
 // surface.
 type Labeler interface {
 	Classify(*dataset.Sample) core.Prediction
-}
-
-// BatchLabeler is the optional batch surface of a Labeler. ObserveAll
-// uses it when available so a burst of submissions is classified in
-// one call; the serving engine and the classify service satisfy it.
-type BatchLabeler interface {
-	ClassifyAll(samples []dataset.Sample) []core.Prediction
 }
 
 // Policy declares what each allocation may run and what nothing may run.
@@ -141,45 +134,11 @@ func New(labeler Labeler, policy Policy) *Monitor {
 	return m
 }
 
-// Observation pairs one event's prediction with its policy findings.
-type Observation struct {
-	// Prediction is the classifier's label for the event's sample.
-	Prediction core.Prediction
-	// Findings are the policy observations, empty for a clean job.
-	Findings []Finding
-}
-
 // Observe labels one job event, records it in the user's history and
 // returns the prediction together with any policy findings.
 func (m *Monitor) Observe(e Event) (core.Prediction, []Finding) {
 	pred := m.labeler.Classify(&e.Sample)
 	return pred, m.apply(e, pred)
-}
-
-// ObserveAll labels a burst of job events and applies policy to each.
-// When the labeler supports batch classification the whole burst is
-// classified in one call; policy and history are then applied
-// sequentially in event order, so the findings equal those of calling
-// Observe event by event.
-func (m *Monitor) ObserveAll(events []Event) []Observation {
-	var preds []core.Prediction
-	if bl, ok := m.labeler.(BatchLabeler); ok {
-		samples := make([]dataset.Sample, len(events))
-		for i := range events {
-			samples[i] = events[i].Sample
-		}
-		preds = bl.ClassifyAll(samples)
-	} else {
-		preds = make([]core.Prediction, len(events))
-		for i := range events {
-			preds[i] = m.labeler.Classify(&events[i].Sample)
-		}
-	}
-	out := make([]Observation, len(events))
-	for i := range events {
-		out[i] = Observation{Prediction: preds[i], Findings: m.apply(events[i], preds[i])}
-	}
-	return out
 }
 
 // apply records one labelled event in the user's history and evaluates

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,96 +164,30 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
-// batchStubLabeler adds the batch surface and records whether it was
-// used.
-type batchStubLabeler struct {
-	stubLabeler
-	batchCalls int
-	batched    int
-}
-
-func (b *batchStubLabeler) ClassifyAll(samples []dataset.Sample) []core.Prediction {
-	b.batchCalls++
-	b.batched += len(samples)
-	out := make([]core.Prediction, len(samples))
-	for i := range samples {
-		out[i] = b.Classify(&samples[i])
-	}
-	return out
-}
-
-func observeAllEvents() []Event {
-	return []Event{
-		event("b1", "alice", "bio-1", "BLAST"),
-		event("b2", "alice", "bio-1", "GROMACS"),   // deviation + new behaviour
-		event("b3", "bob", "free-9", "MysteryApp"), // unknown
-		event("b4", "alice", "bio-1", "BLAST"),
-		event("b5", "mallory", "free-9", "XMRig"), // blocked
-	}
-}
-
-// TestObserveAllUsesBatchLabeler proves a burst goes through the batch
-// surface in one window.
-func TestObserveAllUsesBatchLabeler(t *testing.T) {
-	labeler := &batchStubLabeler{stubLabeler: stubLabeler{known: map[string]bool{
-		"BLAST": true, "GROMACS": true, "XMRig": true,
-	}}}
-	m := New(labeler, Policy{Blocklist: []string{"XMRig"}})
-	events := observeAllEvents()
-	obs := m.ObserveAll(events)
-	if labeler.batchCalls != 1 || labeler.batched != len(events) {
-		t.Fatalf("batch labeler saw %d calls / %d samples, want 1 / %d",
-			labeler.batchCalls, labeler.batched, len(events))
-	}
-	if len(obs) != len(events) {
-		t.Fatalf("got %d observations for %d events", len(obs), len(events))
-	}
-}
-
-// TestObserveAllMatchesSequentialObserve pins the contract that batching
-// changes scheduling, not findings: a burst observed at once must
-// produce exactly the per-event results, including the history-order
-// effects (new-user-behaviour depends on what came earlier in the
-// burst).
-func TestObserveAllMatchesSequentialObserve(t *testing.T) {
-	events := observeAllEvents()
-
-	seq := testMonitor()
-	var wantPreds []core.Prediction
-	var wantFindings [][]FindingKind
-	for _, e := range events {
-		p, f := seq.Observe(e)
-		wantPreds = append(wantPreds, p)
-		wantFindings = append(wantFindings, kinds(f))
-	}
-
-	batched := testMonitor()
-	obs := batched.ObserveAll(events)
-	for i := range events {
-		if obs[i].Prediction != wantPreds[i] {
-			t.Fatalf("event %d: prediction %+v, want %+v", i, obs[i].Prediction, wantPreds[i])
-		}
-		got := kinds(obs[i].Findings)
-		if len(got) != len(wantFindings[i]) {
-			t.Fatalf("event %d: findings %v, want %v", i, got, wantFindings[i])
-		}
-		for j := range got {
-			if got[j] != wantFindings[i][j] {
-				t.Fatalf("event %d: findings %v, want %v", i, got, wantFindings[i])
-			}
+// TestObserveSequenceFindings pins the history-order effects of a run
+// of events through one monitor: new-user-behaviour depends on what the
+// same user ran earlier, and one event may raise several findings in a
+// fixed order.
+func TestObserveSequenceFindings(t *testing.T) {
+	m := testMonitor()
+	for _, tc := range []struct {
+		e    Event
+		want []FindingKind
+	}{
+		{event("b1", "alice", "bio-1", "BLAST"), nil},
+		{event("b2", "alice", "bio-1", "GROMACS"), []FindingKind{PurposeDeviation, NewUserBehaviour}},
+		{event("b3", "bob", "free-9", "MysteryApp"), []FindingKind{UnknownApplication}},
+		{event("b4", "alice", "bio-1", "BLAST"), nil},
+		{event("b5", "mallory", "free-9", "XMRig"), []FindingKind{BlockedApplication}},
+	} {
+		_, findings := m.Observe(tc.e)
+		if got := kinds(findings); !slices.Equal(got, tc.want) {
+			t.Fatalf("job %s: findings %v, want %v", tc.e.JobID, got, tc.want)
 		}
 	}
-	// Both monitors accumulated the same history.
-	for _, user := range []string{"alice", "bob", "mallory"} {
-		a, b := seq.UserHistory(user), batched.UserHistory(user)
-		if len(a) != len(b) {
-			t.Fatalf("user %s history diverged: %v vs %v", user, a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("user %s history diverged: %v vs %v", user, a, b)
-			}
-		}
+	want := []ClassCount{{Class: "BLAST", Count: 2}, {Class: "GROMACS", Count: 1}}
+	if got := m.UserHistory("alice"); !slices.Equal(got, want) {
+		t.Fatalf("alice's history = %v, want %v", got, want)
 	}
 }
 
@@ -279,10 +214,9 @@ func (v *verdictLabeler) Classify(sample *dataset.Sample) core.Prediction {
 	return v.preds[sample.Class]
 }
 
-// TestObserverHooks is the table-driven contract for what the two
-// observation hooks, Observe and ObserveAll, deliver: every verdict
-// shape reaches the caller intact with the matching findings, and both
-// hooks agree.
+// TestObserverHooks is the table-driven contract for what Observe
+// delivers: every verdict shape reaches the caller intact with the
+// matching findings.
 func TestObserverHooks(t *testing.T) {
 	labeler := &verdictLabeler{preds: map[string]core.Prediction{
 		"BLAST": {Label: "BLAST", Class: "BLAST", Confidence: 0.95, Verdict: openset.VerdictClass},
@@ -313,9 +247,7 @@ func TestObserverHooks(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(labeler, Policy{})
-			e := event("j1", "alice", "", tc.class)
-
-			pred, findings := m.Observe(e)
+			pred, findings := m.Observe(event("j1", "alice", "", tc.class))
 			if pred.Label != tc.wantLabel || pred.Verdict != tc.wantVerdict {
 				t.Fatalf("Observe = label %q verdict %q, want %q/%q",
 					pred.Label, pred.Verdict, tc.wantLabel, tc.wantVerdict)
@@ -327,10 +259,6 @@ func TestObserverHooks(t *testing.T) {
 				if findings[i].Kind != k {
 					t.Fatalf("finding %d kind %v, want %v", i, findings[i].Kind, k)
 				}
-			}
-			obs := m.ObserveAll([]Event{e})
-			if len(obs) != 1 || obs[0].Prediction != pred {
-				t.Fatalf("ObserveAll = %+v, Observe = %+v", obs, pred)
 			}
 		})
 	}

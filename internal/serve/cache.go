@@ -111,16 +111,6 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	return zero, false
 }
 
-// Contains reports presence without touching recency — a peek that
-// does not promote the entry.
-func (c *Cache[V]) Contains(k Key) bool {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[k]
-	return ok
-}
-
 // Add inserts the value unless the key is already present. It returns
 // the value that ended up cached and whether this call inserted it;
 // when inserted=false the returned value is the concurrent winner's,

@@ -30,11 +30,6 @@ func (f *Facts) Get(analyzer, key string) (string, bool) {
 	return detail, ok
 }
 
-// All returns an analyzer's fact map (nil when it has none).
-func (f *Facts) All(analyzer string) map[string]string {
-	return f.ByAnalyzer[analyzer]
-}
-
 // Merge folds other's facts in; earlier details win on key collision
 // (they carry the first position that established the fact).
 func (f *Facts) Merge(other *Facts) {
@@ -48,14 +43,4 @@ func (f *Facts) Merge(other *Facts) {
 			}
 		}
 	}
-}
-
-// Empty reports whether no facts are recorded.
-func (f *Facts) Empty() bool {
-	for _, m := range f.ByAnalyzer {
-		if len(m) > 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -12,11 +12,11 @@ func TestMixedAccessSamePackage(t *testing.T) {
 	if len(r.Diagnostics) == 0 {
 		t.Fatal("expected diagnostics in fixture a")
 	}
-	if r.Facts.Empty() {
+	if len(r.Facts.ByAnalyzer["atomicfield"]) == 0 {
 		t.Fatal("expected exported facts for atomically-accessed fields")
 	}
 	if _, ok := r.Facts.Get("atomicfield", "a.Ops"); !ok {
-		t.Errorf("missing fact for exported field a.Stats.Ops; have %v", r.Facts.All("atomicfield"))
+		t.Errorf("missing fact for exported field a.Stats.Ops; have %v", r.Facts.ByAnalyzer["atomicfield"])
 	}
 }
 
