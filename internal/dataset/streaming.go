@@ -58,7 +58,10 @@ var featPool = sync.Pool{New: func() any {
 // default bound an extraction can hold a whole 64 MiB input.
 //
 // A non-ELF input is rejected as soon as the first four bytes arrive,
-// without consuming the rest of the stream.
+// without consuming the rest of the stream. When r reports the bytes
+// left to read through a Len() int method, as *bytes.Reader and
+// *strings.Reader do, that length is passed to the file hasher as a
+// hint; a reader that then delivers another length fails the call.
 func FromReader(class, version, exe string, r io.Reader, maxSpill int) (Sample, StreamInfo, error) {
 	s := Sample{Class: class, Version: version, Exe: exe}
 	if maxSpill <= 0 {
@@ -69,6 +72,12 @@ func FromReader(class, version, exe string, r io.Reader, maxSpill int) (Sample, 
 	defer featPool.Put(st)
 	fileH := ssdeep.NewHasher()
 	defer fileH.Release()
+	if lr, ok := r.(interface{ Len() int }); ok {
+		// The body length is known (a bytes.Reader, or a request body
+		// with its Content-Length): the file hasher tracks fewer block
+		// sizes per byte, and fails at Sum if r delivers another length.
+		fileH.SetTotalLength(int64(lr.Len()))
+	}
 	strH := ssdeep.NewHasher()
 	defer strH.Release()
 	st.sha.Reset()

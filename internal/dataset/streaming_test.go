@@ -65,6 +65,40 @@ func TestFromReaderMatchesFromBinary(t *testing.T) {
 				t.Fatalf("FromReader(%s, chunk %d) mismatch:\n got %+v\nwant %+v", src.Exe, size, got, want)
 			}
 		}
+		// A bytes.Reader reports its length, which FromReader passes
+		// to the file hasher as a hint.
+		got, _, err := FromReader(src.Class, src.Version, src.Exe, bytes.NewReader(src.Binary), 0)
+		if err != nil {
+			t.Fatalf("FromReader(%s, length known): %v", src.Exe, err)
+		}
+		if got != want {
+			t.Fatalf("FromReader(%s, length known) mismatch:\n got %+v\nwant %+v", src.Exe, got, want)
+		}
+	}
+}
+
+// lenReader reports a length of its choosing, which may be wrong.
+type lenReader struct {
+	io.Reader
+	n int
+}
+
+func (r lenReader) Len() int { return r.n }
+
+// TestFromReaderWrongLength checks that a reader whose Len does not
+// match the bytes it delivers fails the extraction instead of yielding
+// a file digest FromBinary would not.
+func TestFromReaderWrongLength(t *testing.T) {
+	samples, err := synth.GenerateOne(
+		synth.ClassSpec{Name: "L", Samples: 1}, synth.Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := samples[0].Binary
+	for _, n := range []int{len(bin) - 1, len(bin) + 1} {
+		if _, _, err := FromReader("", "", "x", lenReader{bytes.NewReader(bin), n}, 0); err == nil {
+			t.Fatalf("Len %d for a %d-byte input: FromReader succeeded", n, len(bin))
+		}
 	}
 }
 

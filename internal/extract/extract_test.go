@@ -243,6 +243,23 @@ func BenchmarkStrings64KB(b *testing.B) {
 	}
 }
 
+// BenchmarkStringStreamer64KChunks scans 1 MiB of random bytes in the
+// 64 KiB writes dataset.FromReader makes, into a writer that discards.
+func BenchmarkStringStreamer64KChunks(b *testing.B) {
+	data := make([]byte, 1<<20)
+	rng.New(7).Bytes(data)
+	s := NewStringStreamer(discardWriter{}, 0)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Reset(discardWriter{}, 0)
+		for off := 0; off < len(data); off += 64 << 10 {
+			s.Write(data[off : off+64<<10])
+		}
+		s.Close()
+	}
+}
+
 func BenchmarkSymbolsText(b *testing.B) {
 	code := make([]byte, 2048)
 	rng.New(42).Bytes(code)

@@ -23,8 +23,11 @@ var newline = []byte{'\n'}
 type StringStreamer struct {
 	w      io.Writer
 	minLen int
-	// pending holds the first minLen-1 bytes of a run not yet known to
-	// reach minLen; it is dropped if the run ends early.
+	// run counts the printable bytes of the current run while it is
+	// shorter than minLen.
+	run int
+	// pending holds those run bytes when the run began in an earlier
+	// Write; it is dropped if the run ends early.
 	pending []byte
 	// confirmed marks that the current run reached minLen, so pending
 	// has been flushed and further printable bytes stream through.
@@ -32,6 +35,17 @@ type StringStreamer struct {
 	emitted   int64
 	err       error
 }
+
+// printTab is printable as a 0/1 table, so a run counter can be
+// advanced without a branch per byte.
+var printTab = func() (t [256]uint8) {
+	for c := range t {
+		if printable(byte(c)) {
+			t[c] = 1
+		}
+	}
+	return t
+}()
 
 // NewStringStreamer returns a streamer writing the StringsText stream of
 // everything written to it into w. A minLen of 0 selects
@@ -53,6 +67,7 @@ func (s *StringStreamer) Reset(w io.Writer, minLen int) {
 	if cap(s.pending) < minLen-1 {
 		s.pending = make([]byte, 0, minLen-1)
 	}
+	s.run = 0
 	s.pending = s.pending[:0]
 	s.confirmed = false
 	s.emitted = 0
@@ -68,39 +83,50 @@ func (s *StringStreamer) Write(p []byte) (int, error) {
 	if s.err != nil {
 		return len(p), s.err
 	}
-	i := 0
+	minLen := s.minLen
+	// start is where the confirmed run's bytes in p begin.
+	start, i := 0, 0
 	for i < len(p) {
-		c := p[i]
-		if !printable(c) {
-			s.endRun()
-			i++
-			continue
-		}
-		if s.confirmed {
-			// Stream the whole printable span of this chunk at once.
-			j := i + 1
-			for j < len(p) && printable(p[j]) {
+		if !s.confirmed {
+			// Count the run up to minLen: a non-printable byte zeroes
+			// the counter, a printable one advances it.
+			run, j := s.run, i
+			for j < len(p) && run < minLen {
+				run = (run + 1) * int(printTab[p[j]])
 				j++
 			}
-			s.emit(p[i:j])
-			i = j
-			continue
-		}
-		// Unconfirmed run: hold back bytes until it reaches minLen.
-		j := i
-		for j < len(p) && len(s.pending) < s.minLen-1 && printable(p[j]) {
-			s.pending = append(s.pending, p[j])
-			j++
-		}
-		if j < len(p) && printable(p[j]) {
-			// p[j] is the minLen-th byte: the run is confirmed. Flush
-			// the held-back prefix; the confirmed branch streams the
-			// rest of the span starting at p[j].
-			s.confirmed = true
-			s.emit(s.pending)
+			if run < minLen {
+				// p ends inside a short run: hold its bytes back.
+				if run > j-i {
+					s.pending = append(s.pending, p[i:]...)
+				} else {
+					s.pending = append(s.pending[:0], p[len(p)-run:]...)
+				}
+				s.run = run
+				return len(p), s.err
+			}
+			// The run reached minLen at p[j-1]. When it began in an
+			// earlier Write, no byte of p[i:j] reset it, so pending
+			// holds exactly its earlier bytes.
+			start = j - run
+			if start < i {
+				s.emit(s.pending)
+				start = i
+			}
 			s.pending = s.pending[:0]
+			s.run = 0
+			s.confirmed = true
+			i = j
 		}
-		i = j
+		for i < len(p) && printTab[p[i]] != 0 {
+			i++
+		}
+		s.emit(p[start:i])
+		if i == len(p) {
+			break
+		}
+		s.endRun()
+		i++
 	}
 	return len(p), s.err
 }
@@ -112,6 +138,7 @@ func (s *StringStreamer) endRun() {
 		s.emit(newline)
 		s.confirmed = false
 	}
+	s.run = 0
 	s.pending = s.pending[:0]
 }
 

@@ -683,13 +683,38 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // fhc:hotpath
 func (s *Server) handleClassifyRaw(w http.ResponseWriter, r *http.Request) {
 	exe := r.URL.Query().Get("exe")
-	sample, code, err := s.collectStream(exe, http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	var body io.Reader = http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
+	if r.ContentLength > 0 {
+		// net/http delivers exactly ContentLength bytes or fails the
+		// read, so FromReader may take it as the body's length.
+		sb := sizedBodies.Get().(*sizedBody)
+		defer func() {
+			*sb = sizedBody{}
+			sizedBodies.Put(sb)
+		}()
+		*sb = sizedBody{body, r.ContentLength}
+		body = sb
+	}
+	sample, code, err := s.collectStream(exe, body)
 	if err != nil {
 		writeJSON(w, code, errorResponse{Error: err.Error()})
 		return
 	}
 	writeClassifyResponse(w, exe, s.Classify(&sample), false)
 }
+
+// sizedBody is a request body that reports its declared Content-Length
+// through Len, the length hint dataset.FromReader looks for.
+type sizedBody struct {
+	io.Reader
+	n int64
+}
+
+func (b *sizedBody) Len() int { return int(b.n) }
+
+// sizedBodies recycles the wrappers, so the hint costs the raw leg no
+// allocation.
+var sizedBodies = sync.Pool{New: func() any { return new(sizedBody) }}
 
 // hashFirstPrefixSize bounds the body prefix examined for the
 // hash-first fast path; a hash-first request is a tiny flat object and

@@ -1,12 +1,15 @@
 package httpserve
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -89,6 +92,115 @@ func TestHTTPClassifyRawStream(t *testing.T) {
 	// Non-ELF raw bodies fail extraction.
 	if code, _ := postRaw(t, ts.Client(), ts.URL, "", []byte("#!/bin/sh\necho hi\n")); code != http.StatusUnprocessableEntity {
 		t.Fatalf("non-ELF raw body: %d", code)
+	}
+}
+
+// TestHTTPClassifyRawChunked posts the fixture binaries with no
+// Content-Length (chunked transfer encoding), so no length hint reaches
+// the hasher: the answers must equal the Content-Length uploads and
+// direct classification, and the body cap still holds.
+func TestHTTPClassifyRawChunked(t *testing.T) {
+	ts, _, _ := newTestServer(t, serve.Options{}, Options{MaxBodyBytes: 1 << 20})
+	postChunked := func(bin []byte) (int, []byte) {
+		t.Helper()
+		// A bare io.Reader hides the length from the client, which then
+		// sends the body chunked.
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify?exe=chunked",
+			struct{ io.Reader }{bytes.NewReader(bin)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		if req.ContentLength != 0 {
+			t.Fatalf("request has Content-Length %d, want chunked", req.ContentLength)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	for i, bin := range fixBins[:4] {
+		code, body := postChunked(bin)
+		if code != http.StatusOK {
+			t.Fatalf("chunked classify %d: status %d: %s", i, code, body)
+		}
+		var chunked, sized ClassifyResponse
+		if err := json.Unmarshal(body, &chunked); err != nil {
+			t.Fatalf("chunked response: %v\n%s", err, body)
+		}
+		code, body = postRaw(t, ts.Client(), ts.URL, "chunked", bin)
+		if code != http.StatusOK {
+			t.Fatalf("Content-Length classify %d: status %d: %s", i, code, body)
+		}
+		if err := json.Unmarshal(body, &sized); err != nil {
+			t.Fatalf("Content-Length response: %v\n%s", err, body)
+		}
+		if chunked != sized {
+			t.Fatalf("sample %d: chunked %+v, Content-Length %+v", i, chunked, sized)
+		}
+		sample, err := dataset.FromBinary("", "", "check", bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fixRF.Classify(&sample)
+		if chunked.Label != want.Label || chunked.Class != want.Class || chunked.Confidence != want.Confidence {
+			t.Fatalf("sample %d: chunked HTTP %+v, direct %+v", i, chunked, want)
+		}
+	}
+	big := append(append([]byte{}, fixBins[0]...), make([]byte, 1<<20)...)
+	if code, body := postChunked(big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized chunked body: %d %s", code, body)
+	}
+}
+
+// TestHTTPRawBodyLengthMismatch sends raw bodies that do not match
+// their Content-Length. Over a real connection, a body closed before
+// its declared length must end in a 4xx. Handed straight to the
+// handler, where nothing but the hasher's own check enforces the
+// declared length, a body one byte short or one byte long must end in
+// a 422. None may answer 200.
+func TestHTTPRawBodyLengthMismatch(t *testing.T) {
+	ts, _, s := newTestServer(t, serve.Options{}, Options{})
+	bin := fixBins[0]
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := fmt.Sprintf("POST /v1/classify?exe=short HTTP/1.1\r\nHost: x\r\n"+
+		"Content-Type: application/octet-stream\r\nContent-Length: %d\r\n\r\n", len(bin))
+	if _, err := conn.Write(append([]byte(head), bin[:len(bin)/2]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("reading the response to a short body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("body closed before its Content-Length: status %d, want 4xx", resp.StatusCode)
+	}
+
+	for _, body := range [][]byte{bin[:len(bin)-1], append(append([]byte{}, bin...), 0)} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/classify?exe=mismatch", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/octet-stream")
+		req.ContentLength = int64(len(bin))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("declared %d bytes, sent %d: status %d %s, want 422",
+				len(bin), len(body), rec.Code, rec.Body.Bytes())
+		}
 	}
 }
 

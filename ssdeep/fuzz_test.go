@@ -35,7 +35,7 @@ func FuzzParse(f *testing.F) {
 // FuzzHashStreamingMatchesBytes is the streaming differential: across
 // arbitrary inputs and arbitrary chunk boundaries — one-byte writes
 // included — the streaming Hasher must produce a digest bit-identical
-// to the buffered HashBytes oracle.
+// to the buffered HashBytes oracle, with and without a declared length.
 func FuzzHashStreamingMatchesBytes(f *testing.F) {
 	f.Add([]byte("hello world, this is a seed input for fuzzing"), uint64(1))
 	f.Add(bytes.Repeat([]byte{0xaa, 0x55}, 600), uint64(0x0102030405060708))
@@ -43,6 +43,8 @@ func FuzzHashStreamingMatchesBytes(f *testing.F) {
 	// the block-size-halving retry all the way down to MinBlockSize.
 	f.Add(make([]byte, 4096), uint64(7))
 	f.Add(append(make([]byte, 2000), []byte("entropy tail after a long quiet run")...), uint64(3))
+	// Large writes: contexts retire inside one Write, not between two.
+	f.Add(bytes.Repeat([]byte("0123456789abcdefghijklmnopqrstuvwxyz\x00\xff"), 3000), uint64(0xfedcba9876543210))
 	f.Fuzz(func(t *testing.T, data []byte, chunkSeed uint64) {
 		if len(data) == 0 {
 			return
@@ -51,32 +53,43 @@ func FuzzHashStreamingMatchesBytes(f *testing.F) {
 		if err != nil {
 			t.Fatalf("HashBytes(%d bytes): %v", len(data), err)
 		}
-		// Chunk sizes derived from the seed nibbles (1..16 bytes), so the
-		// fuzzer explores boundary placement as well as content.
 		h := NewHasher()
 		defer h.Release()
-		rest := data
-		for i := 0; len(rest) > 0; i++ {
-			n := int(chunkSeed>>((i%16)*4)&0xf) + 1
-			if n > len(rest) {
-				n = len(rest)
+		for _, hinted := range []bool{false, true} {
+			h.Reset()
+			if hinted {
+				h.SetTotalLength(int64(len(data)))
 			}
-			h.Write(rest[:n])
-			rest = rest[n:]
-		}
-		got, err := h.Sum()
-		if err != nil {
-			t.Fatalf("Sum: %v", err)
-		}
-		if got != want {
-			t.Fatalf("streaming %q != buffered %q (seed %#x, %d bytes)", got, want, chunkSeed, len(data))
+			// Chunk sizes derived from the seed nibbles: 1..12 bytes,
+			// then 1, 4, 16 and 64 KiB, the size dataset.FromReader
+			// writes, so the fuzzer explores boundary placement as well
+			// as content.
+			rest := data
+			for i := 0; len(rest) > 0; i++ {
+				nib := int(chunkSeed >> ((i % 16) * 4) & 0xf)
+				n := nib + 1
+				if nib >= 12 {
+					n = 1 << (10 + 2*(nib-12))
+				}
+				n = min(n, len(rest))
+				h.Write(rest[:n])
+				rest = rest[n:]
+			}
+			got, err := h.Sum()
+			if err != nil {
+				t.Fatalf("Sum (hinted %v): %v", hinted, err)
+			}
+			if got != want {
+				t.Fatalf("streaming %q != buffered %q (hinted %v, seed %#x, %d bytes)",
+					got, want, hinted, chunkSeed, len(data))
+			}
 		}
 		// One-byte writes through a reused hasher must agree too.
 		h.Reset()
 		for _, c := range data {
 			h.Write([]byte{c})
 		}
-		got, err = h.Sum()
+		got, err := h.Sum()
 		if err != nil {
 			t.Fatalf("Sum (1-byte writes): %v", err)
 		}

@@ -5,9 +5,9 @@ package ssdeep
 // CTPH cannot pick its block size until the total length is known, so a
 // buffered implementation guesses from len(data) and re-hashes at
 // half the block size when the signature comes out too short. A stream
-// gets neither the length up front nor a second pass, so the Hasher
-// maintains every candidate block size concurrently: one small context
-// per size 3·2^k holding the signature accumulated at that size. Three
+// gets no second pass, so the Hasher maintains every candidate block
+// size that can still be selected concurrently: one small context per
+// size 3·2^k holding the signature accumulated at that size. Four
 // observations keep that affordable:
 //
 //   - a trigger at block size 2b is always a trigger at block size b
@@ -15,10 +15,18 @@ package ssdeep
 //     forked at context k's first trigger, at which moment its
 //     piecewise hash still equals the never-reset hash of the whole
 //     prefix — before that first trigger the two are indistinguishable;
-//   - once context k+1 has accumulated SpamsumLength/2 signature
-//     characters, the halving retry can never select block size 3·2^k
-//     or below, so the smallest contexts retire as the input grows and
-//     the active window stays small (~6 contexts in steady state);
+//   - once the input outgrew 3·2^k·SpamsumLength bytes and context k+1
+//     holds SpamsumLength/2 signature characters, the halving retry can
+//     never select block size 3·2^k or below, so context k retires. The
+//     check runs inside the byte loop at every trigger, so the window
+//     slides up as the input grows whatever the Write sizes are;
+//   - when the caller declares the input length up front
+//     (SetTotalLength), the block-size guess is known from the first
+//     byte: contexts above guess+1 can never be read and are not
+//     forked, and retirement tests the declared length instead of the
+//     bytes seen so far. Over 1 MiB of random input the window then
+//     averages between three and four contexts; without the hint the
+//     top keeps forking as the input grows and about ten stay live;
 //   - the double-block-size signature (Sig2, capped at 31 characters)
 //     appends in lockstep with the same context's full signature until
 //     the cap, so it is a prefix of the full signature — only its
@@ -28,9 +36,13 @@ package ssdeep
 // implementation is retained as the differential oracle (see
 // FuzzHashStreamingMatchesBytes) — for every input below 3·2^30·64
 // bytes (~192 GiB), where both implementations run out of uint32 block
-// sizes.
+// sizes. A declared length that the written bytes do not match makes
+// Sum fail rather than return a digest HashBytes would not.
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // maxContexts bounds the candidate block sizes a Hasher tracks:
 // 3·2^0 .. 3·2^30, the largest CTPH block size representable in the
@@ -68,12 +80,15 @@ type blockCtx struct {
 type Hasher struct {
 	roll rollState
 	n    uint64 // total bytes written
+	// total is the length declared by SetTotalLength, 0 when unknown.
+	total uint64
 	// [bhstart, bhend) is the active context window. Contexts below
 	// bhstart retired (their block size can no longer be selected);
 	// contexts at bhend and above have never seen a trigger, so their
 	// piecewise hash still equals the top context's never-reset hash.
-	bhstart, bhend int
-	ctx            [maxContexts]blockCtx
+	// bhend never exceeds bhcap, which a declared length lowers.
+	bhstart, bhend, bhcap int
+	ctx                   [maxContexts]blockCtx
 }
 
 // hasherPool recycles Hasher state (a few KiB per instance) across
@@ -94,16 +109,45 @@ func NewHasher() *Hasher {
 // after Release.
 func (h *Hasher) Release() { hasherPool.Put(h) }
 
-// Reset returns the Hasher to its initial state.
+// Reset returns the Hasher to its initial state, declared length
+// included.
 func (h *Hasher) Reset() {
 	for i := range h.ctx[:h.bhend] {
 		h.ctx[i] = blockCtx{}
 	}
 	h.roll = rollState{}
 	h.n = 0
+	h.total = 0
 	h.bhstart = 0
 	h.bhend = 1
+	h.bhcap = maxContexts
 	h.ctx[0].h = hashInit
+}
+
+// SetTotalLength declares that exactly n bytes will be written, which
+// lets the Hasher track fewer block sizes per byte. Call it before the
+// first Write. If the bytes written then differ from n, Sum returns an
+// error instead of a digest. n <= 0 means the length is unknown.
+func (h *Hasher) SetTotalLength(n int64) {
+	if n <= 0 {
+		h.total = 0
+		h.bhcap = maxContexts
+		return
+	}
+	h.total = uint64(n)
+	// Sum reads the guessed context and the one above it, never higher.
+	h.bhcap = min(blockGuess(h.total)+2, maxContexts)
+}
+
+// blockGuess is HashBytes' initial block-size index for an n-byte
+// input: the smallest block size whose expected signature length fits
+// SpamsumLength.
+func blockGuess(n uint64) int {
+	bi := 0
+	for bi < maxContexts-1 && uint64(uint32(MinBlockSize)<<bi)*SpamsumLength < n {
+		bi++
+	}
+	return bi
 }
 
 // Write absorbs p into the digest state. It never fails; the error is
@@ -111,77 +155,110 @@ func (h *Hasher) Reset() {
 //
 // fhc:hotpath
 func (h *Hasher) Write(p []byte) (int, error) {
+	n := h.n
+	// A trigger at the smallest active block size 3·2^bhstart needs
+	// rh ≡ -1 modulo both 2^bhstart and 3: the mask screens the first
+	// without a division, and only its survivors reach the second.
+	mask := uint32(1)<<h.bhstart - 1
+	ctxs := h.ctx[h.bhstart:h.bhend]
 	for _, c := range p {
 		rh := h.roll.roll(c)
-		h.n++
+		n++
 		// Every active context absorbs the byte into its piecewise
 		// hash; diverged half hashes accumulate alongside.
-		for i := h.bhstart; i < h.bhend; i++ {
-			ctx := &h.ctx[i]
+		for i := range ctxs {
+			ctx := &ctxs[i]
 			ctx.h = ctx.h*hashPrime ^ uint32(c)
 			if ctx.diverged {
 				ctx.halfH = ctx.halfH*hashPrime ^ uint32(c)
 			}
 		}
-		// Trigger cascade, smallest active block size first: a trigger
-		// at 2b implies one at b, so the first non-trigger ends it.
-		bs := uint32(MinBlockSize) << h.bhstart
-		for i := h.bhstart; i < h.bhend; i++ {
-			if rh%bs != bs-1 {
-				break
-			}
-			ctx := &h.ctx[i]
-			if i == h.bhend-1 && h.bhend < maxContexts {
-				// First trigger of the top context: fork the next block
-				// size. It has never triggered (its triggers are a
-				// subset of this one's), so its piecewise hash is the
-				// pre-reset hash of the whole prefix — exactly ctx.h
-				// right now. The loop then visits the fork with the
-				// same rolling hash, cascading further if it triggers.
-				h.ctx[h.bhend] = blockCtx{h: ctx.h}
-				h.bhend++
-			}
-			if !ctx.diverged && ctx.flen >= SpamsumLength/2-1 {
-				// The half signature capped at the previous trigger;
-				// from here its residue hash never resets again.
-				ctx.diverged = true
-				ctx.halfH = ctx.h
-			}
-			if ctx.flen < SpamsumLength-1 {
-				ctx.full[ctx.flen] = b64[ctx.h%64]
-				ctx.flen++
-				ctx.h = hashInit
-			}
-			bs *= 2
+		if rh&mask != mask || rh%3 != 2 {
+			continue
 		}
+		h.trigger(rh, n)
+		mask = uint32(1)<<h.bhstart - 1
+		ctxs = h.ctx[h.bhstart:h.bhend]
 	}
-	// Retire block sizes the halving retry can no longer select: once
-	// the input outgrew 3·2^k·SpamsumLength bytes the guess sits above
-	// k, and once context k+1 holds SpamsumLength/2 characters the
-	// halving loop stops at or above k+1 — both are monotone, so
-	// context k is dead. (Reading ctx[bhstart+1] of a context never
-	// forked sees flen 0 and keeps the window.)
+	h.n = n
+	h.retire()
+	return len(p), nil
+}
+
+// trigger runs the cascade for a rolling hash rh that triggers at the
+// smallest active block size, n bytes into the input, then retires the
+// block sizes that can no longer be selected.
+//
+// fhc:hotpath
+func (h *Hasher) trigger(rh uint32, n uint64) {
+	// Smallest active block size first: a trigger at 2b implies one at
+	// b, so the first non-trigger ends the cascade.
+	bs := uint32(MinBlockSize) << h.bhstart
+	for i := h.bhstart; i < h.bhend; i++ {
+		if rh%bs != bs-1 {
+			break
+		}
+		ctx := &h.ctx[i]
+		if i == h.bhend-1 && h.bhend < h.bhcap {
+			// First trigger of the top context: fork the next block
+			// size. It has never triggered (its triggers are a subset
+			// of this one's), so its piecewise hash is the pre-reset
+			// hash of the whole prefix — exactly ctx.h right now. The
+			// loop then visits the fork with the same rolling hash,
+			// cascading further if it triggers.
+			h.ctx[h.bhend] = blockCtx{h: ctx.h}
+			h.bhend++
+		}
+		if !ctx.diverged && ctx.flen >= SpamsumLength/2-1 {
+			// The half signature capped at the previous trigger; from
+			// here its residue hash never resets again.
+			ctx.diverged = true
+			ctx.halfH = ctx.h
+		}
+		if ctx.flen < SpamsumLength-1 {
+			ctx.full[ctx.flen] = b64[ctx.h%64]
+			ctx.flen++
+			ctx.h = hashInit
+		}
+		bs *= 2
+	}
+	h.n = n
+	h.retire()
+}
+
+// retire advances bhstart past block sizes the halving retry can no
+// longer select: once the input outgrows 3·2^k·SpamsumLength bytes the
+// guess sits above k, and once context k+1 holds SpamsumLength/2
+// characters the halving loop stops at or above k+1 — both are
+// monotone, so context k is dead. A declared length stands in for the
+// bytes written so far: Sum fails unless the two end up equal.
+// (Reading ctx[bhstart+1] of a context never forked sees flen 0 and
+// keeps the window.)
+func (h *Hasher) retire() {
+	n := h.n
+	if h.total > 0 {
+		n = h.total
+	}
 	for h.bhstart < maxContexts-2 &&
-		uint64(uint32(MinBlockSize)<<h.bhstart)*SpamsumLength < h.n &&
+		uint64(uint32(MinBlockSize)<<h.bhstart)*SpamsumLength < n &&
 		h.ctx[h.bhstart+1].flen >= SpamsumLength/2 {
 		h.bhstart++
 	}
-	return len(p), nil
 }
 
 // Sum returns the digest of everything written so far, bit-identical
 // to HashBytes over the same bytes. It does not modify state: callers
-// may keep writing, and a second Sum returns the same digest.
+// may keep writing, and a second Sum returns the same digest. After
+// SetTotalLength, Sum fails unless exactly the declared number of
+// bytes was written.
 func (h *Hasher) Sum() (Digest, error) {
+	if h.total > 0 && h.n != h.total {
+		return Digest{}, fmt.Errorf("ssdeep: %d bytes written, %d declared", h.n, h.total)
+	}
 	if h.n == 0 {
 		return Digest{}, ErrEmptyInput
 	}
-	// Initial guess, exactly as HashBytes: the smallest block size
-	// whose expected signature length fits SpamsumLength.
-	bi := 0
-	for bi < maxContexts-1 && uint64(uint32(MinBlockSize)<<bi)*SpamsumLength < h.n {
-		bi++
-	}
+	bi := blockGuess(h.n)
 	residue := h.roll.h1+h.roll.h2+h.roll.h3 != 0
 	// The halving retry: too few trigger points at the guessed size
 	// means too short a signature; drop to the next smaller block size

@@ -54,7 +54,8 @@ func streamingInputs(t testing.TB) map[string][]byte {
 
 // TestHasherMatchesHashBytes is the core differential: the streaming
 // digest must be bit-identical to the buffered oracle across inputs and
-// chunkings, including one-byte writes.
+// chunkings, including one-byte writes, with and without the length
+// declared up front.
 func TestHasherMatchesHashBytes(t *testing.T) {
 	chunkings := map[string][]int{
 		"whole":     {1 << 30},
@@ -69,15 +70,20 @@ func TestHasherMatchesHashBytes(t *testing.T) {
 			t.Fatalf("HashBytes(%s): %v", name, err)
 		}
 		for cname, sizes := range chunkings {
-			h := NewHasher()
-			writeChunked(h, data, sizes)
-			got, err := h.Sum()
-			h.Release()
-			if err != nil {
-				t.Fatalf("%s/%s: Sum: %v", name, cname, err)
-			}
-			if got != want {
-				t.Fatalf("%s/%s: streaming %q != buffered %q", name, cname, got, want)
+			for _, hinted := range []bool{false, true} {
+				h := NewHasher()
+				if hinted {
+					h.SetTotalLength(int64(len(data)))
+				}
+				writeChunked(h, data, sizes)
+				got, err := h.Sum()
+				h.Release()
+				if err != nil {
+					t.Fatalf("%s/%s/hinted=%v: Sum: %v", name, cname, hinted, err)
+				}
+				if got != want {
+					t.Fatalf("%s/%s/hinted=%v: streaming %q != buffered %q", name, cname, hinted, got, want)
+				}
 			}
 		}
 	}
@@ -144,6 +150,79 @@ func TestHasherEmptyAndReset(t *testing.T) {
 	}
 }
 
+// TestHasherDeclaredLengthMismatch checks that a declared length the
+// input misses by one byte either way makes Sum fail with no digest,
+// whatever the chunking, rather than return a digest HashBytes would
+// not.
+func TestHasherDeclaredLengthMismatch(t *testing.T) {
+	data := streamingInputs(t)["random-64k"]
+	h := NewHasher()
+	defer h.Release()
+	for _, declared := range []int{len(data) - 1, len(data) + 1} {
+		for _, sizes := range [][]int{{1 << 30}, {4096}} {
+			h.Reset()
+			h.SetTotalLength(int64(declared))
+			writeChunked(h, data, sizes)
+			if d, err := h.Sum(); err == nil || !d.IsZero() {
+				t.Fatalf("declared %d, wrote %d: Sum = %q, %v; want an error and no digest",
+					declared, len(data), d, err)
+			}
+		}
+	}
+	// n <= 0 declares nothing.
+	h.Reset()
+	h.SetTotalLength(0)
+	h.Write(data)
+	if got, want := mustSum(t, h), mustHash(t, data); got != want {
+		t.Fatalf("SetTotalLength(0): %q != %q", got, want)
+	}
+}
+
+// TestHasherPoolReuseClearsHint hashes a small input under a declared
+// length, returns the Hasher to the pool and hashes a 2 MiB input
+// without one: the cap on forked contexts and the declared length must
+// not carry over, or the large digest would be wrong or fail.
+func TestHasherPoolReuseClearsHint(t *testing.T) {
+	small := streamingInputs(t)["random-1k"]
+	large := make([]byte, 2<<20)
+	rand.New(rand.NewSource(21)).Read(large)
+	want := mustHash(t, large)
+
+	h := NewHasher()
+	h.SetTotalLength(int64(len(small)))
+	h.Write(small)
+	if got := mustSum(t, h); got != mustHash(t, small) {
+		t.Fatalf("hinted small input: %q", got)
+	}
+	h.Release()
+	// NewHasher usually hands back the Hasher just released; either
+	// way it must hash as if new.
+	h = NewHasher()
+	defer h.Release()
+	writeChunked(h, large, []int{64 << 10})
+	if got := mustSum(t, h); got != want {
+		t.Fatalf("after pool reuse: %q != %q", got, want)
+	}
+	// The same through Reset on one Hasher, pool or no pool.
+	h.Reset()
+	h.SetTotalLength(int64(len(small)))
+	h.Write(small)
+	h.Reset()
+	writeChunked(h, large, []int{64 << 10})
+	if got := mustSum(t, h); got != want {
+		t.Fatalf("after Reset: %q != %q", got, want)
+	}
+}
+
+func mustSum(t *testing.T, h *Hasher) Digest {
+	t.Helper()
+	d, err := h.Sum()
+	if err != nil {
+		t.Fatalf("Sum: %v", err)
+	}
+	return d
+}
+
 // TestHashReaderStreaming hashes readers the way callers stream one
 // into a Hasher, through io.Copy: one-byte reads must give the buffered
 // digest (so Write honours the io.Writer contract on short writes), an
@@ -192,6 +271,16 @@ func TestHasherZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Write allocates %v times per call", allocs)
 	}
+	h.Reset()
+	h.SetTotalLength(int64(len(data)))
+	allocs = testing.AllocsPerRun(10, func() {
+		h.Write(data)
+	})
+	if allocs != 0 {
+		t.Fatalf("Write with a declared length allocates %v times per call", allocs)
+	}
+	h.Reset()
+	h.Write(data)
 	// Sum allocates only the two signature strings.
 	allocs = testing.AllocsPerRun(10, func() {
 		if _, err := h.Sum(); err != nil {
@@ -204,23 +293,33 @@ func TestHasherZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkHashStreaming measures the streaming hasher against the
-// buffered oracle on the same input.
+// buffered oracle on the same input: one whole-input Write, then the
+// 64 KiB writes dataset.FromReader makes, without and with the declared
+// length it passes when the reader knows it.
 func BenchmarkHashStreaming(b *testing.B) {
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(1)).Read(data)
-	b.Run("streaming", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		h := NewHasher()
-		defer h.Release()
-		for i := 0; i < b.N; i++ {
-			h.Reset()
-			h.Write(data)
-			if _, err := h.Sum(); err != nil {
-				b.Fatal(err)
+	stream := func(chunk int, hinted bool) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			h := NewHasher()
+			defer h.Release()
+			for i := 0; i < b.N; i++ {
+				h.Reset()
+				if hinted {
+					h.SetTotalLength(int64(len(data)))
+				}
+				writeChunked(h, data, []int{chunk})
+				if _, err := h.Sum(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("streaming", stream(len(data), false))
+	b.Run("chunked64k", stream(64<<10, false))
+	b.Run("chunked64k-hinted", stream(64<<10, true))
 	b.Run("buffered", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
