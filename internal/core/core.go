@@ -38,8 +38,7 @@ type DistanceName string
 // Supported scoring distances. The paper specifies Damerau–Levenshtein.
 // The names resolve to the bit-parallel implementations; the
 // dynamic-programming oracles they are tested against
-// (ssdeep.DistanceDLOracle, ssdeep.DistanceLevenshteinOracle) are not
-// selectable by name.
+// (editdist.OSADP, editdist.LevenshteinDP) are not selectable by name.
 const (
 	DistanceDL          DistanceName = "damerau-levenshtein"
 	DistanceLevenshtein DistanceName = "levenshtein"

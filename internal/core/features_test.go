@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/editdist"
 	"repro/internal/ml"
 	"repro/internal/synth"
 	"repro/ssdeep"
@@ -44,8 +45,8 @@ func TestFeaturizeIndexedMatchesBruteForce(t *testing.T) {
 		"damerau-levenshtein":    ssdeep.DistanceDL,
 		"levenshtein":            ssdeep.DistanceLevenshtein,
 		"spamsum":                ssdeep.DistanceSpamsum,
-		"damerau-levenshtein-dp": ssdeep.DistanceDLOracle,
-		"levenshtein-dp":         ssdeep.DistanceLevenshteinOracle,
+		"damerau-levenshtein-dp": editdist.OSADP,
+		"levenshtein-dp":         editdist.LevenshteinDP,
 	} {
 		ps := buildProfiles(train, paperKinds, classes)
 		for i := range samples {
@@ -76,8 +77,8 @@ func TestFeaturizeBitParallelMatchesDPOracle(t *testing.T) {
 		name         string
 		fast, oracle ssdeep.DistanceFunc
 	}{
-		{"damerau-levenshtein", ssdeep.DistanceDL, ssdeep.DistanceDLOracle},
-		{"levenshtein", ssdeep.DistanceLevenshtein, ssdeep.DistanceLevenshteinOracle},
+		{"damerau-levenshtein", ssdeep.DistanceDL, editdist.OSADP},
+		{"levenshtein", ssdeep.DistanceLevenshtein, editdist.LevenshteinDP},
 	}
 	for _, pair := range pairs {
 		ps := buildProfiles(train, paperKinds, classes)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/editdist"
 	"repro/internal/model"
 	"repro/ssdeep"
 )
@@ -137,8 +138,8 @@ func TestLoadRetiredDPDistance(t *testing.T) {
 		fast, retired DistanceName
 		oracle        ssdeep.DistanceFunc
 	}{
-		{DistanceDL, "damerau-levenshtein-dp", ssdeep.DistanceDLOracle},
-		{DistanceLevenshtein, "levenshtein-dp", ssdeep.DistanceLevenshteinOracle},
+		{DistanceDL, "damerau-levenshtein-dp", editdist.OSADP},
+		{DistanceLevenshtein, "levenshtein-dp", editdist.LevenshteinDP},
 	}
 	for _, tc := range cases {
 		t.Run(string(tc.retired), func(t *testing.T) {

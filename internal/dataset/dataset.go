@@ -14,8 +14,8 @@
 package dataset
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -86,52 +86,14 @@ func (s *Sample) Path() string {
 	return filepath.Join(s.Class, s.Version, s.Exe)
 }
 
-// FromBinary extracts all features from an ELF binary. Stripped binaries
-// are not an error: they yield a zero symbols digest and Stripped=true,
-// leaving the policy decision to the classifier (the paper treats
-// stripping as a limitation, not a crash).
+// FromBinary extracts all features from an ELF binary held in memory:
+// one whole-buffer FromReader call, with a spill bound that fits bin.
+// Stripped binaries are not an error: they yield a zero symbols digest
+// and Stripped=true, leaving the policy decision to the classifier (the
+// paper treats stripping as a limitation, not a crash).
 func FromBinary(class, version, exe string, bin []byte) (Sample, error) {
-	s := Sample{Class: class, Version: version, Exe: exe}
-	if !extract.IsELF(bin) {
-		return s, fmt.Errorf("dataset: %s/%s/%s: not an ELF executable", class, version, exe)
-	}
-	s.SHA256 = sha256.Sum256(bin)
-
-	fileDigest, err := ssdeep.HashBytes(bin)
-	if err != nil {
-		return s, fmt.Errorf("dataset: hashing %s: %w", s.Path(), err)
-	}
-	s.Digests[FeatureFile] = fileDigest
-
-	if text := extract.StringsText(bin, 0); len(text) > 0 {
-		d, err := ssdeep.HashBytes(text)
-		if err != nil {
-			return s, fmt.Errorf("dataset: hashing strings of %s: %w", s.Path(), err)
-		}
-		s.Digests[FeatureStrings] = d
-	}
-
-	symText, err := extract.SymbolsText(bin)
-	switch {
-	case errors.Is(err, extract.ErrNoSymbolTable):
-		s.Stripped = true
-	case err != nil:
-		return s, fmt.Errorf("dataset: symbols of %s: %w", s.Path(), err)
-	case len(symText) > 0:
-		d, err := ssdeep.HashBytes(symText)
-		if err != nil {
-			return s, fmt.Errorf("dataset: hashing symbols of %s: %w", s.Path(), err)
-		}
-		s.Digests[FeatureSymbols] = d
-	}
-
-	neededText, err := extract.NeededText(bin)
-	if err == nil && len(neededText) > 0 {
-		if d, err := ssdeep.HashBytes(neededText); err == nil {
-			s.Digests[FeatureNeeded] = d
-		}
-	}
-	return s, nil
+	s, _, err := FromReader(class, version, exe, bytes.NewReader(bin), len(bin))
+	return s, err
 }
 
 // FromCorpus extracts features from every sample of a synthetic corpus

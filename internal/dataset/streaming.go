@@ -14,8 +14,7 @@ import (
 
 // DefaultMaxSpill is the default bound on the spill buffer FromReader
 // keeps for ELF structural parsing. It matches the HTTP layer's default
-// body cap, so by default a streamed extraction produces exactly the
-// features of the buffered one.
+// body cap, so by default every accepted body gets every feature.
 const DefaultMaxSpill = 64 << 20
 
 // StreamInfo reports how a streamed extraction went.
@@ -24,9 +23,10 @@ type StreamInfo struct {
 	Bytes int64
 	// Complete reports that the whole input fit the spill buffer, so the
 	// ELF structural features (symbols, needed libraries) were extracted
-	// and the sample is bit-identical to FromBinary's. When false, only
-	// the single-pass features (SHA-256, file digest, strings digest)
-	// are present and the symbols/needed digests are zero.
+	// and the sample is the one FromBinary gives for the same bytes.
+	// When false, only the single-pass features (SHA-256, file digest,
+	// strings digest) are present and the symbols/needed digests are
+	// zero.
 	Complete bool
 }
 
@@ -45,17 +45,18 @@ var featPool = sync.Pool{New: func() any {
 	return &featState{sha: sha256.New()}
 }}
 
-// FromReader extracts features from an ELF binary streamed out of r: the
-// streaming form of FromBinary. SHA-256, the file fuzzy digest and the
-// strings fuzzy digest are computed incrementally in a single pass in
-// constant memory. ELF structural parsing (symbols, DT_NEEDED) requires
-// random access, so the input is also copied into a bounded spill
-// buffer: inputs up to maxSpill bytes yield a sample bit-identical to
-// FromBinary's, larger ones skip the structural features and report
-// !StreamInfo.Complete. maxSpill <= 0 selects DefaultMaxSpill. The
-// spill holds min(input size, maxSpill) bytes: memory stops growing
-// with the input only once the input exceeds maxSpill, and at the
-// default bound an extraction can hold a whole 64 MiB input.
+// FromReader extracts features from an ELF binary streamed out of r. It
+// is the package's one extraction pipeline: FromBinary is a whole-buffer
+// call into it. SHA-256, the file fuzzy digest and the strings fuzzy
+// digest are computed incrementally in a single pass in constant
+// memory. ELF structural parsing (symbols, DT_NEEDED) requires random
+// access, so the input is also copied into a bounded spill buffer:
+// inputs up to maxSpill bytes yield every feature, larger ones skip the
+// structural features and report !StreamInfo.Complete. maxSpill <= 0
+// selects DefaultMaxSpill. The spill holds min(input size, maxSpill)
+// bytes: memory stops growing with the input only once the input
+// exceeds maxSpill, and at the default bound an extraction can hold a
+// whole 64 MiB input.
 //
 // A non-ELF input is rejected as soon as the first four bytes arrive,
 // without consuming the rest of the stream. When r reports the bytes
@@ -146,7 +147,7 @@ func FromReader(class, version, exe string, r io.Reader, maxSpill int) (Sample, 
 	}
 
 	// The whole input fit the spill buffer: finish the random-access ELF
-	// features exactly as FromBinary does.
+	// features.
 	symText, err := extract.SymbolsText(st.spill)
 	switch {
 	case errors.Is(err, extract.ErrNoSymbolTable):

@@ -34,7 +34,8 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 
 // TestFromReaderMatchesFromBinary is the streaming-vs-buffered
 // featuriser differential over a whole synthetic corpus, including
-// stripped binaries, at several read-chunk sizes.
+// stripped binaries, at several read-chunk sizes: FromReader, and the
+// whole-buffer FromBinary, against the buffered test oracle.
 func TestFromReaderMatchesFromBinary(t *testing.T) {
 	c, err := synth.Generate([]synth.ClassSpec{
 		{Name: "AppA", Samples: 4},
@@ -45,9 +46,12 @@ func TestFromReaderMatchesFromBinary(t *testing.T) {
 	}
 	for i := range c.Samples {
 		src := &c.Samples[i]
-		want, err := FromBinary(src.Class, src.Version, src.Exe, src.Binary)
+		want, err := fromBinaryOracle(src.Class, src.Version, src.Exe, src.Binary)
 		if err != nil {
-			t.Fatalf("FromBinary(%s): %v", src.Exe, err)
+			t.Fatalf("fromBinaryOracle(%s): %v", src.Exe, err)
+		}
+		if got, err := FromBinary(src.Class, src.Version, src.Exe, src.Binary); err != nil || got != want {
+			t.Fatalf("FromBinary(%s) = %+v, %v\nwant %+v", src.Exe, got, err, want)
 		}
 		for _, size := range []int{1, 7, 4096, 1 << 20} {
 			got, info, err := FromReader(src.Class, src.Version, src.Exe,
@@ -87,7 +91,7 @@ func (r lenReader) Len() int { return r.n }
 
 // TestFromReaderWrongLength checks that a reader whose Len does not
 // match the bytes it delivers fails the extraction instead of yielding
-// a file digest FromBinary would not.
+// a file digest of other bytes.
 func TestFromReaderWrongLength(t *testing.T) {
 	samples, err := synth.GenerateOne(
 		synth.ClassSpec{Name: "L", Samples: 1}, synth.Options{Seed: 4})
@@ -112,7 +116,7 @@ func TestFromReaderSpillTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bin := samples[0].Binary
-	want, err := FromBinary("", "", "big", bin)
+	want, err := fromBinaryOracle("", "", "big", bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +177,8 @@ type errorReader struct{}
 
 func (errorReader) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
 
-// BenchmarkFromReader measures the streaming featuriser; the buffered
-// path is alongside for comparison.
+// BenchmarkFromReader measures the featuriser on a bytes.Reader and,
+// as buffered, through FromBinary, the whole-buffer call into it.
 func BenchmarkFromReader(b *testing.B) {
 	samples, err := synth.GenerateOne(
 		synth.ClassSpec{Name: "B", Samples: 1}, synth.Options{Seed: 9})

@@ -122,7 +122,7 @@ func TestFromReaderSpillBoundary(t *testing.T) {
 // pooled scratch state; the next extraction must be exact.
 func TestFromReaderErrorDoesNotPoisonPool(t *testing.T) {
 	bin := oneBinary(t)
-	want, err := FromBinary("", "", "x", bin)
+	want, err := fromBinaryOracle("", "", "x", bin)
 	if err != nil {
 		t.Fatal(err)
 	}

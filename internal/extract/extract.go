@@ -34,48 +34,22 @@ const MinStringLength = 4
 // this as the approach's main limitation.
 var ErrNoSymbolTable = errors.New("extract: no symbol table (stripped binary)")
 
-// Strings returns every run of at least minLen consecutive printable
-// characters in data, in file order, mirroring strings(1). A minLen of 0
-// selects MinStringLength.
-func Strings(data []byte, minLen int) []string {
-	if minLen <= 0 {
-		minLen = MinStringLength
-	}
-	var out []string
-	start := -1
-	for i, b := range data {
-		if printable(b) {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 && i-start >= minLen {
-			out = append(out, string(data[start:i]))
-		}
-		start = -1
-	}
-	if start >= 0 && len(data)-start >= minLen {
-		out = append(out, string(data[start:]))
-	}
-	return out
-}
-
 // printable reports whether b is a printable ASCII character or tab, the
 // same set strings(1) scans for by default.
 func printable(b byte) bool {
 	return b == '\t' || (b >= 0x20 && b < 0x7f)
 }
 
-// StringsText renders the strings(1) view of data as newline-separated
-// text; this is the exact byte stream the ssdeep-strings feature hashes.
+// StringsText renders the strings(1) view of data: every run of at
+// least minLen consecutive printable characters, in file order, one per
+// line. This is the exact byte stream the ssdeep-strings feature hashes.
+// A minLen of 0 selects MinStringLength. It is one whole-buffer run of a
+// StringStreamer.
 func StringsText(data []byte, minLen int) []byte {
-	runs := Strings(data, minLen)
 	var buf bytes.Buffer
-	for _, r := range runs {
-		buf.WriteString(r)
-		buf.WriteByte('\n')
-	}
+	s := NewStringStreamer(&buf, minLen)
+	s.Write(data)
+	s.Close()
 	return buf.Bytes()
 }
 
@@ -91,7 +65,8 @@ type GlobalSymbol struct {
 // data, sorted by name. Sorting by name (rather than nm's default address
 // order) keeps the hashed view invariant under section-layout shifts,
 // which is the stability property the paper attributes to function names.
-func GlobalSymbols(data []byte) ([]GlobalSymbol, error) {
+func GlobalSymbols(data []byte) (_ []GlobalSymbol, err error) {
+	defer recoverELF(&err)
 	f, err := elf.NewFile(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("extract: parsing ELF: %w", err)
@@ -132,6 +107,15 @@ func GlobalSymbols(data []byte) ([]GlobalSymbol, error) {
 	return out, nil
 }
 
+// recoverELF turns a panic inside debug/elf into the caller's error:
+// some malformed inputs still panic there (an empty symbol table does
+// in Go 1.24), and an upload must not take its worker down.
+func recoverELF(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("extract: malformed ELF: %v", r)
+	}
+}
+
 func sectionOf(f *elf.File, idx elf.SectionIndex) *elf.Section {
 	if int(idx) < 0 || int(idx) >= len(f.Sections) {
 		return nil
@@ -160,7 +144,8 @@ func SymbolsText(data []byte) ([]byte, error) {
 // NeededLibraries returns the DT_NEEDED shared-object names recorded in
 // the binary's dynamic section, in declaration order. Statically linked
 // binaries return an empty slice and no error.
-func NeededLibraries(data []byte) ([]string, error) {
+func NeededLibraries(data []byte) (_ []string, err error) {
+	defer recoverELF(&err)
 	f, err := elf.NewFile(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("extract: parsing ELF: %w", err)

@@ -2,6 +2,8 @@ package extract
 
 import (
 	"bytes"
+	"debug/elf"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -38,45 +40,46 @@ func sampleBinary(t *testing.T, stripped bool, needed []string) []byte {
 	return out
 }
 
+// splitRuns splits a StringsText stream back into its runs.
+func splitRuns(text []byte) []string {
+	if len(text) == 0 {
+		return nil
+	}
+	return strings.Split(strings.TrimSuffix(string(text), "\n"), "\n")
+}
+
 func TestStringsBasic(t *testing.T) {
 	data := []byte("ab\x00hello\x01wo\x02rld!----\xffok")
-	got := Strings(data, 4)
-	want := []string{"hello", "rld!----"}
-	if len(got) != len(want) {
-		t.Fatalf("Strings = %q, want %q", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Strings = %q, want %q", got, want)
-		}
+	if got := string(StringsText(data, 4)); got != "hello\nrld!----\n" {
+		t.Fatalf("StringsText = %q", got)
 	}
 }
 
 func TestStringsMinLen(t *testing.T) {
 	data := []byte("abc\x00abcd\x00abcde")
-	if got := Strings(data, 5); len(got) != 1 || got[0] != "abcde" {
-		t.Fatalf("Strings minLen=5 = %q", got)
+	if got := string(StringsText(data, 5)); got != "abcde\n" {
+		t.Fatalf("StringsText minLen=5 = %q", got)
 	}
-	if got := Strings(data, 0); len(got) != 2 {
-		t.Fatalf("Strings default minLen = %q, want 2 runs", got)
+	if got := string(StringsText(data, 0)); got != "abcd\nabcde\n" {
+		t.Fatalf("StringsText default minLen = %q, want 2 runs", got)
 	}
 }
 
 func TestStringsTrailingRun(t *testing.T) {
-	if got := Strings([]byte("\x00\x01tail"), 4); len(got) != 1 || got[0] != "tail" {
+	if got := string(StringsText([]byte("\x00\x01tail"), 4)); got != "tail\n" {
 		t.Fatalf("trailing run not captured: %q", got)
 	}
 }
 
 func TestStringsEmptyAndBinary(t *testing.T) {
-	if got := Strings(nil, 4); len(got) != 0 {
-		t.Fatalf("Strings(nil) = %q", got)
+	if got := StringsText(nil, 4); len(got) != 0 {
+		t.Fatalf("StringsText(nil) = %q", got)
 	}
 	bin := make([]byte, 256)
 	for i := range bin {
 		bin[i] = byte(i % 32) // control characters only, except space
 	}
-	for _, s := range Strings(bin, 4) {
+	for _, s := range splitRuns(StringsText(bin, 4)) {
 		if strings.Trim(s, " \t") != "" {
 			t.Fatalf("found non-blank string %q in control bytes", s)
 		}
@@ -84,7 +87,7 @@ func TestStringsEmptyAndBinary(t *testing.T) {
 }
 
 func TestStringsTabAllowed(t *testing.T) {
-	if got := Strings([]byte("\x00a\tb c\x00"), 4); len(got) != 1 || got[0] != "a\tb c" {
+	if got := string(StringsText([]byte("\x00a\tb c\x00"), 4)); got != "a\tb c\n" {
 		t.Fatalf("tab run = %q", got)
 	}
 }
@@ -96,11 +99,15 @@ func TestStringsTextFormat(t *testing.T) {
 	}
 }
 
-// Property: every reported string is printable, at least minLen long, and
-// actually present in the input.
+// Property: the text is newline-terminated runs, and every run is
+// printable, at least minLen long, and actually present in the input.
 func TestStringsProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		for _, s := range Strings(data, 4) {
+		text := StringsText(data, 4)
+		if len(text) > 0 && text[len(text)-1] != '\n' {
+			return false
+		}
+		for _, s := range splitRuns(text) {
 			if len(s) < 4 || !bytes.Contains(data, []byte(s)) {
 				return false
 			}
@@ -216,6 +223,37 @@ func TestStringsFindsRODataAndSymbolNames(t *testing.T) {
 	}
 }
 
+// TestEmptySymbolTableIsAnError feeds the extractors a binary whose
+// .symtab section header claims zero bytes, which makes debug/elf panic
+// in Go 1.24: the extractors must return an error instead.
+func TestEmptySymbolTableIsAnError(t *testing.T) {
+	bin := sampleBinary(t, false, nil)
+	f, err := elf.NewFile(bytes.NewReader(bin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := -1
+	for i, sec := range f.Sections {
+		if sec.Name == ".symtab" {
+			idx = i
+		}
+	}
+	if idx < 0 {
+		t.Fatal("sample binary has no .symtab")
+	}
+	// Elf64_Ehdr.e_shoff at 0x28, e_shentsize at 0x3a; sh_size sits
+	// 0x20 bytes into the section header.
+	shoff := binary.LittleEndian.Uint64(bin[0x28:])
+	shentsize := uint64(binary.LittleEndian.Uint16(bin[0x3a:]))
+	binary.LittleEndian.PutUint64(bin[shoff+uint64(idx)*shentsize+0x20:], 0)
+	if _, err := GlobalSymbols(bin); err == nil {
+		t.Fatal("GlobalSymbols accepted an empty symbol table")
+	}
+	if _, err := SymbolsText(bin); err == nil {
+		t.Fatal("SymbolsText accepted an empty symbol table")
+	}
+}
+
 func TestNotAnELF(t *testing.T) {
 	junk := []byte("#!/bin/sh\necho hello\n")
 	if IsELF(junk) {
@@ -239,7 +277,7 @@ func BenchmarkStrings64KB(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Strings(data, 4)
+		StringsText(data, 4)
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzStrings checks the printable-run extractor on arbitrary bytes: no
-// panics, every reported run is printable, at least minLen long and
-// actually present in the input.
+// FuzzStrings checks the strings(1) view on arbitrary bytes: no
+// panics, the text is newline-terminated runs, and every run is
+// printable, at least minLen long and actually present in the input.
 func FuzzStrings(f *testing.F) {
 	f.Add([]byte("hello\x00world\x01binary\xffdata"), 4)
 	f.Add([]byte{}, 1)
@@ -16,12 +16,15 @@ func FuzzStrings(f *testing.F) {
 		if minLen < -10 || minLen > 1000 {
 			return
 		}
-		runs := Strings(data, minLen)
+		text := StringsText(data, minLen)
+		if len(text) > 0 && text[len(text)-1] != '\n' {
+			t.Fatalf("text %q does not end in a newline", text)
+		}
 		effective := minLen
 		if effective <= 0 {
 			effective = MinStringLength
 		}
-		for _, r := range runs {
+		for _, r := range splitRuns(text) {
 			if len(r) < effective {
 				t.Fatalf("run %q shorter than %d", r, effective)
 			}

@@ -6,11 +6,12 @@ import "io"
 // hot write path never materialises a fresh slice per run.
 var newline = []byte{'\n'}
 
-// StringStreamer is the incremental form of StringsText: bytes arrive in
+// StringStreamer is the package's one strings(1) scan: bytes arrive in
 // chunks of any size via Write, and every confirmed printable run — at
 // least minLen consecutive printable characters — is forwarded to the
-// underlying writer followed by a newline, producing byte-for-byte the
-// stream StringsText(data, minLen) would build in memory.
+// underlying writer followed by a newline. However the input is
+// chunked, the stream is byte-for-byte the one StringsText returns for
+// the whole buffer.
 //
 // Memory use is O(minLen), not O(input): at most minLen-1 bytes of an
 // unconfirmed run are held back across chunk boundaries; once a run is
@@ -49,7 +50,7 @@ var printTab = func() (t [256]uint8) {
 
 // NewStringStreamer returns a streamer writing the StringsText stream of
 // everything written to it into w. A minLen of 0 selects
-// MinStringLength, as in Strings.
+// MinStringLength.
 func NewStringStreamer(w io.Writer, minLen int) *StringStreamer {
 	s := &StringStreamer{}
 	s.Reset(w, minLen)
@@ -132,7 +133,7 @@ func (s *StringStreamer) Write(p []byte) (int, error) {
 }
 
 // endRun terminates the current run: a confirmed run gets its newline,
-// an unconfirmed one is dropped, exactly as Strings skips short runs.
+// an unconfirmed one is dropped, as strings(1) skips short runs.
 func (s *StringStreamer) endRun() {
 	if s.confirmed {
 		s.emit(newline)

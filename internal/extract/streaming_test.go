@@ -37,7 +37,8 @@ func streamText(t testing.TB, data []byte, minLen int, sizes []int) []byte {
 }
 
 // TestStringStreamerMatchesBuffered is the streaming-vs-buffered
-// differential over structured inputs, chunk sizes, and minLen values.
+// differential over structured inputs, chunk sizes, and minLen values:
+// the StringStreamer, and StringsText, against the buffered test oracle.
 func TestStringStreamerMatchesBuffered(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xf4c))
 	random := func(n int) []byte {
@@ -59,7 +60,10 @@ func TestStringStreamerMatchesBuffered(t *testing.T) {
 	chunkings := [][]int{{1 << 30}, {1}, {2, 3, 1, 5}, {7, 113, 1, 4096}}
 	for name, data := range inputs {
 		for _, minLen := range []int{0, 1, 2, 4, 8} {
-			want := StringsText(data, minLen)
+			want := stringsTextOracle(data, minLen)
+			if got := StringsText(data, minLen); !bytes.Equal(got, want) {
+				t.Fatalf("%s/minLen=%d: StringsText %q != buffered %q", name, minLen, got, want)
+			}
 			for ci, sizes := range chunkings {
 				got := streamText(t, data, minLen, sizes)
 				if !bytes.Equal(got, want) {
@@ -86,7 +90,7 @@ func TestStringStreamerReset(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if want := StringsText(data, 4); !bytes.Equal(buf.Bytes(), want) {
+	if want := stringsTextOracle(data, 4); !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("after Reset: %q != %q", buf.Bytes(), want)
 	}
 }
@@ -145,8 +149,9 @@ type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// FuzzStringStreamerMatchesBuffered fuzzes the differential: arbitrary
-// bytes, arbitrary chunk boundaries, arbitrary minLen.
+// FuzzStringStreamerMatchesBuffered fuzzes the differential against the
+// buffered test oracle: arbitrary bytes, arbitrary chunk boundaries,
+// arbitrary minLen, and the whole-buffer StringsText.
 func FuzzStringStreamerMatchesBuffered(f *testing.F) {
 	f.Add([]byte("hello\x00world wide web\x01x"), uint64(1), 4)
 	f.Add(bytes.Repeat([]byte("ab\x00"), 100), uint64(0x123456789abcdef0), 2)
@@ -155,7 +160,10 @@ func FuzzStringStreamerMatchesBuffered(f *testing.F) {
 		if minLen < 0 || minLen > 64 {
 			return
 		}
-		want := StringsText(data, minLen)
+		want := stringsTextOracle(data, minLen)
+		if got := StringsText(data, minLen); !bytes.Equal(got, want) {
+			t.Fatalf("StringsText %q != buffered %q (minLen %d)", got, want, minLen)
+		}
 		var buf bytes.Buffer
 		s := NewStringStreamer(&buf, minLen)
 		rest := data

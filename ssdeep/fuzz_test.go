@@ -2,6 +2,8 @@ package ssdeep
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -35,7 +37,8 @@ func FuzzParse(f *testing.F) {
 // FuzzHashStreamingMatchesBytes is the streaming differential: across
 // arbitrary inputs and arbitrary chunk boundaries — one-byte writes
 // included — the streaming Hasher must produce a digest bit-identical
-// to the buffered HashBytes oracle, with and without a declared length.
+// to the buffered hashBytesOracle, with and without a declared length,
+// and so must HashBytes.
 func FuzzHashStreamingMatchesBytes(f *testing.F) {
 	f.Add([]byte("hello world, this is a seed input for fuzzing"), uint64(1))
 	f.Add(bytes.Repeat([]byte{0xaa, 0x55}, 600), uint64(0x0102030405060708))
@@ -45,13 +48,21 @@ func FuzzHashStreamingMatchesBytes(f *testing.F) {
 	f.Add(append(make([]byte, 2000), []byte("entropy tail after a long quiet run")...), uint64(3))
 	// Large writes: contexts retire inside one Write, not between two.
 	f.Add(bytes.Repeat([]byte("0123456789abcdefghijklmnopqrstuvwxyz\x00\xff"), 3000), uint64(0xfedcba9876543210))
+	// Real binary shapes: ELF images and their strings and symbol texts.
+	synthSeeds := synthInputs(f)
+	for i, name := range slices.Sorted(maps.Keys(synthSeeds)) {
+		f.Add(synthSeeds[name], uint64(0x9e3779b97f4a7c15)*uint64(i+1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, chunkSeed uint64) {
 		if len(data) == 0 {
 			return
 		}
-		want, err := HashBytes(data)
+		want, err := hashBytesOracle(data)
 		if err != nil {
-			t.Fatalf("HashBytes(%d bytes): %v", len(data), err)
+			t.Fatalf("hashBytesOracle(%d bytes): %v", len(data), err)
+		}
+		if got, err := HashBytes(data); err != nil || got != want {
+			t.Fatalf("HashBytes %q (%v) != oracle %q (%d bytes)", got, err, want, len(data))
 		}
 		h := NewHasher()
 		defer h.Release()

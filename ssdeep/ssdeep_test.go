@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/extract"
 	"repro/internal/rng"
+	"repro/internal/synth"
 )
 
 // corpus returns len pseudo-random but deterministic bytes.
@@ -350,10 +352,29 @@ func TestScoreRangeProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkHash64KB(b *testing.B) {
-	data := corpus(30, 64*1024)
+// stringsCorpus returns n bytes of strings(1) text cut from generated
+// ELF images: the low-entropy, line-shaped input the ssdeep-strings
+// feature hashes, where random bytes would never make the block-size
+// guess retry.
+func stringsCorpus(b *testing.B, n int) []byte {
+	b.Helper()
+	var text []byte
+	for seed := uint64(1); len(text) < n; seed++ {
+		samples, err := synth.GenerateOne(synth.ClassSpec{Name: "Text", Samples: 8}, synth.Options{Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range samples {
+			text = append(text, extract.StringsText(s.Binary, 0)...)
+		}
+	}
+	return text[:n]
+}
+
+func benchHashBytes(b *testing.B, data []byte) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := HashBytes(data); err != nil {
 			b.Fatal(err)
@@ -361,16 +382,13 @@ func BenchmarkHash64KB(b *testing.B) {
 	}
 }
 
-func BenchmarkHash1MB(b *testing.B) {
-	data := corpus(31, 1024*1024)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := HashBytes(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkHash64KB(b *testing.B) { benchHashBytes(b, corpus(30, 64*1024)) }
+
+func BenchmarkHash64KBStrings(b *testing.B) { benchHashBytes(b, stringsCorpus(b, 64*1024)) }
+
+func BenchmarkHash1MB(b *testing.B) { benchHashBytes(b, corpus(31, 1024*1024)) }
+
+func BenchmarkHash1MBStrings(b *testing.B) { benchHashBytes(b, stringsCorpus(b, 1024*1024)) }
 
 func BenchmarkCompareSimilar(b *testing.B) {
 	base := corpus(32, 100000)
@@ -418,22 +436,28 @@ func BenchmarkCompareDissimilar(b *testing.B) {
 
 // TestKnownAnswerVectors pins the digest and scorer against reference
 // values. The digest is libfuzzy's (ssdeep's reference implementation)
-// for the pangram. The scorer follows libfuzzy's fuzzy_compare, whose
-// common-substring gate scores 0 for two signatures that share no
-// 7-gram — which is why the near-identical second digest below scores
-// 0 here, where a scorer without the gate would report a high match.
+// for the pangram, from HashBytes and from the buffered test oracle.
+// The scorer follows libfuzzy's fuzzy_compare, whose common-substring
+// gate scores 0 for two signatures that share no 7-gram — which is why
+// the near-identical second digest below scores 0 here, where a scorer
+// without the gate would report a high match.
 func TestKnownAnswerVectors(t *testing.T) {
 	const (
 		pangram = "The quick brown fox jumps over the lazy dog"
 		want    = "3:FJKKIUKact:FHIGi"
 		other   = "3:FJKKIrKact:FHIrGi"
 	)
-	d, err := HashBytes([]byte(pangram))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.String(); got != want {
-		t.Fatalf("HashBytes(%q) = %s, want %s", pangram, got, want)
+	for name, hash := range map[string]func([]byte) (Digest, error){
+		"HashBytes":       HashBytes,
+		"hashBytesOracle": hashBytesOracle,
+	} {
+		d, err := hash([]byte(pangram))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.String(); got != want {
+			t.Fatalf("%s(%q) = %s, want %s", name, pangram, got, want)
+		}
 	}
 	for _, tc := range []struct {
 		a, b  string

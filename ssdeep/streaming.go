@@ -1,13 +1,14 @@
 package ssdeep
 
-// Streaming CTPH: the single-pass, O(1)-memory form of HashBytes.
+// Streaming CTPH: the package's one CTPH implementation, single-pass
+// and O(1)-memory. HashBytes is one whole-buffer Write into it.
 //
-// CTPH cannot pick its block size until the total length is known, so a
-// buffered implementation guesses from len(data) and re-hashes at
-// half the block size when the signature comes out too short. A stream
-// gets no second pass, so the Hasher maintains every candidate block
-// size that can still be selected concurrently: one small context per
-// size 3·2^k holding the signature accumulated at that size. Four
+// CTPH cannot pick its block size until the total length is known, so
+// the reference algorithm guesses from the input length and re-hashes
+// at half the block size when the signature comes out too short. A
+// stream gets no second pass, so the Hasher maintains every candidate
+// block size that can still be selected concurrently: one small context
+// per size 3·2^k holding the signature accumulated at that size. Four
 // observations keep that affordable:
 //
 //   - a trigger at block size 2b is always a trigger at block size b
@@ -32,12 +33,12 @@ package ssdeep
 //     the cap, so it is a prefix of the full signature — only its
 //     residue hash needs tracking separately after they diverge.
 //
-// The result is bit-identical to HashBytes — the buffered
-// implementation is retained as the differential oracle (see
-// FuzzHashStreamingMatchesBytes) — for every input below 3·2^30·64
-// bytes (~192 GiB), where both implementations run out of uint32 block
+// The result is bit-identical to that guess-and-retry algorithm, which
+// the tests keep as the buffered oracle (hashBytesOracle, fuzzed against
+// every chunking by FuzzHashStreamingMatchesBytes), for every input
+// below 3·2^30·64 bytes (~192 GiB), where both run out of uint32 block
 // sizes. A declared length that the written bytes do not match makes
-// Sum fail rather than return a digest HashBytes would not.
+// Sum fail rather than return a digest of bytes it was not given.
 
 import (
 	"fmt"
@@ -52,13 +53,13 @@ const maxContexts = 31
 // blockCtx accumulates the signature at one candidate block size.
 type blockCtx struct {
 	// full holds the signature characters appended so far, up to the
-	// SpamsumLength-1 cap of the buffered implementation; the residue
+	// SpamsumLength-1 cap of the reference algorithm; the residue
 	// character is appended only at Sum time.
 	full [SpamsumLength - 1]byte
 	// flen is the populated length of full.
 	flen uint8
 	// h is the FNV-style piecewise chunk hash, reset after each append
-	// while full is under its cap — exactly the h1 of hashAtBlockSize.
+	// while full is under its cap — exactly the reference's Sig1 hash.
 	h uint32
 	// halfH tracks the double-block-size signature's residue hash after
 	// it diverges from h. The half signature (Sig2 of the next-smaller
@@ -69,9 +70,10 @@ type blockCtx struct {
 	diverged bool
 }
 
-// Hasher is the streaming form of HashBytes: feed it bytes with Write
-// in chunks of any size — one byte at a time included — and Sum
-// produces the digest HashBytes would return for the concatenation.
+// Hasher computes a fuzzy digest over a stream: feed it bytes with
+// Write in chunks of any size — one byte at a time included — and Sum
+// produces the digest of their concatenation, the one HashBytes returns
+// for the same bytes in one buffer.
 // Memory use is constant regardless of input size.
 //
 // A Hasher must not be used concurrently from multiple goroutines.
@@ -139,9 +141,9 @@ func (h *Hasher) SetTotalLength(n int64) {
 	h.bhcap = min(blockGuess(h.total)+2, maxContexts)
 }
 
-// blockGuess is HashBytes' initial block-size index for an n-byte
-// input: the smallest block size whose expected signature length fits
-// SpamsumLength.
+// blockGuess is the reference algorithm's initial block-size index for
+// an n-byte input: the smallest block size whose expected signature
+// length fits SpamsumLength.
 func blockGuess(n uint64) int {
 	bi := 0
 	for bi < maxContexts-1 && uint64(uint32(MinBlockSize)<<bi)*SpamsumLength < n {
@@ -246,11 +248,10 @@ func (h *Hasher) retire() {
 	}
 }
 
-// Sum returns the digest of everything written so far, bit-identical
-// to HashBytes over the same bytes. It does not modify state: callers
-// may keep writing, and a second Sum returns the same digest. After
-// SetTotalLength, Sum fails unless exactly the declared number of
-// bytes was written.
+// Sum returns the digest of everything written so far, however it was
+// chunked. It does not modify state: callers may keep writing, and a
+// second Sum returns the same digest. After SetTotalLength, Sum fails
+// unless exactly the declared number of bytes was written.
 func (h *Hasher) Sum() (Digest, error) {
 	if h.total > 0 && h.n != h.total {
 		return Digest{}, fmt.Errorf("ssdeep: %d bytes written, %d declared", h.n, h.total)

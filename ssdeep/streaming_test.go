@@ -2,10 +2,14 @@ package ssdeep
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
 	"testing/iotest"
+
+	"repro/internal/extract"
+	"repro/internal/synth"
 )
 
 // writeChunked feeds data to h in chunks of the given sizes, cycling
@@ -24,9 +28,35 @@ func writeChunked(h *Hasher, data []byte, sizes []int) {
 	}
 }
 
+// synthInputs returns the three byte streams the paper's features hash
+// for a few generated ELF images, one stripped: the image itself, its
+// strings(1) text and its nm(1) symbol text. The two texts are the
+// low-entropy, text-shaped inputs the serving path hashes on every
+// request.
+func synthInputs(t testing.TB) map[string][]byte {
+	t.Helper()
+	c, err := synth.Generate([]synth.ClassSpec{
+		{Name: "HashA", Samples: 2},
+		{Name: "HashB", Samples: 1},
+	}, synth.Options{Seed: 11, StrippedFraction: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for i, s := range c.Samples {
+		out[fmt.Sprintf("synth-%d-elf", i)] = s.Binary
+		out[fmt.Sprintf("synth-%d-strings", i)] = extract.StringsText(s.Binary, 0)
+		if sym, err := extract.SymbolsText(s.Binary); err == nil {
+			out[fmt.Sprintf("synth-%d-symbols", i)] = sym
+		}
+	}
+	return out
+}
+
 // streamingInputs is the shared corpus of inputs chosen to hit every
 // structural branch: block-size halving (short and low-entropy inputs),
-// multi-context cascades, signature caps, and the residue-only path.
+// multi-context cascades, signature caps, and the residue-only path,
+// plus the real binary shapes of synthInputs.
 func streamingInputs(t testing.TB) map[string][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(0x5eed))
@@ -35,7 +65,7 @@ func streamingInputs(t testing.TB) map[string][]byte {
 		rng.Read(b)
 		return b
 	}
-	return map[string][]byte{
+	inputs := map[string][]byte{
 		"one-byte":        {0x42},
 		"window-exact":    []byte("1234567"),
 		"ascii-short":     []byte("hello world, streaming ctph should match the oracle"),
@@ -50,12 +80,16 @@ func streamingInputs(t testing.TB) map[string][]byte {
 		"halving-trigger": append(random(200), make([]byte, 8000)...),
 		"sparse":          append(make([]byte, 5000), random(64)...),
 	}
+	for name, data := range synthInputs(t) {
+		inputs[name] = data
+	}
+	return inputs
 }
 
 // TestHasherMatchesHashBytes is the core differential: the streaming
 // digest must be bit-identical to the buffered oracle across inputs and
 // chunkings, including one-byte writes, with and without the length
-// declared up front.
+// declared up front; so must HashBytes, the whole-buffer write.
 func TestHasherMatchesHashBytes(t *testing.T) {
 	chunkings := map[string][]int{
 		"whole":     {1 << 30},
@@ -65,9 +99,12 @@ func TestHasherMatchesHashBytes(t *testing.T) {
 		"odd-sizes": {7, 113, 1, 4096, 31},
 	}
 	for name, data := range streamingInputs(t) {
-		want, err := HashBytes(data)
+		want, err := hashBytesOracle(data)
 		if err != nil {
-			t.Fatalf("HashBytes(%s): %v", name, err)
+			t.Fatalf("hashBytesOracle(%s): %v", name, err)
+		}
+		if got, err := HashBytes(data); err != nil || got != want {
+			t.Fatalf("%s: HashBytes %q (%v) != oracle %q", name, got, err, want)
 		}
 		for cname, sizes := range chunkings {
 			for _, hinted := range []bool{false, true} {
@@ -107,9 +144,9 @@ func TestHasherIncrementalPrefixes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Sum after %d bytes: %v", i, err)
 		}
-		want, err := HashBytes(data[:i])
+		want, err := hashBytesOracle(data[:i])
 		if err != nil {
-			t.Fatalf("HashBytes(%d bytes): %v", i, err)
+			t.Fatalf("hashBytesOracle(%d bytes): %v", i, err)
 		}
 		if got != want {
 			t.Fatalf("prefix %d: streaming %q != buffered %q", i, got, want)
@@ -144,7 +181,7 @@ func TestHasherEmptyAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sum after Reset+Write: %v", err)
 	}
-	want, _ := HashBytes(data)
+	want, _ := hashBytesOracle(data)
 	if got != want {
 		t.Fatalf("after Reset: %q != %q", got, want)
 	}
@@ -152,8 +189,7 @@ func TestHasherEmptyAndReset(t *testing.T) {
 
 // TestHasherDeclaredLengthMismatch checks that a declared length the
 // input misses by one byte either way makes Sum fail with no digest,
-// whatever the chunking, rather than return a digest HashBytes would
-// not.
+// whatever the chunking, rather than return a digest of other bytes.
 func TestHasherDeclaredLengthMismatch(t *testing.T) {
 	data := streamingInputs(t)["random-64k"]
 	h := NewHasher()
@@ -173,7 +209,7 @@ func TestHasherDeclaredLengthMismatch(t *testing.T) {
 	h.Reset()
 	h.SetTotalLength(0)
 	h.Write(data)
-	if got, want := mustSum(t, h), mustHash(t, data); got != want {
+	if got, want := mustSum(t, h), mustOracle(t, data); got != want {
 		t.Fatalf("SetTotalLength(0): %q != %q", got, want)
 	}
 }
@@ -186,12 +222,12 @@ func TestHasherPoolReuseClearsHint(t *testing.T) {
 	small := streamingInputs(t)["random-1k"]
 	large := make([]byte, 2<<20)
 	rand.New(rand.NewSource(21)).Read(large)
-	want := mustHash(t, large)
+	want := mustOracle(t, large)
 
 	h := NewHasher()
 	h.SetTotalLength(int64(len(small)))
 	h.Write(small)
-	if got := mustSum(t, h); got != mustHash(t, small) {
+	if got := mustSum(t, h); got != mustOracle(t, small) {
 		t.Fatalf("hinted small input: %q", got)
 	}
 	h.Release()
@@ -239,7 +275,7 @@ func TestHashReaderStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if want, _ := HashBytes(data); got != want {
+		if want, _ := hashBytesOracle(data); got != want {
 			t.Fatalf("%s: streaming %q != buffered %q", name, got, want)
 		}
 	}
@@ -293,7 +329,7 @@ func TestHasherZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkHashStreaming measures the streaming hasher against the
-// buffered oracle on the same input: one whole-input Write, then the
+// buffered test oracle on the same input: one whole-input Write, then the
 // 64 KiB writes dataset.FromReader makes, without and with the declared
 // length it passes when the reader knows it.
 func BenchmarkHashStreaming(b *testing.B) {
@@ -324,7 +360,7 @@ func BenchmarkHashStreaming(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := HashBytes(data); err != nil {
+			if _, err := hashBytesOracle(data); err != nil {
 				b.Fatal(err)
 			}
 		}
