@@ -310,11 +310,9 @@ func TestFacadeNamesDocumented(t *testing.T) {
 // testOnlyFuncs are the exported functions under internal/ and ssdeep/
 // that only tests call, each kept for the test it serves.
 var testOnlyFuncs = map[string]string{
-	"repro/internal/editdist.DamerauLevenshtein": "reference for the dl <= osa <= lev property in FuzzBitParallelMatchesDP",
-	"repro/internal/editdist.UnitCosts":          "TestWeightedUnitEqualsOSA",
-	"repro/internal/synth.GenerateOne":           "one-class corpus fixture of the dataset ingestion tests",
-	"repro/internal/synth.OpenSetManifest":       "class layout of the openset statistical harness (stats_test.go)",
-	"repro/internal/synth.TotalSamples":          "TestPaperManifestShape and TestGenerateArbitraryManifests",
+	"repro/internal/synth.GenerateOne":     "one-class corpus fixture of the dataset ingestion tests",
+	"repro/internal/synth.OpenSetManifest": "class layout of the openset statistical harness (stats_test.go)",
+	"repro/internal/synth.TotalSamples":    "TestPaperManifestShape and TestGenerateArbitraryManifests",
 }
 
 // interfaceMethods are the exported methods under internal/ and ssdeep/
@@ -338,19 +336,36 @@ var testSupportPkgs = []string{
 	"repro/internal/tools/fhcvet/analysis/analysistest",
 }
 
-// TestNoTestOnlyExports keeps production code from carrying functions
-// and methods only tests reach. Every exported top-level func declared
-// in a non-test file under internal/ or ssdeep/ (testSupportPkgs aside)
-// must be referenced by a non-test file of the root module or of
-// bench/, or be listed in testOnlyFuncs. Every exported method declared
-// there must share its name with a member some such file selects, or be
-// listed in interfaceMethods.
+// basicTypes are the predeclared types a test-settable switch can have.
+var basicTypes = map[string]bool{
+	"bool": true, "string": true, "byte": true, "rune": true, "uintptr": true,
+	"int": true, "int8": true, "int16": true, "int32": true, "int64": true,
+	"uint": true, "uint8": true, "uint16": true, "uint32": true, "uint64": true,
+	"float32": true, "float64": true, "complex64": true, "complex128": true,
+}
+
+// TestNoTestOnlyExports keeps production code from carrying functions,
+// methods and switches only tests reach. Under internal/ and ssdeep/
+// (testSupportPkgs aside), in non-test files:
+//   - every top-level func must be referenced by a non-test file of the
+//     root module or of bench/, outside the func's own body, or be an
+//     exported func listed in testOnlyFuncs;
+//   - every exported method must share its name with a member some such
+//     file selects, or be listed in interfaceMethods;
+//   - every unexported method must be selected, outside its own body, or
+//     named by an interface, in a non-test file of its package;
+//   - every package var of basic or func type declared without an
+//     initializer must be assigned by some non-test file: one that only
+//     tests set is a test switch.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	var declared []string
 	used := map[string]bool{}
-	methods := map[string]string{} // pkg.Recv.Method -> Method
-	selected := map[string]bool{}
+	methods := map[string]string{} // pkg.Recv.Method -> Method, exported
+	private := map[string]string{} // pkg.Recv.method -> pkg.method, unexported
+	selected := map[string]bool{}  // exported method names, and pkg.method for unexported ones
+	var switches []string          // pkg.var of uninitialised basic or func type
+	assigned := map[string]bool{}
 	for _, mod := range []struct{ dir, path string }{{".", "repro"}, {"bench", "repro/bench"}} {
 		err := filepath.WalkDir(mod.dir, func(file string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -384,14 +399,47 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 				imports[name] = p
 			}
+			for _, decl := range f.Decls {
+				gen, ok := decl.(*ast.GenDecl)
+				if !ok || gen.Tok != token.VAR || !checked {
+					continue
+				}
+				for _, spec := range gen.Specs {
+					vs := spec.(*ast.ValueSpec)
+					id, basic := vs.Type.(*ast.Ident)
+					_, fn := vs.Type.(*ast.FuncType)
+					if len(vs.Values) > 0 || !(fn || basic && basicTypes[id.Name]) {
+						continue
+					}
+					for _, n := range vs.Names {
+						if n.Name != "_" {
+							switches = append(switches, pkg+"."+n.Name)
+						}
+					}
+				}
+			}
+			// assign records a write to a package var: a bare name in
+			// this package or a selector on an imported one.
+			assign := func(x ast.Expr) {
+				switch x := x.(type) {
+				case *ast.Ident:
+					assigned[pkg+"."+x.Name] = true
+				case *ast.SelectorExpr:
+					if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+						assigned[imports[id.Name]+"."+x.Sel.Name] = true
+					}
+				}
+			}
+			var self, selfMethod string // the func or method whose body is being visited
 			var visit func(ast.Node) bool
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.FuncDecl:
+					name := n.Name.Name
 					switch {
-					case !checked || !n.Name.IsExported():
+					case !checked || name == "init" || name == "main" || name == "_":
 					case n.Recv == nil:
-						declared = append(declared, pkg+"."+n.Name.Name)
+						declared = append(declared, pkg+"."+name)
 					default:
 						recv := n.Recv.List[0].Type
 						if star, ok := recv.(*ast.StarExpr); ok {
@@ -403,26 +451,68 @@ func TestNoTestOnlyExports(t *testing.T) {
 						case *ast.IndexListExpr:
 							recv = generic.X
 						}
-						methods[pkg+"."+recv.(*ast.Ident).Name+"."+n.Name.Name] = n.Name.Name
+						key := pkg + "." + recv.(*ast.Ident).Name + "." + name
+						if ast.IsExported(name) {
+							methods[key] = name
+						} else {
+							private[key] = pkg + "." + name
+						}
 					}
 					if n.Recv != nil {
 						ast.Inspect(n.Recv, visit)
 					}
 					ast.Inspect(n.Type, visit)
 					if n.Body != nil {
+						if n.Recv == nil {
+							self = pkg + "." + name
+						} else {
+							selfMethod = name
+						}
 						ast.Inspect(n.Body, visit)
+						self, selfMethod = "", ""
 					}
 					return false
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, id := range m.Names {
+							selected[pkg+"."+id.Name] = true
+						}
+					}
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, x := range n.Lhs {
+							assign(x)
+						}
+					}
+				case *ast.IncDecStmt:
+					assign(n.X)
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						assign(n.Key)
+						if n.Value != nil {
+							assign(n.Value)
+						}
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						assign(n.X)
+					}
 				case *ast.SelectorExpr:
 					if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
 						used[imports[id.Name]+"."+n.Sel.Name] = true
 						return false
 					}
-					selected[n.Sel.Name] = true
+					if name := n.Sel.Name; ast.IsExported(name) {
+						selected[name] = true
+					} else if name != selfMethod {
+						selected[pkg+"."+name] = true
+					}
 					ast.Inspect(n.X, visit)
 					return false
 				case *ast.Ident:
-					used[pkg+"."+n.Name] = true
+					if key := pkg + "." + n.Name; key != self {
+						used[key] = true
+					}
 				}
 				return true
 			}
@@ -444,13 +534,26 @@ func TestNoTestOnlyExports(t *testing.T) {
 			unused = append(unused, key)
 		}
 	}
+	for key, name := range private {
+		if !selected[name] {
+			unused = append(unused, key)
+		}
+	}
+	for _, name := range switches {
+		if !assigned[name] {
+			unused = append(unused, name)
+		}
+	}
 	sort.Strings(unused)
 	if len(unused) > 0 {
-		t.Fatalf("%d exported funcs and methods have no non-test caller; delete them or list them in testOnlyFuncs or interfaceMethods: %s",
+		t.Fatalf("%d funcs, methods and switches are reached only by tests; move them into a _test.go file, delete them, or list an exported func in testOnlyFuncs or an exported method in interfaceMethods: %s",
 			len(unused), strings.Join(unused, ", "))
 	}
 	for name := range testOnlyFuncs {
-		if used[name] {
+		switch {
+		case !slices.Contains(declared, name):
+			t.Errorf("%s is not declared in a non-test file; drop it from testOnlyFuncs", name)
+		case used[name]:
 			t.Errorf("%s has a non-test caller; drop it from testOnlyFuncs", name)
 		}
 	}

@@ -14,33 +14,25 @@ import (
 type classProfile struct {
 	digests []string // canonical digest strings (sorted, unique)
 	parsed  []ssdeep.Digest
-	// prepared backs the brute-force oracle only; the indexed path keeps
-	// its own prepared state inside the index, so this is built lazily
-	// (profileSet.ensurePrepared) to avoid doubling per-digest memory.
-	prepared []ssdeep.Prepared
 }
 
 // profileSet holds, per feature kind, one profile per known class (class
 // index order), plus a grouped 7-gram index per kind with classes as
 // owner groups. Featurisation queries the index, visiting only training
-// digests that share a 7-gram with the sample; the per-class profile
-// scan is retained as the brute-force oracle.
+// digests that share a 7-gram with the sample.
 type profileSet struct {
 	features []dataset.FeatureKind
 	classes  []string
 	profiles map[dataset.FeatureKind][]classProfile
 	indexes  map[dataset.FeatureKind]*ssdeep.Index
-	// indexOnce and prepOnce guard the lazy construction of the grouped
-	// indexes and the oracle's prepared digests: each featurisation path
-	// builds only the structures it queries.
+	// indexOnce guards the lazy construction of the grouped indexes.
 	indexOnce sync.Once
-	prepOnce  sync.Once
 }
 
 // buildProfiles collects per-class digest profiles from training samples;
-// the per-kind grouped indexes are built lazily on first indexed
-// featurisation. classIndex maps class name to label; samples of classes
-// not present in the index are ignored.
+// the per-kind grouped indexes are built lazily on first featurisation.
+// classIndex maps class name to label; samples of classes not present in
+// the index are ignored.
 func buildProfiles(samples []dataset.Sample, features []dataset.FeatureKind, classes []string) *profileSet {
 	classIndex := make(map[string]int, len(classes))
 	for i, c := range classes {
@@ -115,23 +107,6 @@ func (ps *profileSet) ensureIndexes() {
 	})
 }
 
-// ensurePrepared builds the brute-force oracle's prepared digests on
-// first use. Safe under featurizeBatch's worker pool.
-func (ps *profileSet) ensurePrepared() {
-	ps.prepOnce.Do(func() {
-		for _, kind := range ps.features {
-			profiles := ps.profiles[kind]
-			for ci := range profiles {
-				p := &profiles[ci]
-				p.prepared = make([]ssdeep.Prepared, len(p.parsed))
-				for i, d := range p.parsed {
-					p.prepared[i] = ssdeep.Prepare(d)
-				}
-			}
-		}
-	})
-}
-
 // numFeatures is the featurised dimensionality: |kinds| x |classes|.
 func (ps *profileSet) numFeatures() int {
 	return len(ps.features) * len(ps.classes)
@@ -143,26 +118,11 @@ func (ps *profileSet) numFeatures() int {
 // the paper's "feature matrix ... based on the SSDeep fuzzy hash
 // similarity between sample features". The digest is prepared once and
 // one grouped index query produces the per-class row, sublinear in the
-// corpus size.
+// corpus size. The index is exact: the common-substring gate zeroes
+// every pair it never visits, so the row equals a scan of every
+// training digest of every class.
 func (ps *profileSet) featurize(s *dataset.Sample, dist ssdeep.DistanceFunc) []float64 {
-	return ps.featurizeMode(s, dist, bruteForceFeaturize)
-}
-
-// bruteForceFeaturize switches featurize to the O(kinds × classes ×
-// digests) scan of appendBruteForceRow. The index is exact — the
-// common-substring gate zeroes every pair it skips — so both paths
-// produce identical vectors; the scan survives only as the oracle this
-// package's tests hold the index to. Only those tests set it, and never
-// while featurisation runs.
-var bruteForceFeaturize bool
-
-// featurizeMode featurises one sample on an explicitly chosen path.
-func (ps *profileSet) featurizeMode(s *dataset.Sample, dist ssdeep.DistanceFunc, bruteForce bool) []float64 {
-	if bruteForce {
-		ps.ensurePrepared()
-	} else {
-		ps.ensureIndexes()
-	}
+	ps.ensureIndexes()
 	out := make([]float64, 0, ps.numFeatures())
 	for _, kind := range ps.features {
 		d := s.Digests[kind]
@@ -172,33 +132,9 @@ func (ps *profileSet) featurizeMode(s *dataset.Sample, dist ssdeep.DistanceFunc,
 			}
 			continue
 		}
-		q := ssdeep.Prepare(d)
-		if bruteForce {
-			out = ps.appendBruteForceRow(out, kind, q, dist)
-			continue
-		}
-		for _, score := range ps.indexes[kind].QueryGroupsPrepared(q, len(ps.classes), dist) {
+		for _, score := range ps.indexes[kind].QueryGroupsPrepared(ssdeep.Prepare(d), len(ps.classes), dist) {
 			out = append(out, float64(score))
 		}
-	}
-	return out
-}
-
-// appendBruteForceRow scores one prepared sample digest against every
-// training digest of every class — the original full-scan featurisation,
-// kept as the oracle the indexed path is differentially tested against.
-func (ps *profileSet) appendBruteForceRow(out []float64, kind dataset.FeatureKind, prep ssdeep.Prepared, dist ssdeep.DistanceFunc) []float64 {
-	for ci := range ps.classes {
-		best := 0
-		for _, q := range ps.profiles[kind][ci].prepared {
-			if score := ssdeep.ComparePrepared(prep, q, dist); score > best {
-				best = score
-				if best == 100 {
-					break
-				}
-			}
-		}
-		out = append(out, float64(best))
 	}
 	return out
 }

@@ -32,9 +32,48 @@ func classesOf(samples []dataset.Sample) []string {
 	return classes
 }
 
+// preparedProfiles is the brute-force oracle's view of a profileSet:
+// every training digest of every class, prepared once per feature kind.
+type preparedProfiles struct {
+	*profileSet
+	prepared map[dataset.FeatureKind][][]ssdeep.Prepared
+}
+
+func prepareProfiles(ps *profileSet) *preparedProfiles {
+	pp := &preparedProfiles{profileSet: ps, prepared: map[dataset.FeatureKind][][]ssdeep.Prepared{}}
+	for _, kind := range ps.features {
+		classes := make([][]ssdeep.Prepared, len(ps.classes))
+		for ci, p := range ps.profiles[kind] {
+			for _, d := range p.parsed {
+				classes[ci] = append(classes[ci], ssdeep.Prepare(d))
+			}
+		}
+		pp.prepared[kind] = classes
+	}
+	return pp
+}
+
+// featurizeBruteForce is the oracle featurize is held to: it scores the
+// sample's digest against every training digest of every class, an
+// O(kinds × classes × digests) scan with no index.
+func featurizeBruteForce(pp *preparedProfiles, s *dataset.Sample, dist ssdeep.DistanceFunc) []float64 {
+	out := make([]float64, 0, pp.numFeatures())
+	for _, kind := range pp.features {
+		q := ssdeep.Prepare(s.Digests[kind])
+		for _, class := range pp.prepared[kind] {
+			best := 0
+			for _, p := range class {
+				best = max(best, ssdeep.ComparePrepared(q, p, dist))
+			}
+			out = append(out, float64(best))
+		}
+	}
+	return out
+}
+
 // TestFeaturizeIndexedMatchesBruteForce is the differential test behind
 // the index-backed hot path: over the full synthetic corpus (training
-// and held-out samples alike) and all three scoring distances, the
+// and held-out samples alike) and all five scoring distances, the
 // grouped-index featurisation must reproduce the brute-force vectors
 // bit for bit.
 func TestFeaturizeIndexedMatchesBruteForce(t *testing.T) {
@@ -49,9 +88,10 @@ func TestFeaturizeIndexedMatchesBruteForce(t *testing.T) {
 		"levenshtein-dp":         editdist.LevenshteinDP,
 	} {
 		ps := buildProfiles(train, paperKinds, classes)
+		pp := prepareProfiles(ps)
 		for i := range samples {
-			indexed := ps.featurizeMode(&samples[i], dist, false)
-			brute := ps.featurizeMode(&samples[i], dist, true)
+			indexed := ps.featurize(&samples[i], dist)
+			brute := featurizeBruteForce(pp, &samples[i], dist)
 			if len(indexed) != len(brute) {
 				t.Fatalf("distance %s sample %d: vector lengths %d vs %d", dn, i, len(indexed), len(brute))
 			}
@@ -118,7 +158,7 @@ func TestFeaturizeBatchMatchesSingle(t *testing.T) {
 // re-parse (block size below the minimum) used to leave a zero-valued
 // Prepared in the profile that every sample was then compared against,
 // and poisoned Save/Load round-trips. The slot must be dropped from both
-// the digest strings and the prepared set.
+// the digest strings and the parsed set.
 func TestBuildProfilesDropsUnparseableDigests(t *testing.T) {
 	good := mustDigest(t, "valid-but-distinctive-content-AAAA")
 	bad := ssdeep.Digest{BlockSize: 1, Sig1: "abcdefgh", Sig2: "ijkl"} // below MinBlockSize
@@ -132,64 +172,37 @@ func TestBuildProfilesDropsUnparseableDigests(t *testing.T) {
 	}
 	ps := buildProfiles(samples, []dataset.FeatureKind{dataset.FeatureFile}, []string{"A", "B"})
 	ps.ensureIndexes()
-	ps.ensurePrepared()
 	p := ps.profiles[dataset.FeatureFile][0]
-	if len(p.digests) != 1 || len(p.parsed) != 1 || len(p.prepared) != 1 {
-		t.Fatalf("class A profile kept %d digests / %d parsed / %d prepared, want 1/1/1",
-			len(p.digests), len(p.parsed), len(p.prepared))
+	if len(p.digests) != 1 || len(p.parsed) != 1 {
+		t.Fatalf("class A profile kept %d digests / %d parsed, want 1/1",
+			len(p.digests), len(p.parsed))
 	}
 	if p.digests[0] != good.String() {
 		t.Fatalf("class A kept %q, want %q", p.digests[0], good.String())
-	}
-	if p.prepared[0].IsZero() {
-		t.Fatal("class A prepared slot is zero-valued")
 	}
 	if got := ps.indexes[dataset.FeatureFile].Query(bad, 1); len(got) != 0 {
 		t.Fatalf("index matched the unparseable digest: %+v", got)
 	}
 }
 
-// withBruteForce runs fn with every featurisation routed through the
-// brute-force oracle scan, restoring the indexed path afterwards.
-func withBruteForce(fn func()) {
-	bruteForceFeaturize = true
-	defer func() { bruteForceFeaturize = false }()
-	fn()
-}
-
-// TestConfigBruteForceFeaturize drives the oracle end to end: a
-// classifier trained on brute-force features must predict identically
-// to the default indexed one, and switching a trained model to the
-// oracle must not change its feature vectors.
-func TestConfigBruteForceFeaturize(t *testing.T) {
+// TestClassifyMatchesOracleFeatures drives the brute-force oracle end to
+// end: for every held-out sample, Classify must equal the trained
+// classifier's prediction from the oracle's feature vector.
+func TestClassifyMatchesOracleFeatures(t *testing.T) {
 	samples, split := testData(t)
 	train := gather(samples, split.TrainIdx)
 	test := gather(samples, split.TestIdx)
 
-	indexed, err := Train(train, fixedConfig())
+	c, err := Train(train, fixedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var brute *Classifier
-	withBruteForce(func() { brute, err = Train(train, fixedConfig()) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp := prepareProfiles(c.profiles)
 	for i := range test {
-		a := indexed.Classify(&test[i])
-		var b Prediction
-		withBruteForce(func() { b = brute.Classify(&test[i]) })
-		if a != b {
-			t.Fatalf("sample %d: indexed %+v, brute force %+v", i, a, b)
-		}
-	}
-
-	want := indexed.Featurize(&test[0])
-	var got []float64
-	withBruteForce(func() { got = indexed.Featurize(&test[0]) })
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("runtime toggle changed feature %d: %v vs %v", j, got[j], want[j])
+		x := featurizeBruteForce(pp, &test[i], c.distance)
+		want := c.PredictFromProba(c.profiles.appendEvidence(c.mdl.PredictProba(x), x))
+		if got := c.Classify(&test[i]); got != want {
+			t.Fatalf("sample %d: Classify %+v, from oracle features %+v", i, got, want)
 		}
 	}
 }
@@ -210,19 +223,21 @@ func sampleWith(t *testing.T, class string, d ssdeep.Digest) dataset.Sample {
 	return s
 }
 
-// benchCorpus caches the featurisation benchmarks' class profiles and
-// held-out queries, shared by the indexed/brute-force pair.
+// benchCorpus caches the featurisation benchmarks' class profiles, their
+// oracle preparation and held-out queries, shared by the
+// indexed/brute-force pair.
 var benchCorpus struct {
 	once    sync.Once
 	ps      *profileSet
+	pp      *preparedProfiles
 	queries []dataset.Sample
 	err     error
 }
 
 // benchProfiles builds class profiles over a synthetic corpus of 35
-// known classes (10 under -short) and returns them with the held-out
-// samples to featurise.
-func benchProfiles(b *testing.B) (*profileSet, []dataset.Sample) {
+// known classes (10 under -short) and returns them, prepared for the
+// oracle too, with the held-out samples to featurise.
+func benchProfiles(b *testing.B) (*profileSet, *preparedProfiles, []dataset.Sample) {
 	b.Helper()
 	benchCorpus.once.Do(func() {
 		manifest := synth.SmallManifest(35, 9, 90)
@@ -246,12 +261,13 @@ func benchProfiles(b *testing.B) (*profileSet, []dataset.Sample) {
 		}
 		train := gather(samples, split.TrainIdx)
 		benchCorpus.ps = buildProfiles(train, paperKinds, classesOf(train))
+		benchCorpus.pp = prepareProfiles(benchCorpus.ps)
 		benchCorpus.queries = gather(samples, split.TestIdx)
 	})
 	if benchCorpus.err != nil {
 		b.Fatal(benchCorpus.err)
 	}
-	return benchCorpus.ps, benchCorpus.queries
+	return benchCorpus.ps, benchCorpus.pp, benchCorpus.queries
 }
 
 // BenchmarkFeaturizeIndexed and BenchmarkFeaturizeBruteForce read as a
@@ -260,17 +276,23 @@ func benchProfiles(b *testing.B) (*profileSet, []dataset.Sample) {
 // of every training digest of every class.
 func BenchmarkFeaturizeIndexed(b *testing.B) { benchmarkFeaturize(b, false) }
 
-// BenchmarkFeaturizeBruteForce times the retained O(corpus) oracle.
+// BenchmarkFeaturizeBruteForce times the O(corpus) oracle scan over
+// training digests prepared once during setup.
 func BenchmarkFeaturizeBruteForce(b *testing.B) { benchmarkFeaturize(b, true) }
 
 // featurizeSink keeps the benchmarked featurisation from being elided.
 var featurizeSink []float64
 
 func benchmarkFeaturize(b *testing.B, bruteForce bool) {
-	ps, queries := benchProfiles(b)
+	ps, pp, queries := benchProfiles(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		featurizeSink = ps.featurizeMode(&queries[i%len(queries)], ssdeep.DistanceDL, bruteForce)
+		q := &queries[i%len(queries)]
+		if bruteForce {
+			featurizeSink = featurizeBruteForce(pp, q, ssdeep.DistanceDL)
+		} else {
+			featurizeSink = ps.featurize(q, ssdeep.DistanceDL)
+		}
 	}
 }

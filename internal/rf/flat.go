@@ -4,12 +4,11 @@ package rf
 // Training and persistence keep the pointer-linked Tree/Node shape (the
 // JSON artifact format is unchanged); before the first prediction the
 // forest is flattened once into contiguous node arrays sized for cache
-// residency, and every prediction path — PredictProba, Predict,
-// PredictProbaBatch — traverses the flat form. The pointer walk
-// (Tree.leaf, predictProbaOracle) is retained as the differential
-// oracle; the two produce bit-identical distributions because the flat
-// walk visits the same splits and accumulates the same leaf weights in
-// the same order.
+// residency, and both prediction paths, PredictProba and
+// PredictProbaBatch, traverse the flat form. The tests hold it to a
+// pointer walk over Tree.Nodes: the two produce bit-identical
+// distributions because the flat walk visits the same splits and
+// accumulates the same leaf weights in the same order.
 
 // flatNode is one tree node in inference layout: split nodes carry the
 // feature index, threshold and child offsets; leaves (feature == -1)
@@ -80,8 +79,7 @@ func flatten(trees []*Tree) *flatForest {
 }
 
 // accumulate walks x to its leaf and adds the leaf's sparse class
-// distribution into proba — the flat counterpart of Tree.leaf plus the
-// accumulation loop of predictProbaOracle.
+// distribution into proba.
 //
 // fhc:hotpath
 func (ft *flatTree) accumulate(x []float64, fl *flatForest, proba []float64) {

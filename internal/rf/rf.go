@@ -264,8 +264,7 @@ func Train(X [][]float64, y []int, numClasses int, p Params) (*Forest, error) {
 
 // PredictProba returns the class-probability distribution for one sample:
 // the average of the leaf distributions across trees. Inference runs on
-// the flattened forest (see flatForest); predictProbaOracle retains the
-// pointer-walking form it is differentially tested against.
+// the flattened forest (see flatForest).
 //
 // fhc:hotpath
 func (f *Forest) PredictProba(x []float64) []float64 {
@@ -273,24 +272,6 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 	proba := make([]float64, f.NumClasses)
 	for t := range fl.trees {
 		fl.trees[t].accumulate(x, fl, proba)
-	}
-	inv := 1 / float64(len(f.Trees))
-	for i := range proba {
-		proba[i] *= inv
-	}
-	return proba
-}
-
-// predictProbaOracle is the original pointer-walking inference, retained
-// as the differential oracle for the flattened path: same trees, same
-// accumulation order, bit-identical output.
-func (f *Forest) predictProbaOracle(x []float64) []float64 {
-	proba := make([]float64, f.NumClasses)
-	for _, t := range f.Trees {
-		leaf := t.leaf(x)
-		for i, c := range leaf.Classes {
-			proba[c] += float64(leaf.Weights[i])
-		}
 	}
 	inv := 1 / float64(len(f.Trees))
 	for i := range proba {
@@ -343,25 +324,6 @@ func (f *Forest) PredictProbaBatch(X [][]float64, workers int) [][]float64 {
 		}
 	})
 	return out
-}
-
-// leaf walks the tree to the leaf owning x. This pointer-chasing walk is
-// the oracle form of flatTree.accumulate.
-//
-// fhc:hotpath
-func (t *Tree) leaf(x []float64) *Node {
-	i := int32(0)
-	for {
-		n := &t.Nodes[i]
-		if n.Feature < 0 {
-			return n
-		}
-		if x[n.Feature] <= n.Threshold {
-			i = n.Left
-		} else {
-			i = n.Right
-		}
-	}
 }
 
 // treeBuilder carries the state of one tree's construction.

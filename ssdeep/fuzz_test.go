@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -145,6 +146,51 @@ func FuzzHashCompare(f *testing.F) {
 		}
 		if s1 < 0 || s1 > 100 {
 			t.Fatalf("score out of range: %d", s1)
+		}
+	})
+}
+
+// FuzzCompareMatchesOracle holds every production compare to the
+// string-compare oracle on raw digests: CompareDistance, ComparePrepared
+// and a one-entry grouped Index query, under all three distances. rel
+// picks b's block size from a's (same, double, half or off by one) so
+// that comparable pairs stay common. The seeds cover signatures over
+// SpamsumLength characters, runs longer than maxRepeat, a shared 7-gram
+// and a gram-hash collision ("EbnKkzc" and "LCOjJgf") whose substrings
+// differ.
+func FuzzCompareMatchesOracle(f *testing.F) {
+	long := strings.Repeat("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghi", 2)
+	f.Add(uint32(96), uint8(0), long, "AbCdEfGhIjKlMnOp", long[:60]+"zzzzyyyyxx", "QrStUvWxYz012345")
+	f.Add(uint32(48), uint8(0), "xxabcdefgxxAAAAAAAA", "qqqq", "yyabcdefgyyAAAAA", "rrrr")
+	f.Add(uint32(3), uint8(1), "abcdefghijk", "xEbnKkzcx", "yLCOjJgfy", "lmnopqrstu")
+	f.Add(uint32(12), uint8(2), "Q1w2E3r4T5y6U7i8", "EbnKkzcLCOjJgf", "LCOjJgfPPPP", "Q1w2E3r4T5y6")
+	f.Add(uint32(6), uint8(3), "short", "", "short", "")
+	distances := []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum}
+	f.Fuzz(func(t *testing.T, bs uint32, rel uint8, a1, a2, b1, b2 string) {
+		a := Digest{BlockSize: bs, Sig1: a1, Sig2: a2}
+		b := Digest{BlockSize: bs, Sig1: b1, Sig2: b2}
+		switch rel % 4 {
+		case 1:
+			b.BlockSize = 2 * bs
+		case 2:
+			b.BlockSize = bs / 2
+		case 3:
+			b.BlockSize = bs + 1
+		}
+		pa, pb := Prepare(a), Prepare(b)
+		ix := NewIndex()
+		ix.AddGroup(b, 0)
+		for di, dist := range distances {
+			want := compareDistanceOracle(a, b, dist)
+			if got := CompareDistance(a, b, dist); got != want {
+				t.Fatalf("distance %d: CompareDistance(%v, %v) = %d, oracle %d", di, a, b, got, want)
+			}
+			if got := ComparePrepared(pa, pb, dist); got != want {
+				t.Fatalf("distance %d: ComparePrepared(%v, %v) = %d, oracle %d", di, a, b, got, want)
+			}
+			if got := ix.QueryGroupsPrepared(pa, 1, dist)[0]; got != want {
+				t.Fatalf("distance %d: QueryGroupsPrepared(%v) over {%v} = %d, oracle %d", di, a, b, got, want)
+			}
 		}
 	})
 }

@@ -80,3 +80,86 @@ func mustOracle(t *testing.T, data []byte) Digest {
 	}
 	return d
 }
+
+// The string compare: the differential oracle ComparePrepared, and so
+// CompareDistance and every Index query, is tested against. It
+// re-normalises both digests on every call and finds a common substring
+// by comparing bytes, with no precomputed gram hashes.
+
+// compareDistanceOracle returns the similarity score of two digests
+// using the supplied signature distance.
+func compareDistanceOracle(a, b Digest, dist DistanceFunc) int {
+	if a.IsZero() || b.IsZero() {
+		return 0
+	}
+	// Digests are only comparable when their block sizes overlap.
+	if a.BlockSize != b.BlockSize && a.BlockSize != 2*b.BlockSize && 2*a.BlockSize != b.BlockSize {
+		return 0
+	}
+	// Normalise long character runs before any comparison.
+	a1, a2 := normalize(a.Sig1), normalize(a.Sig2)
+	b1, b2 := normalize(b.Sig1), normalize(b.Sig2)
+
+	if a.BlockSize == b.BlockSize && a1 == b1 && a2 == b2 {
+		return 100
+	}
+	switch {
+	case a.BlockSize == b.BlockSize:
+		s1 := scoreStrings(a1, b1, a.BlockSize, dist)
+		s2 := scoreStrings(a2, b2, 2*a.BlockSize, dist)
+		if s2 > s1 {
+			return s2
+		}
+		return s1
+	case a.BlockSize == 2*b.BlockSize:
+		return scoreStrings(a1, b2, a.BlockSize, dist)
+	default: // 2*a.BlockSize == b.BlockSize
+		return scoreStrings(a2, b1, b.BlockSize, dist)
+	}
+}
+
+// scoreStrings maps the edit distance between two normalised signatures to
+// the 0–100 similarity scale, with the reference implementation's guards:
+// signatures longer than SpamsumLength score 0, signatures must share a
+// common substring of rollingWindow characters, and matches at small
+// block sizes are capped so short signatures cannot claim high
+// similarity.
+func scoreStrings(s1, s2 string, blockSize uint32, dist DistanceFunc) int {
+	if len(s1) > SpamsumLength || len(s2) > SpamsumLength {
+		return 0
+	}
+	if len(s1) < rollingWindow || len(s2) < rollingWindow {
+		return 0
+	}
+	if !hasCommonSubstring(s1, s2) {
+		return 0
+	}
+	d := dist(s1, s2)
+	score := d * SpamsumLength / (len(s1) + len(s2))
+	score = 100 * score / SpamsumLength
+	if score >= 100 {
+		return 0
+	}
+	score = 100 - score
+	const uncapped = (99 + rollingWindow) / rollingWindow * MinBlockSize
+	if blockSize < uncapped {
+		m := min(len(s1), len(s2))
+		if capScore := int(blockSize) / MinBlockSize * m; score > capScore {
+			score = capScore
+		}
+	}
+	return score
+}
+
+// hasCommonSubstring reports whether s1 and s2 share any substring of
+// length rollingWindow, by direct byte comparison of every pair.
+func hasCommonSubstring(s1, s2 string) bool {
+	for i := 0; i+rollingWindow <= len(s1); i++ {
+		for j := 0; j+rollingWindow <= len(s2); j++ {
+			if s1[i:i+rollingWindow] == s2[j:j+rollingWindow] {
+				return true
+			}
+		}
+	}
+	return false
+}

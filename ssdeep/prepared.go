@@ -13,15 +13,21 @@ type Prepared struct {
 	grams1, grams2 []uint32
 }
 
-// Prepare normalises d and precomputes its comparison state.
+// Prepare normalises d and precomputes its comparison state. Both
+// signatures' gram hashes share one exactly sized array.
 func Prepare(d Digest) Prepared {
 	p := Prepared{
 		BlockSize: d.BlockSize,
 		sig1:      normalize(d.Sig1),
 		sig2:      normalize(d.Sig2),
 	}
-	p.grams1 = gramHashes(p.sig1, nil)
-	p.grams2 = gramHashes(p.sig2, nil)
+	n1 := max(0, len(p.sig1)-rollingWindow+1)
+	n2 := max(0, len(p.sig2)-rollingWindow+1)
+	if n1+n2 > 0 {
+		grams := make([]uint32, n1+n2)
+		p.grams1 = gramHashes(p.sig1, grams[:0:n1])
+		p.grams2 = gramHashes(p.sig2, grams[n1:n1])
+	}
 	return p
 }
 
@@ -31,8 +37,9 @@ func (p Prepared) IsZero() bool {
 }
 
 // ComparePrepared returns the 0–100 similarity of two prepared digests
-// under the supplied distance. It is equivalent to CompareDistance on the
-// originating digests.
+// under the supplied distance; CompareDistance is this call on the
+// originating digests. Digests compare only when their block sizes are
+// equal or differ by a factor of two.
 //
 // fhc:hotpath
 func ComparePrepared(a, b Prepared, dist DistanceFunc) int {
@@ -60,25 +67,33 @@ func ComparePrepared(a, b Prepared, dist DistanceFunc) int {
 	}
 }
 
+// scorePrepared maps the edit distance between two normalised signatures
+// to the 0–100 similarity scale, with the reference implementation's
+// guards: signatures longer than SpamsumLength score 0, signatures must
+// share a common substring of rollingWindow characters, and matches at
+// small block sizes are capped so short signatures cannot claim high
+// similarity.
 func scorePrepared(s1, s2 string, g1, g2 []uint32, blockSize uint32, dist DistanceFunc) int {
+	if len(s1) > SpamsumLength || len(s2) > SpamsumLength {
+		return 0
+	}
 	if len(s1) < rollingWindow || len(s2) < rollingWindow {
 		return 0
 	}
 	if !commonGram(s1, s2, g1, g2) {
 		return 0
 	}
-	return scoreGated(s1, s2, blockSize, dist)
-}
-
-// scoreGated is scoreStrings with the common-substring gate already passed.
-func scoreGated(s1, s2 string, blockSize uint32, dist DistanceFunc) int {
 	d := dist(s1, s2)
+	// Scale the distance by the combined signature length (relative
+	// distance), then project onto 0..100 and invert into a similarity.
 	score := d * SpamsumLength / (len(s1) + len(s2))
 	score = 100 * score / SpamsumLength
 	if score >= 100 {
 		return 0
 	}
 	score = 100 - score
+	// Small block sizes can only arise from small inputs, for which a
+	// high match score would overstate the evidence; cap accordingly.
 	const uncapped = (99 + rollingWindow) / rollingWindow * MinBlockSize
 	if blockSize < uncapped {
 		m := len(s1)
@@ -94,7 +109,10 @@ func scoreGated(s1, s2 string, blockSize uint32, dist DistanceFunc) int {
 }
 
 // commonGram reports whether s1 and s2 share a 7-byte substring, using
-// precomputed rolling-gram hashes for both sides.
+// precomputed rolling-gram hashes for both sides. The reference
+// implementation requires this before scoring to suppress coincidental
+// base64 overlap; a hash match is confirmed on the bytes, so colliding
+// hashes of different substrings do not pass.
 func commonGram(s1, s2 string, g1, g2 []uint32) bool {
 	for i := 0; i < len(g1); i++ {
 		h := g1[i]

@@ -156,75 +156,10 @@ func Compare(a, b Digest) int {
 }
 
 // CompareDistance returns the similarity score of two digests using the
-// supplied signature distance.
+// supplied signature distance: ComparePrepared on the prepared digests.
+// Callers comparing one digest against many should Prepare it once.
 func CompareDistance(a, b Digest, dist DistanceFunc) int {
-	if a.IsZero() || b.IsZero() {
-		return 0
-	}
-	// Digests are only comparable when their block sizes overlap.
-	if a.BlockSize != b.BlockSize && a.BlockSize != 2*b.BlockSize && 2*a.BlockSize != b.BlockSize {
-		return 0
-	}
-	// Normalise long character runs before any comparison.
-	a1, a2 := normalize(a.Sig1), normalize(a.Sig2)
-	b1, b2 := normalize(b.Sig1), normalize(b.Sig2)
-
-	if a.BlockSize == b.BlockSize && a1 == b1 && a2 == b2 {
-		return 100
-	}
-	switch {
-	case a.BlockSize == b.BlockSize:
-		s1 := scoreStrings(a1, b1, a.BlockSize, dist)
-		s2 := scoreStrings(a2, b2, 2*a.BlockSize, dist)
-		if s2 > s1 {
-			return s2
-		}
-		return s1
-	case a.BlockSize == 2*b.BlockSize:
-		return scoreStrings(a1, b2, a.BlockSize, dist)
-	default: // 2*a.BlockSize == b.BlockSize
-		return scoreStrings(a2, b1, b.BlockSize, dist)
-	}
-}
-
-// scoreStrings maps the edit distance between two normalised signatures to
-// the 0–100 similarity scale, with the reference implementation's guards:
-// signatures must share a common substring of rollingWindow characters,
-// and matches at small block sizes are capped so short signatures cannot
-// claim high similarity.
-func scoreStrings(s1, s2 string, blockSize uint32, dist DistanceFunc) int {
-	if len(s1) > SpamsumLength || len(s2) > SpamsumLength {
-		return 0
-	}
-	if len(s1) < rollingWindow || len(s2) < rollingWindow {
-		return 0
-	}
-	if !hasCommonSubstring(s1, s2) {
-		return 0
-	}
-	d := dist(s1, s2)
-	// Scale the distance by the combined signature length (relative
-	// distance), then project onto 0..100 and invert into a similarity.
-	score := d * SpamsumLength / (len(s1) + len(s2))
-	score = 100 * score / SpamsumLength
-	if score >= 100 {
-		return 0
-	}
-	score = 100 - score
-	// Small block sizes can only arise from small inputs, for which a
-	// high match score would overstate the evidence; cap accordingly.
-	const uncapped = (99 + rollingWindow) / rollingWindow * MinBlockSize
-	if blockSize < uncapped {
-		m := len(s1)
-		if len(s2) < m {
-			m = len(s2)
-		}
-		capScore := int(blockSize) / MinBlockSize * m
-		if score > capScore {
-			score = capScore
-		}
-	}
-	return score
+	return ComparePrepared(Prepare(a), Prepare(b), dist)
 }
 
 // normalize collapses runs of more than maxRepeat identical characters,
@@ -262,29 +197,6 @@ func normalize(s string) string {
 		}
 	}
 	return string(out)
-}
-
-// hasCommonSubstring reports whether s1 and s2 share any substring of
-// length rollingWindow. The reference implementation requires this before
-// scoring to suppress coincidental base64 overlap. Rolling 7-gram hashes
-// keep it O(len(s1)*len(s2)) on 32-bit compares rather than byte compares.
-func hasCommonSubstring(s1, s2 string) bool {
-	if len(s1) < rollingWindow || len(s2) < rollingWindow {
-		return false
-	}
-	var h1 [SpamsumLength]uint32
-	n1 := gramHashes(s1, h1[:0])
-	var h2 [SpamsumLength]uint32
-	n2 := gramHashes(s2, h2[:0])
-	for i := 0; i < len(n1); i++ {
-		for j := 0; j < len(n2); j++ {
-			if n1[i] == n2[j] &&
-				s1[i:i+rollingWindow] == s2[j:j+rollingWindow] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // gramHashes appends the rolling hash of every rollingWindow-length

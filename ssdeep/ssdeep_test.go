@@ -237,15 +237,32 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// TestHasCommonSubstring pins the common-substring gate as production
+// runs it: commonGram over the gram hashes Prepare computes, agreeing
+// with the oracle's byte scan. "EbnKkzc" and "LCOjJgf" share a rolling
+// gram hash, so the gate must confirm a hash match on the bytes.
 func TestHasCommonSubstring(t *testing.T) {
-	if hasCommonSubstring("abcdefg", "hijklmn") {
-		t.Error("disjoint strings reported a common substring")
+	gate := func(s1, s2 string) bool {
+		p := Prepare(Digest{BlockSize: MinBlockSize, Sig1: s1})
+		q := Prepare(Digest{BlockSize: MinBlockSize, Sig1: s2})
+		return commonGram(p.sig1, q.sig1, p.grams1, q.grams1)
 	}
-	if !hasCommonSubstring("xxabcdefgxx", "yyabcdefgyy") {
-		t.Error("shared 7-gram not found")
-	}
-	if hasCommonSubstring("abcdef", "abcdef") {
-		t.Error("strings shorter than the window must not match")
+	for _, c := range []struct {
+		s1, s2 string
+		want   bool
+	}{
+		{"abcdefg", "hijklmn", false},
+		{"xxabcdefgxx", "yyabcdefgyy", true},
+		{"abcdef", "abcdef", false},
+		{"xEbnKkzcx", "yLCOjJgfy", false},
+		{"EbnKkzcLCOjJgf", "LCOjJgf", true},
+	} {
+		if got := gate(c.s1, c.s2); got != c.want {
+			t.Errorf("gate(%q, %q) = %v, want %v", c.s1, c.s2, got, c.want)
+		}
+		if got := hasCommonSubstring(c.s1, c.s2); got != c.want {
+			t.Errorf("oracle(%q, %q) = %v, want %v", c.s1, c.s2, got, c.want)
+		}
 	}
 }
 
@@ -280,9 +297,13 @@ func TestHashTinyInputs(t *testing.T) {
 	}
 }
 
+// TestPreparedMatchesCompare holds CompareDistance and ComparePrepared to
+// the string-compare oracle over hashed digests and their mutations,
+// plus a pair whose 70-character Sig1 the reference implementation's
+// length guard scores 0.
 func TestPreparedMatchesCompare(t *testing.T) {
 	r := rng.New(16)
-	digests := make([]Digest, 0, 12)
+	digests := make([]Digest, 0, 14)
 	for i := 0; i < 6; i++ {
 		base := corpus(uint64(200+i), 10000+i*7000)
 		digests = append(digests, mustHash(t, base))
@@ -292,6 +313,10 @@ func TestPreparedMatchesCompare(t *testing.T) {
 		}
 		digests = append(digests, mustHash(t, mut))
 	}
+	long := strings.Repeat(b64[:35], 2)
+	digests = append(digests,
+		Digest{BlockSize: 96, Sig1: long, Sig2: "AbCdEfGhIjKlMnOp"},
+		Digest{BlockSize: 96, Sig1: long[:60] + "zzzzyyyyxx", Sig2: "QrStUvWxYz012345"})
 	prepared := make([]Prepared, len(digests))
 	for i, d := range digests {
 		prepared[i] = Prepare(d)
@@ -299,10 +324,12 @@ func TestPreparedMatchesCompare(t *testing.T) {
 	for _, dist := range []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum} {
 		for i := range digests {
 			for j := range digests {
-				want := CompareDistance(digests[i], digests[j], dist)
-				got := ComparePrepared(prepared[i], prepared[j], dist)
-				if got != want {
-					t.Fatalf("prepared[%d,%d] = %d, CompareDistance = %d", i, j, got, want)
+				want := compareDistanceOracle(digests[i], digests[j], dist)
+				if got := CompareDistance(digests[i], digests[j], dist); got != want {
+					t.Fatalf("CompareDistance[%d,%d] = %d, oracle = %d", i, j, got, want)
+				}
+				if got := ComparePrepared(prepared[i], prepared[j], dist); got != want {
+					t.Fatalf("ComparePrepared[%d,%d] = %d, oracle = %d", i, j, got, want)
 				}
 			}
 		}
