@@ -305,8 +305,9 @@ func BenchmarkClassifyThroughput(b *testing.B) {
 // prediction served from the exact-hash cache; "uncached" is the direct
 // per-sample Classify it replaces (the warm/uncached ratio is the
 // acceptance bar for caching); "cold-batched" pushes the whole test set
-// through ClassifyAll's windows with caching disabled, against
-// "batch-direct", the classifier's own ClassifyBatch on the same stream.
+// through ClassifyAll — Classify per sample on a worker pool — with
+// caching disabled, against "batch-direct", the classifier's own
+// ClassifyBatch on the same stream.
 func BenchmarkEngineThroughput(b *testing.B) {
 	p := benchPipeline(b)
 

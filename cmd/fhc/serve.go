@@ -329,8 +329,8 @@ func cmdServe(args []string) error {
 	if *stats {
 		es := engine.Stats()
 		fmt.Fprintf(os.Stderr,
-			"engine: %d hits, %d misses, %d coalesced, %d evicted, %d swaps, %d batches (%d samples, max %d), %d cached\n",
-			es.Hits, es.Misses, es.Coalesced, es.Evicted, es.Swaps, es.Batches, es.BatchedSamples, es.MaxBatch, es.CacheEntries)
+			"engine: %d hits, %d misses, %d coalesced, %d evicted, %d swaps, %d cached\n",
+			es.Hits, es.Misses, es.Coalesced, es.Evicted, es.Swaps, es.CacheEntries)
 		if rt != nil {
 			rs := rt.Stats()
 			fmt.Fprintf(os.Stderr,

@@ -167,8 +167,10 @@ func checkMetricDocs(root string, out *os.File) int {
 		}
 		doc := mdscan.CodeAndProse(string(raw))
 		reported := map[string]bool{}
-		for _, tok := range metricToken.FindAllString(doc, -1) {
-			if reported[tok] || metricreg.KnownSeries(tok, names) {
+		for _, loc := range metricToken.FindAllStringIndex(doc, -1) {
+			tok := doc[loc[0]:loc[1]]
+			// A token followed by ".go" is a file name, like fhc_test.go.
+			if strings.HasPrefix(doc[loc[1]:], ".go") || reported[tok] || metricreg.KnownSeries(tok, names) {
 				continue
 			}
 			reported[tok] = true

@@ -154,7 +154,7 @@ func main() {
 	post("/v1/classify", probe, &pred)
 	fmt.Printf("warm probe:           %s (cached: %v, no body uploaded)\n", pred.Label, pred.Cached)
 
-	// --- A burst as one batch: fans into shared engine windows ---------
+	// --- A burst as one batch: items are classified in parallel --------
 	batch := fhc.HTTPBatchRequest{}
 	for i := 1; i <= 8; i++ {
 		batch.Samples = append(batch.Samples, fhc.HTTPClassifyRequest{

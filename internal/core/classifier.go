@@ -240,10 +240,9 @@ func (c *Classifier) ClassifyBatch(samples []dataset.Sample) []Prediction {
 // evidence: row i has 2×|classes| columns — probabilities in model
 // class order, then each class's best fuzzy-hash similarity to the
 // sample (the open-set evidence channel) — and no threshold applied.
-// Together with PredictFromProba this is the narrow surface the
-// serving engine calls: featurise and run the model over a batch of
-// cache misses in one call, then apply the (atomically read) threshold
-// and calibration per prediction.
+// ClassifyBatch and calibration build on it: featurise and run the
+// model over many samples in one call, then apply the threshold and
+// calibration per row with PredictFromProba.
 func (c *Classifier) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
 	X := c.profiles.featurizeBatch(samples, c.distance, c.cfg.Workers)
 	P := c.mdl.PredictProbaBatch(X, c.cfg.Workers)

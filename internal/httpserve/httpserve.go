@@ -6,7 +6,7 @@
 // versioned JSON API:
 //
 //	POST /v1/classify        classify one binary (JSON, raw stream, or hash-first)
-//	POST /v1/classify/batch  classify many binaries in one engine call
+//	POST /v1/classify/batch  classify many binaries in one request
 //	POST /v1/model/swap      hot-swap a persisted model artifact
 //	POST /v1/retrain         kick a continuous-learning cycle (wait optional)
 //	GET  /v1/retrain/status  retrainer counters and the last cycle's result
@@ -47,9 +47,9 @@
 //
 // Every protocol answers through one step per job: Collect resolves
 // and featurises a body, Classify labels it, harvests it and observes
-// its verdict (the batch route does the same over its whole burst),
-// lookup answers a hash-first key, and Install puts a new model in
-// service. The fhc serve JSON-lines loop is a thin adapter over the
+// its verdict, lookup answers a hash-first key, and Install puts a new
+// model in service. The batch route runs the same steps per item, in
+// parallel. The fhc serve JSON-lines loop is a thin adapter over the
 // same Server, calling Collect and Classify once per event, so the two
 // surfaces cannot drift apart.
 //
@@ -57,10 +57,10 @@
 // bodies are size-limited, classification routes sit behind a
 // concurrency semaphore that answers 429 when saturated (backpressure
 // instead of queue collapse), per-route request counts and latency
-// histograms are exported together with the engine's cache, backend-
-// call and swap counters through internal/metrics, and Shutdown stops
-// accepting work, lets in-flight requests finish, and only then
-// returns.
+// histograms are exported together with the engine's cache and swap
+// counters through internal/metrics, a handler panic is answered 500
+// and counted like any other status, and Shutdown stops accepting work,
+// lets in-flight requests finish, and only then returns.
 //
 // Concurrency contract: one Server serves arbitrarily many concurrent
 // requests; every handler is safe for concurrent use, model swaps
@@ -78,12 +78,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -94,6 +96,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/openset"
+	"repro/internal/par"
 	"repro/internal/retrain"
 	"repro/internal/serve"
 )
@@ -282,15 +285,6 @@ func (s *Server) registerMetrics() {
 	reg.CounterFunc("fhc_engine_swaps_total",
 		"Zero-downtime model hot-swaps installed.",
 		stat(func(st serve.Stats) float64 { return float64(st.Swaps) }))
-	reg.CounterFunc("fhc_engine_batches_total",
-		"Backend calls made for cache misses.",
-		stat(func(st serve.Stats) float64 { return float64(st.Batches) }))
-	reg.CounterFunc("fhc_engine_batched_samples_total",
-		"Samples classified through backend calls.",
-		stat(func(st serve.Stats) float64 { return float64(st.BatchedSamples) }))
-	reg.GaugeFunc("fhc_engine_batch_max",
-		"Most samples classified in one backend call.",
-		stat(func(st serve.Stats) float64 { return float64(st.MaxBatch) }))
 	reg.GaugeFunc("fhc_engine_cache_entries",
 		"Current prediction-cache population.",
 		stat(func(st serve.Stats) float64 { return float64(st.CacheEntries) }))
@@ -355,8 +349,8 @@ type ClassifyResponse struct {
 	Error      string  `json:"error,omitempty"`
 }
 
-// BatchRequest carries many classify requests, classified through one
-// engine call.
+// BatchRequest carries many classify requests, answered in one
+// response.
 type BatchRequest struct {
 	Samples []ClassifyRequest `json:"samples"`
 }
@@ -424,10 +418,12 @@ var instrumentCodes = []int{
 var recPool = sync.Pool{New: func() any { return new(statusRecorder) }}
 
 // instrument wraps a handler with method filtering, saturation
-// backpressure and per-route metrics. Body limiting is the handler's
-// job (http.MaxBytesReader per leg): the hash-first classify fast path
-// reads through a bounded pooled buffer instead, and wrapping the body
-// here would put an allocation on its zero-allocation request path.
+// backpressure, per-route metrics and panic recovery (a logged, counted
+// JSON 500, or an aborted response once one is under way). Body
+// limiting is the handler's job (http.MaxBytesReader per leg): the
+// hash-first classify fast path reads through a bounded pooled buffer
+// instead, and wrapping the body here would put an allocation on its
+// zero-allocation request path.
 func (s *Server) instrument(route, method string, limited bool, h http.HandlerFunc) http.Handler {
 	ri := &routeInstruments{
 		latency: s.latency.With(route),
@@ -437,12 +433,23 @@ func (s *Server) instrument(route, method string, limited bool, h http.HandlerFu
 	for _, code := range instrumentCodes {
 		ri.codes[code] = s.requests.With(route, strconv.Itoa(code))
 	}
+	ri.codes[0] = ri.codes[http.StatusOK] // nothing written: net/http sends 200
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := recPool.Get().(*statusRecorder)
-		rec.ResponseWriter, rec.code = w, http.StatusOK
+		rec.ResponseWriter, rec.code = w, 0
 		s.inFlight.Add(1)
 		defer func() {
+			p := recover()
+			if p != nil && p != http.ErrAbortHandler {
+				log.Printf("httpserve: panic serving %s %s: %v\n%s", r.Method, route, p, debug.Stack())
+				if rec.code == 0 {
+					writeJSON(rec, http.StatusInternalServerError, errorResponse{Error: "internal server error"})
+				} else {
+					p = http.ErrAbortHandler // a response is under way: cut it, as net/http would
+				}
+				rec.code = http.StatusInternalServerError
+			}
 			s.inFlight.Add(-1)
 			if c, ok := ri.codes[rec.code]; ok {
 				c.Inc()
@@ -455,6 +462,9 @@ func (s *Server) instrument(route, method string, limited bool, h http.HandlerFu
 			}
 			rec.ResponseWriter = nil
 			recPool.Put(rec)
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
 		}()
 
 		if r.Method != method {
@@ -476,7 +486,8 @@ func (s *Server) instrument(route, method string, limited bool, h http.HandlerFu
 	})
 }
 
-// statusRecorder captures the response code for metrics.
+// statusRecorder captures the response code for metrics; code stays 0
+// until a header goes out.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -485,6 +496,13 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *statusRecorder) Write(b []byte) (int, error) {
+	if r.code == 0 {
+		r.code = http.StatusOK
+	}
+	return r.ResponseWriter.Write(b)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -574,35 +592,19 @@ func (s *Server) collectStream(exe string, r io.Reader) (sample dataset.Sample, 
 	return sample, 0, nil
 }
 
-// Classify labels one collected sample and offers the served
-// prediction to the continuous-learning store and the drift detector,
+// Classify labels one collected sample, offers the prediction to the
+// continuous-learning store (the retrainer applies its own gates, and
+// the store dedups a cache-served duplicate) and observes its verdict,
 // when those are configured: the one classify step every body-carrying
-// protocol and the fhc serve stream loop share. It satisfies
-// monitor.Labeler.
+// protocol, batch item and the fhc serve stream loop share. It
+// satisfies monitor.Labeler.
 func (s *Server) Classify(sample *dataset.Sample) core.Prediction {
 	pred := s.engine.Classify(sample)
-	s.served(sample, pred)
-	return pred
-}
-
-// classifyAll is Classify over handleBatch's burst, whose cache misses
-// share 64-sample engine windows.
-func (s *Server) classifyAll(samples []dataset.Sample) []core.Prediction {
-	preds := s.engine.ClassifyAll(samples)
-	for i := range preds {
-		s.served(&samples[i], preds[i])
-	}
-	return preds
-}
-
-// served harvests one body-carrying prediction — the retrainer applies
-// its own gates, and the store dedups a cache-served duplicate — and
-// observes its verdict.
-func (s *Server) served(sample *dataset.Sample, pred core.Prediction) {
 	if rt := s.opt.Retrainer; rt != nil {
 		rt.ObservePrediction(sample, pred)
 	}
 	s.observe(pred)
+	return pred
 }
 
 // observe feeds one served verdict to the drift detector, when one is
@@ -1040,10 +1042,11 @@ func appendJSONString[T string | []byte](dst []byte, s T) []byte {
 	return append(dst, '"')
 }
 
-// handleBatch classifies many binaries through one classifyAll call, so
-// a submitted burst fans into shared engine windows instead of N
-// sequential classifications. Items that fail resolution or extraction
-// keep their slot with a per-item error; order is preserved.
+// handleBatch answers each item with the single-request steps — a
+// hash-first lookup, or Collect then Classify — on up to GOMAXPROCS
+// goroutines, so duplicates within a burst coalesce in the engine like
+// concurrent requests do. Items that fail resolution or extraction keep
+// their slot with a per-item error; order is preserved.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if !decodeJSON(w, r, s.opt.MaxBodyBytes, &req) {
@@ -1054,42 +1057,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := BatchResponse{Results: make([]ClassifyResponse, len(req.Samples))}
-	var (
-		good  []int // request index of each collected sample
-		batch = make([]dataset.Sample, 0, len(req.Samples))
-	)
-	for i := range req.Samples {
-		item := &req.Samples[i]
-		resp.Results[i].Exe = item.Exe
+	par.Map(len(req.Samples), 0, func(i int) {
+		item, res := &req.Samples[i], &resp.Results[i]
+		res.Exe = item.Exe
 		if item.SHA256 != "" {
 			// Hash-first batch items probe the prediction cache; misses
 			// keep their slot with the needs_body marker so the client
 			// knows which binaries to upload.
 			switch pred, hit, err := s.lookupRequest(item); {
 			case err != nil:
-				resp.Results[i].Error = err.Error()
+				res.Error = err.Error()
 			case hit:
-				resp.Results[i] = classifyResponse(item.Exe, pred)
-				resp.Results[i].Cached = true
+				*res = classifyResponse(item.Exe, pred)
+				res.Cached = true
 			default:
-				resp.Results[i].Error = "needs_body"
+				res.Error = "needs_body"
 			}
-			continue
+			return
 		}
 		sample, _, err := s.Collect(item, s.opt.AllowPaths)
 		if err != nil {
-			resp.Results[i].Error = err.Error()
-			continue
+			res.Error = err.Error()
+			return
 		}
-		good = append(good, i)
-		batch = append(batch, sample)
-	}
-	if len(batch) > 0 {
-		for j, pred := range s.classifyAll(batch) {
-			i := good[j]
-			resp.Results[i] = classifyResponse(req.Samples[i].Exe, pred)
-		}
-	}
+		*res = classifyResponse(item.Exe, s.Classify(&sample))
+	})
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -235,12 +236,49 @@ func TestHTTPBatch(t *testing.T) {
 			}
 		}
 	}
-	if st := engine.Stats(); st.Batches == 0 {
-		t.Fatalf("batch request dispatched no engine windows: %+v", st)
+	if st := engine.Stats(); st.Misses != 6 {
+		t.Fatalf("batch of 6 distinct binaries made %d engine misses, want 6: %+v", st.Misses, st)
 	}
 
 	if code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/classify/batch", BatchRequest{}); code != http.StatusBadRequest {
 		t.Fatalf("empty batch accepted with %d", code)
+	}
+}
+
+// TestHTTPBatchDuplicates sends N copies of one binary in one batch:
+// every slot must carry the single-request answer, and the engine must
+// classify the binary once, answering the other copies from the cache
+// or the in-flight classification.
+func TestHTTPBatchDuplicates(t *testing.T) {
+	const n = 16
+	ts, engine, _ := newTestServer(t, serve.Options{}, Options{})
+	req := BatchRequest{}
+	for i := 0; i < n; i++ {
+		req.Samples = append(req.Samples, ClassifyRequest{
+			Exe: "job", BinaryB64: base64.StdEncoding.EncodeToString(fixBins[2]),
+		})
+	}
+	code, body := postJSON(t, ts.Client(), ts.URL+"/v1/classify/batch", req)
+	if code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", code, body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	st := engine.Stats()
+	if st.Misses != 1 || st.Hits+st.Coalesced != n-1 {
+		t.Fatalf("batch of %d copies: %d misses, %d hits + %d coalesced; want 1 and %d",
+			n, st.Misses, st.Hits, st.Coalesced, n-1)
+	}
+	want := classifyOver(t, ts.Client(), ts.URL, fixBins[2])
+	if len(resp.Results) != n {
+		t.Fatalf("batch returned %d results for %d samples", len(resp.Results), n)
+	}
+	for i, got := range resp.Results {
+		if got != want {
+			t.Fatalf("slot %d: %+v, single request %+v", i, got, want)
+		}
 	}
 }
 
@@ -473,18 +511,100 @@ type blockingBackend struct {
 	release chan struct{}
 }
 
-func (b *blockingBackend) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
+func (b *blockingBackend) Classify(*dataset.Sample) core.Prediction {
 	b.entered <- struct{}{}
 	<-b.release
-	out := make([][]float64, len(samples))
-	for i := range out {
-		out[i] = []float64{1}
-	}
-	return out
+	return core.Prediction{Label: "Blocked", Class: "Blocked", Confidence: 1}
 }
 
-func (b *blockingBackend) PredictFromProba(p []float64) core.Prediction {
-	return core.Prediction{Label: "Blocked", Class: "Blocked", Confidence: p[0]}
+// panickingBackend fails every classification with a panic.
+type panickingBackend struct{}
+
+func (panickingBackend) Classify(*dataset.Sample) core.Prediction { panic("backend failure") }
+
+// TestHTTPHandlerPanic: a backend panic on the raw leg and on the batch
+// route (re-raised on the handler goroutine by the item pool) is
+// answered 500 with a JSON error and counted under code 500, never as a
+// 200, and the server keeps answering on the same connections.
+func TestHTTPHandlerPanic(t *testing.T) {
+	fixture(t)
+	engine := serve.New(panickingBackend{}, serve.Options{})
+	defer engine.Close()
+	s := New(engine, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	resp, err := client.Post(ts.URL+"/v1/classify?exe=job", "application/octet-stream", bytes.NewReader(fixBins[0]))
+	if err != nil {
+		t.Fatalf("raw leg: %v", err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var e errorResponse
+	if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(raw, &e) != nil || e.Error == "" {
+		t.Fatalf("raw leg: %d %s, want a JSON 500", resp.StatusCode, raw)
+	}
+
+	batch := BatchRequest{}
+	for _, bin := range fixBins[:3] {
+		batch.Samples = append(batch.Samples, ClassifyRequest{BinaryB64: base64.StdEncoding.EncodeToString(bin)})
+	}
+	if code, body := postJSON(t, client, ts.URL+"/v1/classify/batch", batch); code != http.StatusInternalServerError ||
+		json.Unmarshal(body, &e) != nil || e.Error == "" {
+		t.Fatalf("batch route: %d %s, want a JSON 500", code, body)
+	}
+	if st := engine.Stats(); st.Inflight != 0 {
+		t.Fatalf("%d flights left behind", st.Inflight)
+	}
+
+	// The next request is answered.
+	sample := fixSamples[0]
+	key, _ := serve.SampleKey(&sample)
+	if code, body := postJSON(t, client, ts.URL+"/v1/classify", ClassifyRequest{SHA256: hex.EncodeToString(key[:])}); code != http.StatusNotFound {
+		t.Fatalf("request after the panics: %d %s, want 404 needs_body", code, body)
+	}
+
+	m := scrape(t, client, ts.URL)
+	for _, route := range []string{"/v1/classify", "/v1/classify/batch"} {
+		if v := metricValue(t, m, `fhc_http_requests_total{route="`+route+`",code="500"}`); v != 1 {
+			t.Errorf("%s: code 500 counted %v times, want 1", route, v)
+		}
+		if v := metricValue(t, m, `fhc_http_requests_total{route="`+route+`",code="200"}`); v != 0 {
+			t.Errorf("%s: code 200 counted %v times, want 0", route, v)
+		}
+	}
+}
+
+// TestInstrumentPanicMidResponse: a panic after the response is under
+// way cannot become a 500 on the wire, so the response is cut — the
+// client sees an error, never a truncated 200 — and the request is
+// still counted under code 500. http.ErrAbortHandler cuts it too.
+func TestInstrumentPanicMidResponse(t *testing.T) {
+	s := New(serve.New(panickingBackend{}, serve.Options{}), Options{})
+	mux := http.NewServeMux()
+	mux.Handle("/partial", s.instrument("/partial", http.MethodGet, false, func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte("partial"))
+		panic("mid-response failure")
+	}))
+	mux.Handle("/abort", s.instrument("/abort", http.MethodGet, false, func(http.ResponseWriter, *http.Request) {
+		panic(http.ErrAbortHandler)
+	}))
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	for _, route := range []string{"/partial", "/abort"} {
+		resp, err := ts.Client().Get(ts.URL + route)
+		if err == nil {
+			_, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		if err == nil {
+			t.Errorf("%s: the client read a complete response", route)
+		}
+	}
+	if v := s.requests.With("/partial", "500").Value(); v != 1 {
+		t.Errorf("mid-response panic counted %v times under code 500, want 1", v)
+	}
 }
 
 // TestHTTPBackpressure saturates a MaxConcurrent=1 server with a

@@ -600,3 +600,49 @@ func TestHashFirstWarmHitZeroAlloc(t *testing.T) {
 		t.Fatalf("warm hash-first hit allocates %.1f times per request, want 0", allocs)
 	}
 }
+
+// TestRawStreamCachedAllocs pins the raw leg's allocations on a cached
+// upload, with BenchmarkClassifyHTTPRawStream/1MiB's setup: the body is
+// featurised in full and answered from the prediction cache. A sample
+// that escapes to the heap through the engine's backend call would add
+// an allocation to every upload, hits included.
+func TestRawStreamCachedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; exact count gated uninstrumented")
+	}
+	fixture(t)
+	engine := serve.New(fixRF, serve.Options{})
+	defer engine.Close()
+	s := New(engine, Options{MaxSpillBytes: 64 << 10})
+	body := append(append([]byte{}, fixBins[0]...), make([]byte, 1<<20-len(fixBins[0]))...)
+	req, err := http.NewRequest(http.MethodPost, "/v1/classify?exe=bench", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	rb := &replayBody{data: body}
+	req.Body = rb
+	req.ContentLength = int64(len(body))
+	w := &nullResponseWriter{h: make(http.Header, 4)}
+	h := s.Handler()
+
+	h.ServeHTTP(w, req) // classify once; every later upload hits
+	if w.code != http.StatusOK {
+		t.Fatalf("first upload: code %d", w.code)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		rb.off = 0
+		w.code = 0
+		h.ServeHTTP(w, req)
+	})
+	if w.code != http.StatusOK {
+		t.Fatalf("cached upload in loop: code %d", w.code)
+	}
+	if st := engine.Stats(); st.Misses != 1 {
+		t.Fatalf("cached uploads missed the cache: %+v", st)
+	}
+	const bound = 9
+	if allocs > bound {
+		t.Fatalf("cached raw-leg upload allocates %.1f times per request, want <= %d", allocs, bound)
+	}
+}

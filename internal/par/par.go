@@ -1,9 +1,9 @@
 // Package par holds the one concurrency primitive the model and
 // featurisation layers share: a bounded index-parallel map. It exists so
 // forest training, grid tuning, corpus extraction and scanning, the rf,
-// knn and svm batch predictors, batch featurisation and the serving
-// engine's windows are one implementation, not drifting copies of the
-// same worker-pool loop.
+// knn and svm batch predictors, batch featurisation, the serving
+// engine's ClassifyAll and the HTTP batch route are one implementation,
+// not drifting copies of the same worker-pool loop.
 //
 // Concurrency contract: Map blocks until every fn(i) returns, happens-
 // before included — writes made by the workers are visible to the caller

@@ -464,7 +464,7 @@ func (r *Retrainer) InstallIncumbent(clf *core.Classifier) {
 
 // install is the one path that changes what the engine serves: swap
 // plus baseline update, made atomic against concurrent installs by
-// installMu. Engine.Swap waits for every in-flight window on the old
+// installMu. Engine.Swap waits for every in-flight call on the old
 // backend to deliver, so r.mu deliberately covers only the incumbent
 // pointer write — holding it across the drain would stall Stats and
 // the harvest path for the whole drain (the lockhold finding this

@@ -560,28 +560,24 @@ func TestSplitHoldoutDeterministicFrozenAndStratified(t *testing.T) {
 
 // ----- install path lock scope ------------------------------------------
 
-// stallBackend blocks inside PredictProbaBatch until released, keeping
-// an engine window in flight (and therefore any concurrent Swap mid-
+// stallBackend blocks inside Classify until released, keeping an
+// engine backend call in flight (and therefore any concurrent Swap mid-
 // drain) for as long as the test wants.
 type stallBackend struct {
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (s *stallBackend) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
+func (s *stallBackend) Classify(*dataset.Sample) core.Prediction {
 	close(s.entered)
 	<-s.release
-	return make([][]float64, len(samples))
-}
-
-func (s *stallBackend) PredictFromProba(proba []float64) core.Prediction {
 	return core.Prediction{Label: "stall"}
 }
 
 // TestInstallDoesNotHoldStateLockAcrossSwap is the regression test for
 // the lockhold finding on the install path: InstallIncumbent used to
-// hold r.mu across Engine.Swap, which drains every in-flight window —
-// so a single slow window froze Stats and the harvest path for the
+// hold r.mu across Engine.Swap, which drains every in-flight call —
+// so a single slow call froze Stats and the harvest path for the
 // whole drain. The install lock split keeps r.mu to a pointer write:
 // with an install provably blocked mid-drain, Stats and a harvest must
 // still return immediately.
@@ -596,7 +592,7 @@ func TestInstallDoesNotHoldStateLockAcrossSwap(t *testing.T) {
 	}
 	defer rt.Close()
 
-	// Put one window in flight on the stalling backend...
+	// Put one backend call in flight on the stalling backend...
 	classified := make(chan core.Prediction, 1)
 	go func() {
 		cp := fixSamples[0]
@@ -612,7 +608,7 @@ func TestInstallDoesNotHoldStateLockAcrossSwap(t *testing.T) {
 	}()
 	select {
 	case <-installed:
-		t.Fatal("install finished while a window was still in flight: drain invariant broken")
+		t.Fatal("install finished while a backend call was still in flight: drain invariant broken")
 	case <-time.After(50 * time.Millisecond):
 	}
 

@@ -10,27 +10,26 @@
 // duplicate submissions skip featurisation and the forest entirely,
 // and with in-flight coalescing, so N concurrent submissions of one new
 // binary pay for one featurisation. A cache miss is classified on the
-// caller's own goroutine. ClassifyAll classifies its own misses in
-// fixed windows of 64 samples, one backend call per window, run in
-// parallel on up to GOMAXPROCS goroutines.
+// caller's own goroutine; ClassifyAll is Classify per sample over a
+// bounded worker pool.
 //
 // Predictions are bit-identical to calling Classifier.Classify directly:
-// windowing changes scheduling, never arithmetic.
+// the engine only decides whether the backend runs, never what it
+// computes.
 //
 // Retrain-and-redeploy is first class: Swap atomically installs a new
 // backend without stopping the engine. The cache, the coalescing map and
 // the backend are grouped into one epoch that is replaced wholesale, so
 // a prediction cached under the old model can never answer a request
 // issued after the swap, and every request is answered entirely by one
-// model — never a featurise-here, threshold-there blend.
+// model.
 //
 // Concurrency contract: every Engine method — Classify, ClassifyAll,
 // Swap, Stats, Close — is safe to call from any number of goroutines
 // simultaneously; Close is idempotent and only flips Closed, so
 // Classify after Close still answers. The Backend handed to New/Swap
-// must itself tolerate concurrent PredictProbaBatch calls. A backend
-// panic reaches the caller whose call panicked and leaves no flight
-// behind.
+// must itself tolerate concurrent Classify calls. A backend panic
+// reaches the caller whose call panicked and leaves no flight behind.
 package serve
 
 import (
@@ -42,15 +41,10 @@ import (
 	"repro/internal/par"
 )
 
-// Backend is the narrow classifier surface the engine serves:
-// batch probability prediction plus per-sample thresholding.
-// *core.Classifier satisfies it.
+// Backend is the classifier surface the engine serves: one sample in,
+// one thresholded prediction out. *core.Classifier satisfies it.
 type Backend interface {
-	// PredictProbaBatch featurises samples and returns one probability
-	// vector per sample, in model class order.
-	PredictProbaBatch(samples []dataset.Sample) [][]float64
-	// PredictFromProba applies the confidence threshold to one vector.
-	PredictFromProba(proba []float64) core.Prediction
+	Classify(s *dataset.Sample) core.Prediction
 }
 
 // Options configures an Engine. The zero value selects serving defaults.
@@ -59,10 +53,6 @@ type Options struct {
 	// (65536 entries); negative disables caching and coalescing.
 	CacheEntries int
 }
-
-// window caps how many of one ClassifyAll call's misses share a
-// backend call.
-const window = 64
 
 // Stats is a snapshot of engine activity.
 type Stats struct {
@@ -78,9 +68,6 @@ type Stats struct {
 	Evicted uint64
 	// Swaps counts backend hot-swaps.
 	Swaps uint64
-	// Batches and BatchedSamples describe the backend calls; MaxBatch
-	// is the most samples one call classified.
-	Batches, BatchedSamples, MaxBatch uint64
 	// CacheEntries is the current epoch's prediction-cache population.
 	CacheEntries int
 	// Inflight is the current epoch's count of coalescing entries:
@@ -95,14 +82,6 @@ type flight struct {
 	done chan struct{}
 	pred core.Prediction
 	ok   bool
-}
-
-// miss is one sample a classify call answers through the backend (or
-// waits for on another caller's flight).
-type miss struct {
-	i   int // index into the call's samples
-	key Key
-	f   *flight // nil for unkeyed samples or with caching off
 }
 
 // epoch groups the serving state that must change together on a model
@@ -120,20 +99,17 @@ type epoch struct {
 	inflight   map[Key]*flight
 }
 
-// claim resolves key against the cache and the coalescing map: it
-// returns a cached prediction (nil flight), the flight another caller
-// owns, or a new flight the caller owns and must land.
+// claim resolves a key the cache just missed: it returns the flight
+// another caller owns, a new flight the caller owns and must land, or
+// the prediction of a flight that landed since the lookup (nil flight).
 func (st *epoch) claim(key Key) (p core.Prediction, f *flight, own bool) {
-	if p, ok := st.cache.Get(key); ok {
-		return p, nil, false
-	}
 	st.inflightMu.Lock()
 	defer st.inflightMu.Unlock()
 	if f, ok := st.inflight[key]; ok {
 		return p, f, false
 	}
-	// A flight may have landed since the lookup above; re-check under
-	// the lock so a finished binary is never featurised again.
+	// Re-check under the lock so a finished binary is never featurised
+	// again.
 	if p, ok := st.cache.Get(key); ok {
 		return p, nil, false
 	}
@@ -159,16 +135,15 @@ type Engine struct {
 	state atomic.Pointer[epoch]
 
 	// swapMu is held shared for the whole span of every backend call,
-	// from resolving the backend to writing its predictions, and
-	// exclusively by Swap: acquiring the write lock drains every call
-	// still computing on the previous backend.
+	// from resolving the backend to its return, and exclusively by Swap:
+	// acquiring the write lock drains every call still computing on the
+	// previous backend.
 	swapMu sync.RWMutex
 
 	closed atomic.Bool
 
-	hits, misses, coalesced       atomic.Uint64
-	batches, batchedSamples, maxB atomic.Uint64
-	swaps                         atomic.Uint64
+	hits, misses, coalesced atomic.Uint64
+	swaps                   atomic.Uint64
 	// cacheEvicted is shared by every epoch's cache, so Stats.Evicted
 	// stays exact across swaps even when a retired cache takes straggler
 	// inserts after its epoch ended.
@@ -222,21 +197,56 @@ func (e *Engine) Swap(backend Backend) {
 	e.swaps.Add(1)
 }
 
-// Classify predicts one sample on the caller's goroutine. A duplicate
-// submission (by content digest) is served from the cache without
-// allocating, or coalesced onto an in-flight classification.
+// Classify predicts one sample on the caller's goroutine: the engine's
+// one miss path. A duplicate submission (by content digest) is served
+// from the cache without allocating, or waits on the in-flight
+// classification of the same binary; otherwise the caller owns the
+// flight, classifies, caches the prediction and releases its waiters —
+// also when the backend panics, in which case each waiter classifies
+// for itself and so sees the backend's own outcome.
 func (e *Engine) Classify(s *dataset.Sample) core.Prediction {
-	if st := e.state.Load(); st.cache != nil {
-		if key, ok := SampleKey(s); ok {
-			if p, ok := st.cache.Get(key); ok {
-				e.hits.Add(1)
-				return p
-			}
-		}
+	st := e.state.Load()
+	key, keyed := SampleKey(s)
+	if !keyed || st.cache == nil {
+		e.misses.Add(1)
+		return e.predict(*s)
 	}
-	var out [1]core.Prediction
-	e.classify([]dataset.Sample{*s}, out[:])
-	return out[0]
+	if p, ok := st.cache.Get(key); ok {
+		e.hits.Add(1)
+		return p
+	}
+	p, f, own := st.claim(key)
+	switch {
+	case f == nil:
+		e.hits.Add(1)
+		return p
+	case !own:
+		e.coalesced.Add(1)
+		<-f.done
+		if f.ok {
+			return f.pred
+		}
+		return e.Classify(s)
+	}
+	e.misses.Add(1)
+	// Bookkeeping stays within the captured epoch: if a Swap retired it
+	// meanwhile, the prediction lands in the orphaned cache and is never
+	// served.
+	defer st.land(key, f)
+	f.pred = e.predict(*s)
+	f.ok = true
+	st.cache.Add(key, f.pred)
+	return f.pred
+}
+
+// predict runs the current backend on its own copy of the sample, so
+// the caller's sample never escapes through the interface call and a
+// cache hit stays allocation-free. The backend is resolved and run
+// under the swap lock, which is what Swap's drain waits for.
+func (e *Engine) predict(s dataset.Sample) core.Prediction {
+	e.swapMu.RLock()
+	defer e.swapMu.RUnlock()
+	return e.state.Load().backend.Classify(&s)
 }
 
 // Lookup probes the current epoch's prediction cache by content digest
@@ -261,121 +271,23 @@ func (e *Engine) Lookup(key Key) (core.Prediction, bool) {
 	return p, ok
 }
 
-// ClassifyAll predicts many samples through the cache, preserving input
-// order. Its misses, duplicates within the call included, are
-// classified once each, in windows of 64 per backend call.
+// ClassifyAll predicts many samples, preserving input order: Classify
+// per sample on up to GOMAXPROCS goroutines, so duplicates within the
+// call are classified once and coalesce like concurrent callers do.
 func (e *Engine) ClassifyAll(samples []dataset.Sample) []core.Prediction {
 	out := make([]core.Prediction, len(samples))
-	e.classify(samples, out)
+	par.Map(len(samples), 0, func(i int) { out[i] = e.Classify(&samples[i]) })
 	return out
-}
-
-// classify is the one miss path. Cache hits are answered directly; a
-// sample whose binary is already being classified waits on that
-// flight; every other sample is this call's to classify. The call
-// lands the flights it owns before it waits on anyone else's, so two
-// calls that each own a flight the other needs cannot deadlock.
-func (e *Engine) classify(samples []dataset.Sample, out []core.Prediction) {
-	st := e.state.Load()
-	var mine, waits []miss
-	for i := range samples {
-		key, keyed := SampleKey(&samples[i])
-		if !keyed || st.cache == nil {
-			mine = append(mine, miss{i: i})
-			continue
-		}
-		p, f, own := st.claim(key)
-		switch {
-		case f == nil:
-			e.hits.Add(1)
-			out[i] = p
-		case own:
-			mine = append(mine, miss{i, key, f})
-		default:
-			e.coalesced.Add(1)
-			waits = append(waits, miss{i, key, f})
-		}
-	}
-	e.misses.Add(uint64(len(mine)))
-	e.run(st, samples, mine, out)
-	for _, w := range waits {
-		<-w.f.done
-		if w.f.ok {
-			out[w.i] = w.f.pred
-			continue
-		}
-		// The owner's backend call panicked: classify again here, so
-		// this caller sees the backend's own outcome.
-		out[w.i] = e.Classify(&samples[w.i])
-	}
-}
-
-// run classifies mine in windows and lands every flight it owns — also
-// when a backend call panics, so no waiter is left on an orphaned
-// flight. Bookkeeping stays within the captured epoch: if a Swap
-// retired it meanwhile, the predictions land in the orphaned cache and
-// are never served.
-func (e *Engine) run(st *epoch, samples []dataset.Sample, mine []miss, out []core.Prediction) {
-	completed := false
-	defer func() {
-		for _, m := range mine {
-			if m.f == nil {
-				continue
-			}
-			if completed {
-				m.f.pred, m.f.ok = out[m.i], true
-				st.cache.Add(m.key, out[m.i])
-			}
-			st.land(m.key, m.f)
-		}
-	}()
-	par.Map((len(mine)+window-1)/window, 0, func(w int) {
-		ms := mine[w*window : min((w+1)*window, len(mine))]
-		batch := make([]dataset.Sample, len(ms))
-		for j, m := range ms {
-			batch[j] = samples[m.i]
-		}
-		e.predict(batch, ms, out)
-	})
-	completed = true
-}
-
-// predict makes one backend call over batch and writes prediction j to
-// out[ms[j].i]. The backend is resolved once, under the swap lock, and
-// used for probability prediction and thresholding alike, so every
-// prediction comes from exactly one model generation; the predictions
-// are written inside the lock span, which is what Swap's drain waits
-// for.
-func (e *Engine) predict(batch []dataset.Sample, ms []miss, out []core.Prediction) {
-	n := uint64(len(batch))
-	e.batches.Add(1)
-	e.batchedSamples.Add(n)
-	for {
-		cur := e.maxB.Load()
-		if n <= cur || e.maxB.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-	e.swapMu.RLock()
-	defer e.swapMu.RUnlock()
-	backend := e.state.Load().backend
-	probas := backend.PredictProbaBatch(batch)
-	for j, m := range ms {
-		out[m.i] = backend.PredictFromProba(probas[j])
-	}
 }
 
 // Stats returns a snapshot of engine counters.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		Hits:           e.hits.Load(),
-		Misses:         e.misses.Load(),
-		Coalesced:      e.coalesced.Load(),
-		Evicted:        e.cacheEvicted.Load(),
-		Swaps:          e.swaps.Load(),
-		Batches:        e.batches.Load(),
-		BatchedSamples: e.batchedSamples.Load(),
-		MaxBatch:       e.maxB.Load(),
+		Hits:      e.hits.Load(),
+		Misses:    e.misses.Load(),
+		Coalesced: e.coalesced.Load(),
+		Evicted:   e.cacheEvicted.Load(),
+		Swaps:     e.swaps.Load(),
 	}
 	ep := e.state.Load()
 	if ep.cache != nil {

@@ -14,31 +14,23 @@ import (
 	"repro/internal/synth"
 )
 
-// fakeBackend is a recording Backend whose "probability" derives from
-// the sample digest, making predictions deterministic without training.
+// fakeBackend is a recording Backend whose confidence derives from the
+// sample digest, making predictions deterministic without training.
 type fakeBackend struct {
-	gate chan struct{} // when non-nil, PredictProbaBatch blocks on it
+	gate chan struct{} // when non-nil, Classify blocks on it
 
 	mu      sync.Mutex
 	samples int
 }
 
-func (f *fakeBackend) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
+func (f *fakeBackend) Classify(s *dataset.Sample) core.Prediction {
 	if f.gate != nil {
 		<-f.gate
 	}
 	f.mu.Lock()
-	f.samples += len(samples)
+	f.samples++
 	f.mu.Unlock()
-	out := make([][]float64, len(samples))
-	for i := range samples {
-		out[i] = []float64{float64(samples[i].SHA256[1]) / 255}
-	}
-	return out
-}
-
-func (f *fakeBackend) PredictFromProba(proba []float64) core.Prediction {
-	return core.Prediction{Label: "L", Class: "L", Confidence: proba[0]}
+	return core.Prediction{Label: "L", Class: "L", Confidence: float64(s.SHA256[1]) / 255}
 }
 
 func (f *fakeBackend) classified() int {
@@ -280,8 +272,8 @@ func realClassifier(t *testing.T) (*core.Classifier, []dataset.Sample) {
 // TestEngineDifferential is the acceptance gate: for a stream with
 // duplicates, engine output must be bit-identical — labels, closest
 // classes and confidences — to sequential Classifier.Classify. The
-// stream spans more than two 64-sample windows and carries duplicates
-// within one call and unkeyed samples.
+// stream carries duplicates within one ClassifyAll call and unkeyed
+// samples.
 func TestEngineDifferential(t *testing.T) {
 	clf, samples := realClassifier(t)
 	// A stream with heavy duplication, out of class order.
@@ -295,10 +287,6 @@ func TestEngineDifferential(t *testing.T) {
 			stream = append(stream, s)
 		}
 	}
-	if len(stream) <= 2*window {
-		t.Fatalf("stream of %d samples fits in two windows", len(stream))
-	}
-
 	want := make([]core.Prediction, len(stream))
 	for i := range stream {
 		want[i] = clf.Classify(&stream[i])
@@ -335,7 +323,7 @@ func TestEngineDifferential(t *testing.T) {
 // interleave, each call owns flights the other waits on; both must
 // still finish, with every prediction correct.
 func TestEngineClassifyAllOpposingOrder(t *testing.T) {
-	const n, rounds = 3 * window, 50
+	const n, rounds = 192, 50
 	fwd := make([]dataset.Sample, n)
 	rev := make([]dataset.Sample, n)
 	for i := 0; i < n; i++ {
@@ -386,13 +374,13 @@ type panicBackend struct {
 	proceed chan struct{}
 }
 
-func (p *panicBackend) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
+func (p *panicBackend) Classify(s *dataset.Sample) core.Prediction {
 	if p.calls.Add(1) == 1 {
 		close(p.entered)
 		<-p.proceed
 		panic("backend failure")
 	}
-	return p.fakeBackend.PredictProbaBatch(samples)
+	return p.fakeBackend.Classify(s)
 }
 
 // TestEngineBackendPanicReleasesFlight: a panicking backend call panics
@@ -456,29 +444,29 @@ func TestEngineBackendPanicReleasesFlight(t *testing.T) {
 	}
 }
 
-// windowPanicBackend panics on the second window of the first
-// ClassifyAll and classifies normally afterwards.
-type windowPanicBackend struct {
+// nthPanicBackend panics on its nth Classify call and classifies
+// normally before and after it.
+type nthPanicBackend struct {
 	fakeBackend
+	n     int32
 	calls atomic.Int32
 }
 
-func (p *windowPanicBackend) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
-	if p.calls.Add(1) == 2 {
+func (p *nthPanicBackend) Classify(s *dataset.Sample) core.Prediction {
+	if p.calls.Add(1) == p.n {
 		panic("backend failure")
 	}
-	return p.fakeBackend.PredictProbaBatch(samples)
+	return p.fakeBackend.Classify(s)
 }
 
 // TestEngineClassifyAllWindowPanic: a backend panic inside a ClassifyAll
-// spanning three windows runs on a pool goroutine, yet panics on the
-// caller, leaves no flight behind, and a later Classify of the same keys
-// returns.
+// runs on a pool goroutine, yet panics on the caller, leaves no flight
+// behind, and a later Classify of the same keys returns.
 func TestEngineClassifyAllWindowPanic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	e := New(&windowPanicBackend{}, Options{})
+	e := New(&nthPanicBackend{n: 65}, Options{})
 	defer e.Close()
-	samples := make([]dataset.Sample, 3*window)
+	samples := make([]dataset.Sample, 192)
 	for i := range samples {
 		samples[i] = keyedSample(byte(i))
 	}
@@ -493,7 +481,7 @@ func TestEngineClassifyAllWindowPanic(t *testing.T) {
 			t.Fatalf("ClassifyAll recovered %v, want the backend's panic", r)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("ClassifyAll hangs after a window panicked")
+		t.Fatal("ClassifyAll hangs after a backend call panicked")
 	}
 	if st := e.Stats(); st.Inflight != 0 {
 		t.Fatalf("%d flights left behind", st.Inflight)

@@ -11,30 +11,17 @@ import (
 	"repro/internal/rf"
 )
 
-// generationBackend is a Backend whose outputs carry its generation id,
-// making a blended request — probabilities from one generation,
-// thresholding from another — detectable at the point it would happen.
+// generationBackend is a Backend whose predictions carry its generation
+// id, so the test can tell which model answered each request.
 type generationBackend struct {
-	id     float64
-	blends atomic.Uint64
+	id float64
 }
 
-func (g *generationBackend) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
-	out := make([][]float64, len(samples))
-	for i := range samples {
-		out[i] = []float64{g.id, float64(samples[i].SHA256[1]) / 255}
-	}
-	return out
-}
-
-func (g *generationBackend) PredictFromProba(proba []float64) core.Prediction {
-	if proba[0] != g.id {
-		g.blends.Add(1)
-	}
+func (g *generationBackend) Classify(s *dataset.Sample) core.Prediction {
 	return core.Prediction{
 		Label:      fmt.Sprintf("gen-%.0f", g.id),
 		Class:      fmt.Sprintf("gen-%.0f", g.id),
-		Confidence: proba[1],
+		Confidence: float64(s.SHA256[1]) / 255,
 	}
 }
 
@@ -97,9 +84,6 @@ func TestEngineSwapUnderLoad(t *testing.T) {
 	}
 	if n := badLabel.Load(); n != 0 {
 		t.Fatalf("%d requests produced neither generation's label", n)
-	}
-	if n := oldB.blends.Load() + newB.blends.Load(); n != 0 {
-		t.Fatalf("%d requests blended two model generations", n)
 	}
 	st := e.Stats()
 	if st.Swaps != 1 {

@@ -61,11 +61,12 @@ func loadReport(path string) (Report, error) {
 }
 
 // compareReports diffs new against old under cfg and returns the
-// regressions and improvements over the gated intersection. A benchmark
-// regresses when its ns/op grows beyond the threshold or its allocs/op
-// grows at all — allocation counts are deterministic, so any increase is
-// a real code change, never noise.
-func compareReports(old, cur Report, cfg compareConfig) (regressions, improvements []delta) {
+// regressions and improvements over the gated intersection, and how
+// many results that intersection held. A benchmark regresses when its
+// ns/op grows beyond the threshold or its allocs/op grows at all —
+// allocation counts are deterministic, so any increase is a real code
+// change, never noise.
+func compareReports(old, cur Report, cfg compareConfig) (regressions, improvements []delta, compared int) {
 	oldByKey := make(map[string]Result, len(old.Results))
 	for _, r := range old.Results {
 		oldByKey[key(r)] = r
@@ -82,6 +83,7 @@ func compareReports(old, cur Report, cfg compareConfig) (regressions, improvemen
 		if cfg.skip != nil && cfg.skip.MatchString(k) {
 			continue
 		}
+		compared++
 		for _, metric := range []string{"ns/op", "allocs/op"} {
 			oldV, okOld := prev.Metrics[metric]
 			newV, okNew := r.Metrics[metric]
@@ -103,18 +105,20 @@ func compareReports(old, cur Report, cfg compareConfig) (regressions, improvemen
 	}
 	sort.Slice(regressions, func(i, j int) bool { return regressions[i].ratio() > regressions[j].ratio() })
 	sort.Slice(improvements, func(i, j int) bool { return improvements[i].ratio() < improvements[j].ratio() })
-	return regressions, improvements
+	return regressions, improvements, compared
 }
 
 // runCompare executes the gate: diff cur against the baseline at
-// oldPath, report both directions, and return false on any regression.
+// oldPath, report both directions and the compared count (a run at
+// another -cpu than the baseline's compares nothing), and return false
+// on any regression.
 func runCompare(oldPath string, cur Report, cfg compareConfig) bool {
 	old, err := loadReport(oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: baseline: %v\n", err)
 		return false
 	}
-	regressions, improvements := compareReports(old, cur, cfg)
+	regressions, improvements, compared := compareReports(old, cur, cfg)
 	for _, d := range improvements {
 		fmt.Printf("improved   %-60s %-10s %12.1f -> %12.1f (%.2fx)\n", d.Key, d.Metric, d.Old, d.New, d.ratio())
 	}
@@ -126,6 +130,7 @@ func runCompare(oldPath string, cur Report, cfg compareConfig) bool {
 			len(regressions), oldPath, cfg.threshold*100)
 		return false
 	}
-	fmt.Printf("benchjson: no regressions against %s (%d improved)\n", oldPath, len(improvements))
+	fmt.Printf("benchjson: no regressions against %s (%d gated results compared, %d improved)\n",
+		oldPath, compared, len(improvements))
 	return true
 }
