@@ -27,15 +27,7 @@ func loadV1Fixture(t *testing.T) (*Classifier, []dataset.Sample, []Prediction) {
 	if err != nil {
 		t.Fatalf("loading v1 artifact: %v", err)
 	}
-	sf, err := os.Open("testdata/model_v1_samples.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sf.Close()
-	samples, err := dataset.LoadSamples(sf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := loadFixtureSamples(t)
 	raw, err := os.ReadFile("testdata/model_v1_predictions.json")
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +37,22 @@ func loadV1Fixture(t *testing.T) (*Classifier, []dataset.Sample, []Prediction) {
 		t.Fatal(err)
 	}
 	return clf, samples, want
+}
+
+// loadFixtureSamples reads the sample set every frozen artifact is
+// checked against.
+func loadFixtureSamples(t testing.TB) []dataset.Sample {
+	t.Helper()
+	sf, err := os.Open("testdata/model_v1_samples.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	samples, err := dataset.LoadSamples(sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
 }
 
 // TestLoadV1BackCompat is the frozen-artifact gate: the version-2 loader
@@ -80,6 +88,50 @@ func TestLoadV1BackCompat(t *testing.T) {
 func closedSetEqual(got, want Prediction) bool {
 	return got.Label == want.Label && got.Class == want.Class &&
 		got.Confidence == want.Confidence && got.Verdict == ""
+}
+
+// TestLoadV2Frozen is the version-2 frozen-artifact gate, one artifact
+// per model kind: Load followed by Classify (and ClassifyBatch) must
+// reproduce, bit for bit, the predictions of the code that wrote the
+// artifact. The fixtures were trained on the even-indexed v1 samples
+// with a fixed 0.5 threshold; the rf one is calibrated on the
+// odd-indexed samples, so it freezes the open-set verdicts too.
+func TestLoadV2Frozen(t *testing.T) {
+	samples := loadFixtureSamples(t)
+	for _, kind := range []string{model.KindRF, model.KindKNN, model.KindSVM} {
+		t.Run(kind, func(t *testing.T) {
+			clf, err := LoadFile("testdata/model_v2_" + kind + ".json")
+			if err != nil {
+				t.Fatalf("loading frozen v2 artifact: %v", err)
+			}
+			if got := clf.ModelKind(); got != kind {
+				t.Fatalf("artifact loaded as kind %q, want %q", got, kind)
+			}
+			if got := clf.Calibration() != nil; got != (kind == model.KindRF) {
+				t.Fatalf("calibrated = %v", got)
+			}
+			raw, err := os.ReadFile("testdata/model_v2_" + kind + "_predictions.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Prediction
+			if err := json.Unmarshal(raw, &want); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != len(samples) {
+				t.Fatalf("fixture shape: %d predictions for %d samples", len(want), len(samples))
+			}
+			batch := clf.ClassifyBatch(samples)
+			for i := range samples {
+				if got := clf.Classify(&samples[i]); got != want[i] {
+					t.Fatalf("sample %d: Classify %+v, frozen %+v", i, got, want[i])
+				}
+				if batch[i] != want[i] {
+					t.Fatalf("sample %d: ClassifyBatch %+v, frozen %+v", i, batch[i], want[i])
+				}
+			}
+		})
+	}
 }
 
 // TestV1ToV2Migration re-saves a loaded v1 model (producing a v2
