@@ -64,10 +64,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"sync"
 	"syscall"
 	"time"
@@ -264,37 +266,8 @@ func cmdServe(args []string) error {
 		}
 	}
 
-	// Every event is answered as soon as its line is read, in one write:
-	// the scheduler prolog that submitted it may be waiting on the label.
-	runStream := func() error {
-		enc := json.NewEncoder(os.Stdout)
-		lines := bufio.NewReaderSize(in, 1<<20)
-		for lineNo := 1; ; lineNo++ {
-			line, err := readEventLine(lines, maxEventLine)
-			var res serveResult
-			switch {
-			case err == io.EOF:
-				return nil
-			case err == errEventLineTooLong:
-				// Answered below as this line's error.
-			case err != nil:
-				return err
-			case len(line) == 0:
-				continue
-			default:
-				res, err = serveLine(hs, mon, line)
-			}
-			if err != nil {
-				res.Error = fmt.Sprintf("line %d: %v", lineNo, err)
-			}
-			if err := enc.Encode(&res); err != nil {
-				return err
-			}
-		}
-	}
-
 	if *input != "none" {
-		if err := runStream(); err != nil {
+		if err := runStream(in, os.Stdout, hs, mon); err != nil {
 			return err
 		}
 	} else {
@@ -347,12 +320,56 @@ func cmdServe(args []string) error {
 	return nil
 }
 
+// runStream answers each event line of in on out as soon as the line
+// is read, in one write: the scheduler prolog that submitted it may be
+// waiting on the label. A line's failure, an oversized line or a panic
+// while answering it included, is that line's error result; the loop
+// goes on to the next line.
+func runStream(in io.Reader, out io.Writer, hs *httpserve.Server, mon *monitor.Monitor) error {
+	enc := json.NewEncoder(out)
+	lines := bufio.NewReaderSize(in, 1<<20)
+	for lineNo := 1; ; lineNo++ {
+		line, err := readEventLine(lines, maxEventLine)
+		var res serveResult
+		switch {
+		case err == io.EOF:
+			return nil
+		case err == errEventLineTooLong:
+			// Answered below as this line's error.
+		case err != nil:
+			return err
+		case len(line) == 0:
+			continue
+		default:
+			res, err = serveLine(hs, mon, line)
+		}
+		if err != nil {
+			res.Error = fmt.Sprintf("line %d: %v", lineNo, err)
+		}
+		if err := enc.Encode(&res); err != nil {
+			return err
+		}
+	}
+}
+
+// errInternal answers an event line whose handling panicked; the panic
+// itself is logged with its stack.
+var errInternal = errors.New("internal error")
+
 // serveLine answers one non-empty event line: a job event is collected
 // and observed through the monitor, a control line installs its model.
 // A non-nil error is the line's own failure; the result still carries
-// whatever identifies the line (its job ID or the reload path).
-func serveLine(hs *httpserve.Server, mon *monitor.Monitor, line []byte) (serveResult, error) {
+// whatever identifies the line (its job ID or the reload path). A panic
+// is logged with its stack and becomes errInternal, so one bad event
+// cannot end the stream.
+func serveLine(hs *httpserve.Server, mon *monitor.Monitor, line []byte) (res serveResult, err error) {
 	var ev serveEvent
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("fhc serve: panic answering an event: %v\n%s", p, debug.Stack())
+			res, err = serveResult{JobID: ev.JobID}, errInternal
+		}
+	}()
 	if err := json.Unmarshal(line, &ev); err != nil {
 		return serveResult{JobID: ev.JobID}, err
 	}
@@ -398,7 +415,7 @@ func serveLine(hs *httpserve.Server, mon *monitor.Monitor, line []byte) (serveRe
 		JobID: ev.JobID, User: ev.User, Account: ev.Account,
 		JobName: ev.JobName, Sample: sample,
 	})
-	res := serveResult{
+	res = serveResult{
 		JobID: ev.JobID, Label: pred.Label, Class: pred.Class,
 		Confidence: pred.Confidence, Verdict: string(pred.Verdict),
 	}

@@ -9,17 +9,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/httpserve"
+	"repro/internal/monitor"
+	"repro/internal/serve"
 )
 
 // trainModel trains a small model on the test tree, passing extra
@@ -167,6 +172,64 @@ func TestCmdServeAnswersLive(t *testing.T) {
 	<-done
 	if serveErr != nil {
 		t.Fatalf("serve: %v", serveErr)
+	}
+}
+
+// panicOnceBackend panics on its first classification and answers
+// every later one from clf.
+type panicOnceBackend struct {
+	clf      *core.Classifier
+	panicked atomic.Bool
+}
+
+func (b *panicOnceBackend) Classify(s *dataset.Sample) core.Prediction {
+	if !b.panicked.Swap(true) {
+		panic("backend failure")
+	}
+	return b.clf.Classify(s)
+}
+
+// TestServeStreamSurvivesPanic: a panic while answering one event line
+// becomes that line's "internal error" result, logged with its stack,
+// and the stream loop answers the next event.
+func TestServeStreamSurvivesPanic(t *testing.T) {
+	dir, binary := makeTree(t)
+	clf, err := core.LoadFile(trainModel(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := serve.New(&panicOnceBackend{clf: clf}, serve.Options{})
+	defer engine.Close()
+	hs := httpserve.New(engine, httpserve.Options{})
+	events := `{"job_id":"1","exe":"a","path":"` + binary + `"}` + "\n" +
+		`{"job_id":"2","exe":"a","path":"` + binary + `"}` + "\n"
+
+	var out, logged bytes.Buffer
+	log.SetOutput(&logged)
+	err = runStream(strings.NewReader(events), &out, hs, monitor.New(hs, monitor.Policy{}))
+	log.SetOutput(os.Stderr)
+	if err != nil {
+		t.Fatalf("stream loop: %v", err)
+	}
+	var got []serveResult
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		var res serveResult
+		if err := json.Unmarshal([]byte(line), &res); err != nil {
+			t.Fatalf("result %q: %v", line, err)
+		}
+		got = append(got, res)
+	}
+	if len(got) != 2 {
+		t.Fatalf("%d results for 2 events:\n%s", len(got), out.String())
+	}
+	if got[0].JobID != "1" || got[0].Error != "line 1: internal error" || got[0].Label != "" {
+		t.Fatalf("panicking event answered %+v, want line 1's internal error", got[0])
+	}
+	if got[1].JobID != "2" || got[1].Error != "" || got[1].Label != "AppOne" {
+		t.Fatalf("event after the panic answered %+v, want label AppOne", got[1])
+	}
+	if !strings.Contains(logged.String(), "panicOnceBackend).Classify") {
+		t.Fatalf("panic log does not name the panicking frame:\n%s", logged.String())
 	}
 }
 

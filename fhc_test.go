@@ -323,9 +323,9 @@ var interfaceMethods = map[string]string{
 	"repro/internal/knn.Classifier.UnmarshalJSON":                    "json.Unmarshaler",
 	"repro/internal/svm.Classifier.MarshalJSON":                      "json.Marshaler",
 	"repro/internal/svm.Classifier.UnmarshalJSON":                    "json.Unmarshaler",
-	"repro/internal/model.forestModel.MarshalJSON":                   "json.Marshaler",
-	"repro/internal/model.knnModel.MarshalJSON":                      "json.Marshaler",
-	"repro/internal/model.svmModel.MarshalJSON":                      "json.Marshaler",
+	"repro/internal/model.forest.MarshalJSON":                        "json.Marshaler",
+	"repro/internal/par.PanicError.Unwrap":                           "errors.Is and errors.As",
+	"repro/internal/rf.Forest.UnmarshalJSON":                         "json.Unmarshaler",
 	"repro/internal/tools/fhcvet/analysis.mappedImporter.ImportFrom": "types.ImporterFrom",
 }
 

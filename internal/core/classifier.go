@@ -10,6 +10,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/openset"
+	"repro/internal/par"
 	"repro/ssdeep"
 )
 
@@ -105,7 +106,7 @@ func Train(samples []dataset.Sample, cfg Config) (*Classifier, error) {
 		c.tuning = curve
 	}
 
-	// Final fit on the full training set, through the model registry.
+	// Final fit on the full training set.
 	X := c.profiles.featurizeBatch(samples, dist, cfg.Workers)
 	y := make([]int, len(samples))
 	classIndex := make(map[string]int, len(classes))
@@ -134,10 +135,10 @@ func (c *Classifier) Classes() []string {
 	return append([]string(nil), c.profiles.classes...)
 }
 
-// ModelKind returns the registered kind tag of the fitted model ("rf",
-// "knn", "svm", ...).
+// ModelKind returns the kind tag of the fitted model ("rf", "knn" or
+// "svm").
 func (c *Classifier) ModelKind() string {
-	return c.mdl.Kind()
+	return c.cfg.Model
 }
 
 // Threshold returns the confidence threshold in effect.
@@ -221,8 +222,7 @@ func (c *Classifier) Labels(samples []dataset.Sample) []int {
 
 // Classify predicts the application class of one sample.
 func (c *Classifier) Classify(s *dataset.Sample) Prediction {
-	x := c.profiles.featurize(s, c.distance)
-	return c.PredictFromProba(c.profiles.appendEvidence(c.mdl.PredictProba(x), x))
+	return c.PredictFromProba(c.predictWide(s))
 }
 
 // ClassifyBatch predicts many samples with a bounded worker pool.
@@ -235,21 +235,25 @@ func (c *Classifier) ClassifyBatch(samples []dataset.Sample) []Prediction {
 	return out
 }
 
-// PredictProbaBatch featurises many samples and returns, for each, the
-// model's class-probability vector widened with the per-class distance
-// evidence: row i has 2×|classes| columns — probabilities in model
-// class order, then each class's best fuzzy-hash similarity to the
-// sample (the open-set evidence channel) — and no threshold applied.
-// ClassifyBatch and calibration build on it: featurise and run the
-// model over many samples in one call, then apply the threshold and
-// calibration per row with PredictFromProba.
+// PredictProbaBatch returns predictWide's row for each sample, computed
+// on a bounded worker pool. ClassifyBatch and calibration build on it:
+// they apply the threshold and calibration per row with
+// PredictFromProba.
 func (c *Classifier) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
-	X := c.profiles.featurizeBatch(samples, c.distance, c.cfg.Workers)
-	P := c.mdl.PredictProbaBatch(X, c.cfg.Workers)
-	for i := range P {
-		P[i] = c.profiles.appendEvidence(P[i], X[i])
-	}
-	return P
+	out := make([][]float64, len(samples))
+	par.Map(len(samples), c.cfg.Workers, func(i int) { out[i] = c.predictWide(&samples[i]) })
+	return out
+}
+
+// predictWide is the one per-sample prediction step every classify path
+// shares: featurise the sample, run the model, and widen its
+// class-probability vector with the per-class distance evidence. The
+// row has 2×|classes| columns — probabilities in model class order,
+// then each class's best fuzzy-hash similarity to the sample (the
+// open-set evidence channel) — and no threshold applied.
+func (c *Classifier) predictWide(s *dataset.Sample) []float64 {
+	x := c.profiles.featurize(s, c.distance)
+	return c.profiles.appendEvidence(c.mdl.PredictProba(x), x)
 }
 
 // PredictFromProba applies the confidence threshold — and, when a

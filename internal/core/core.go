@@ -9,10 +9,13 @@
 // deviating from allocation purpose.
 //
 // Concurrency contract: a trained Classifier is read-mostly and safe for
-// concurrent Classify/ClassifyBatch/PredictProbaBatch/Featurize calls;
-// the runtime tuning knob, SetThreshold, is atomic and may be moved
-// while serving (each prediction reads a consistent snapshot). Train itself is single-caller; it parallelises
-// internally via internal/par.
+// concurrent Classify/ClassifyBatch/PredictProbaBatch/Featurize calls.
+// All three classify methods run one per-sample step (featurise, model
+// PredictProba, evidence); the batch ones fan it out over internal/par.
+// The runtime knobs, SetThreshold and SetCalibration, are atomic and may
+// be moved while serving (each prediction reads a consistent snapshot).
+// Train itself is single-caller; it parallelises internally via
+// internal/par.
 package core
 
 import (
@@ -75,7 +78,7 @@ type Config struct {
 	Features []dataset.FeatureKind
 	// Model selects the classification model trained on the similarity
 	// features: "rf" (the paper's Random Forest, the default), "knn" or
-	// "svm" — any kind registered with internal/model.
+	// "svm" (model.Kinds).
 	Model string
 	// Forest sets the Random Forest parameters of the "rf" model. When
 	// Grid is non-nil the grid search overrides the searched fields;

@@ -23,7 +23,7 @@ func parseDigest(s string) (ssdeep.Digest, error) {
 }
 
 // Persisted format versions. Version 2 stores a self-describing
-// {model_kind, model} payload resolved through the model registry;
+// {model_kind, model} payload decoded by model.Unmarshal;
 // version 1 stored the bare Random Forest and remains loadable.
 const (
 	modelVersionV1 = 1
@@ -46,8 +46,8 @@ type modelDTO struct {
 	Distance  string            `json:"distance"`
 	Threshold float64           `json:"threshold"`
 	Profiles  []kindProfilesDTO `json:"profiles"`
-	// ModelKind and Model are the version-2 payload: the registered
-	// model kind and its opaque, kind-owned parameter encoding.
+	// ModelKind and Model are the version-2 payload: the model kind
+	// and its opaque, kind-owned parameter encoding.
 	ModelKind string          `json:"model_kind,omitempty"`
 	Model     json.RawMessage `json:"model,omitempty"`
 	// Forest is the version-1 payload (implicitly kind "rf").
@@ -62,19 +62,19 @@ type modelDTO struct {
 
 // Save serialises the classifier as JSON. The model is self-contained:
 // class profiles (digests only — no raw file content, preserving the
-// paper's privacy argument), the fitted model tagged with its registry
-// kind, the threshold and the tuning curve.
+// paper's privacy argument), the fitted model tagged with its kind,
+// the threshold and the tuning curve.
 func (c *Classifier) Save(w io.Writer) error {
 	payload, err := json.Marshal(c.mdl)
 	if err != nil {
-		return fmt.Errorf("core: saving %s model: %w", c.mdl.Kind(), err)
+		return fmt.Errorf("core: saving %s model: %w", c.cfg.Model, err)
 	}
 	dto := modelDTO{
 		Version:   modelVersion,
 		Classes:   c.profiles.classes,
 		Distance:  string(c.cfg.Distance),
 		Threshold: c.Threshold(),
-		ModelKind: c.mdl.Kind(),
+		ModelKind: c.cfg.Model,
 		Model:     payload,
 		Tuning:    c.tuning,
 	}
@@ -144,7 +144,7 @@ func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 // LoadFile reads a classifier artifact from disk. It is the
 // swap-from-artifact path shared by the CLI, the public facade and the
 // HTTP model-swap endpoint: one place resolves a file name into a
-// registry-checked classifier of any persisted version.
+// validated classifier of any persisted version.
 func LoadFile(path string) (*Classifier, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -160,29 +160,28 @@ func rawIsNull(raw json.RawMessage) bool {
 }
 
 // Load reads a classifier saved with Save: the current version-2 format
-// with any registered model kind, or a legacy version-1 artifact whose
+// with any model kind, or a legacy version-1 artifact whose
 // payload is the bare forest.
 func Load(r io.Reader) (*Classifier, error) {
 	var dto modelDTO
 	if err := json.NewDecoder(r).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("core: loading model: %w", err)
 	}
-	var mdl model.Model
-	var err error
+	kind, payload := dto.ModelKind, dto.Model
 	switch dto.Version {
 	case modelVersionV1:
 		if rawIsNull(dto.Forest) {
 			return nil, fmt.Errorf("core: version 1 model has no forest")
 		}
-		mdl, err = model.Unmarshal(model.KindRF, dto.Forest)
+		kind, payload = model.KindRF, dto.Forest
 	case modelVersion:
-		if dto.ModelKind == "" || rawIsNull(dto.Model) {
+		if kind == "" || rawIsNull(payload) {
 			return nil, fmt.Errorf("core: version 2 model has no model payload")
 		}
-		mdl, err = model.Unmarshal(dto.ModelKind, dto.Model)
 	default:
 		return nil, fmt.Errorf("core: unsupported model version %d", dto.Version)
 	}
+	mdl, err := model.Unmarshal(kind, payload)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading model: %w", err)
 	}
@@ -202,7 +201,7 @@ func Load(r io.Reader) (*Classifier, error) {
 		features[i] = dataset.FeatureKind(k)
 	}
 	c := &Classifier{
-		cfg:      Config{Features: features, Distance: distName, Model: mdl.Kind()}.withDefaults(),
+		cfg:      Config{Features: features, Distance: distName, Model: kind}.withDefaults(),
 		mdl:      mdl,
 		distance: dist,
 		tuning:   dto.Tuning,

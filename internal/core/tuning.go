@@ -120,7 +120,8 @@ func tune(trainSamples []dataset.Sample, cfg Config, grid *Grid) (tuneResult, []
 			results[i].err = fmt.Errorf("grid point %+v: %w", params, err)
 			return
 		}
-		probas := m.PredictProbaBatch(xVal, innerWorkers)
+		probas := make([][]float64, len(xVal))
+		par.Map(len(xVal), innerWorkers, func(j int) { probas[j] = m.PredictProba(xVal[j]) })
 		curve := make([]ThresholdScore, 0, len(thresholds))
 		for _, th := range thresholds {
 			yPred := applyThreshold(probas, split.KnownClasses, th)

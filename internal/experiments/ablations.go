@@ -113,9 +113,9 @@ type AblationModels struct {
 }
 
 // RunAblationModels evaluates every model on the pipeline's split. The
-// comparison models train through the model registry — the same factory
-// the core classifier uses — so the ablation exercises exactly the
-// pluggable layer a production deployment would select from.
+// comparison models train through model.Train — the same call the core
+// classifier makes — so the ablation exercises exactly the model layer
+// a production deployment would select from.
 func RunAblationModels(p *Pipeline) (*AblationModels, error) {
 	out := &AblationModels{
 		Rows: []ModelScores{{Name: "random-forest (paper)", Scores: p.Report.Scores()}},
@@ -127,8 +127,8 @@ func RunAblationModels(p *Pipeline) (*AblationModels, error) {
 	yTrue := clf.GroundTruth(p.Test)
 	classes := clf.Classes()
 
-	evalProbas := func(name string, probas [][]float64, threshold float64) error {
-		yPred := applyThresholdToProbas(probas, classes, threshold)
+	evalModel := func(name string, m model.Model, threshold float64) error {
+		yPred := predictLabels(m.PredictProba, xTest, classes, threshold)
 		report, err := ml.ClassificationReport(yTrue, yPred)
 		if err != nil {
 			return err
@@ -155,7 +155,7 @@ func RunAblationModels(p *Pipeline) (*AblationModels, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		if err := evalProbas(c.name, m.PredictProbaBatch(xTest, 0), c.threshold); err != nil {
+		if err := evalModel(c.name, m, c.threshold); err != nil {
 			return nil, err
 		}
 	}

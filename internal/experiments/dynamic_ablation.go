@@ -91,8 +91,7 @@ func RunAblationDynamic(p *Pipeline) (*AblationDynamic, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: dynamic ablation %s: %w", c.name, err)
 		}
-		probas := forest.PredictProbaBatch(c.xTest, 0)
-		yPred := applyThresholdToProbas(probas, classes, threshold)
+		yPred := predictLabels(forest.PredictProba, c.xTest, classes, threshold)
 		report, err := ml.ClassificationReport(yTrue, yPred)
 		if err != nil {
 			return nil, err
@@ -102,13 +101,14 @@ func RunAblationDynamic(p *Pipeline) (*AblationDynamic, error) {
 	return out, nil
 }
 
-// applyThresholdToProbas converts probability vectors into labels under a
-// confidence threshold (shared by the model ablations).
-func applyThresholdToProbas(probas [][]float64, classes []string, threshold float64) []string {
-	out := make([]string, len(probas))
-	for i, proba := range probas {
+// predictLabels predicts each row of X and converts the probability
+// vector into a label under a confidence threshold (shared by the model
+// ablations).
+func predictLabels(predict func(x []float64) []float64, X [][]float64, classes []string, threshold float64) []string {
+	out := make([]string, len(X))
+	for i, x := range X {
 		best, bestP := 0, -1.0
-		for c, pr := range proba {
+		for c, pr := range predict(x) {
 			if pr > bestP {
 				best, bestP = c, pr
 			}

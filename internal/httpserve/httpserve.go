@@ -441,7 +441,9 @@ func (s *Server) instrument(route, method string, limited bool, h http.HandlerFu
 		s.inFlight.Add(1)
 		defer func() {
 			p := recover()
-			if p != nil && p != http.ErrAbortHandler {
+			if err, _ := p.(error); errors.Is(err, http.ErrAbortHandler) {
+				p = http.ErrAbortHandler // also when a worker pool re-raised it
+			} else if p != nil {
 				log.Printf("httpserve: panic serving %s %s: %v\n%s", r.Method, route, p, debug.Stack())
 				if rec.code == 0 {
 					writeJSON(rec, http.StatusInternalServerError, errorResponse{Error: "internal server error"})

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/par"
 	"repro/internal/retrain"
 	"repro/internal/rf"
 	"repro/internal/serve"
@@ -550,9 +552,17 @@ func TestHTTPHandlerPanic(t *testing.T) {
 	for _, bin := range fixBins[:3] {
 		batch.Samples = append(batch.Samples, ClassifyRequest{BinaryB64: base64.StdEncoding.EncodeToString(bin)})
 	}
-	if code, body := postJSON(t, client, ts.URL+"/v1/classify/batch", batch); code != http.StatusInternalServerError ||
-		json.Unmarshal(body, &e) != nil || e.Error == "" {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	code, body := postJSON(t, client, ts.URL+"/v1/classify/batch", batch)
+	log.SetOutput(os.Stderr)
+	if code != http.StatusInternalServerError || json.Unmarshal(body, &e) != nil || e.Error == "" {
 		t.Fatalf("batch route: %d %s, want a JSON 500", code, body)
+	}
+	// The item pool re-raises the panic on the handler goroutine; the
+	// log must still name the frame that panicked, not only the pool.
+	if !strings.Contains(logged.String(), "panickingBackend.Classify") {
+		t.Fatalf("batch-route panic log does not name the panicking frame:\n%s", logged.String())
 	}
 	if st := engine.Stats(); st.Inflight != 0 {
 		t.Fatalf("%d flights left behind", st.Inflight)
@@ -579,7 +589,8 @@ func TestHTTPHandlerPanic(t *testing.T) {
 // TestInstrumentPanicMidResponse: a panic after the response is under
 // way cannot become a 500 on the wire, so the response is cut — the
 // client sees an error, never a truncated 200 — and the request is
-// still counted under code 500. http.ErrAbortHandler cuts it too.
+// still counted under code 500. http.ErrAbortHandler cuts it too, also
+// when a worker pool re-raises it, and is not counted as a 500.
 func TestInstrumentPanicMidResponse(t *testing.T) {
 	s := New(serve.New(panickingBackend{}, serve.Options{}), Options{})
 	mux := http.NewServeMux()
@@ -590,9 +601,12 @@ func TestInstrumentPanicMidResponse(t *testing.T) {
 	mux.Handle("/abort", s.instrument("/abort", http.MethodGet, false, func(http.ResponseWriter, *http.Request) {
 		panic(http.ErrAbortHandler)
 	}))
+	mux.Handle("/pool-abort", s.instrument("/pool-abort", http.MethodGet, false, func(http.ResponseWriter, *http.Request) {
+		par.Map(2, 2, func(int) { panic(http.ErrAbortHandler) })
+	}))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	for _, route := range []string{"/partial", "/abort"} {
+	for _, route := range []string{"/partial", "/abort", "/pool-abort"} {
 		resp, err := ts.Client().Get(ts.URL + route)
 		if err == nil {
 			_, err = io.ReadAll(resp.Body)
@@ -604,6 +618,9 @@ func TestInstrumentPanicMidResponse(t *testing.T) {
 	}
 	if v := s.requests.With("/partial", "500").Value(); v != 1 {
 		t.Errorf("mid-response panic counted %v times under code 500, want 1", v)
+	}
+	if v := s.requests.With("/pool-abort", "500").Value(); v != 0 {
+		t.Errorf("pool-raised abort counted %v times under code 500, want 0", v)
 	}
 }
 

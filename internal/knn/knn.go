@@ -4,8 +4,8 @@
 // features the Random Forest sees.
 //
 // Concurrency contract: a fitted Classifier is immutable; PredictProba
-// and PredictProbaBatch (parallel via internal/par) are safe from any
-// goroutine. Fit must complete before the classifier is shared.
+// is safe from any goroutine. Train must complete before the classifier
+// is shared.
 package knn
 
 import (
@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/par"
 )
 
 // Params configures the classifier.
@@ -96,16 +94,6 @@ func (c *Classifier) PredictProba(x []float64) []float64 {
 		}
 	}
 	return proba
-}
-
-// PredictProbaBatch predicts many samples with a bounded worker pool;
-// workers <= 0 selects GOMAXPROCS.
-func (c *Classifier) PredictProbaBatch(X [][]float64, workers int) [][]float64 {
-	out := make([][]float64, len(X))
-	par.Map(len(X), workers, func(i int) {
-		out[i] = c.PredictProba(X[i])
-	})
-	return out
 }
 
 // NumClasses returns the number of classes the model was trained on.

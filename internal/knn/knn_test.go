@@ -112,20 +112,3 @@ func TestTrainValidation(t *testing.T) {
 		t.Error("out-of-range label accepted")
 	}
 }
-
-func TestBatchMatchesSingle(t *testing.T) {
-	X, y := blobs(4, 15)
-	c, err := Train(X, y, 3, Params{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := c.PredictProbaBatch(X, 4)
-	for i := range X {
-		single := c.PredictProba(X[i])
-		for j := range single {
-			if math.Abs(single[j]-batch[i][j]) > 1e-12 {
-				t.Fatalf("batch mismatch at %d", i)
-			}
-		}
-	}
-}

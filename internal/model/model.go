@@ -1,32 +1,29 @@
-// Package model is the pluggable classification-model layer of the Fuzzy
-// Hash Classifier. The paper's pipeline is "fuzzy-hash features → ML
+// Package model is the classification-model layer of the Fuzzy Hash
+// Classifier. The paper's pipeline is "fuzzy-hash features → ML
 // classifier", and its comparison set spans Random Forest, SVM and KNN;
-// this package gives every such model one narrow interface — batch
+// this package gives the three one narrow interface — per-sample
 // probability prediction over the similarity feature matrix plus a JSON
-// round-trip — and a factory registry keyed by a kind tag, so the core
+// round-trip — and a closed switch over their kind tags, so the core
 // classifier, the persisted artifact and the serving engine are all
-// model-agnostic. The Random Forest remains the default and its trained
-// behaviour is bit-identical to the pre-registry code: adapters delegate,
-// they never re-implement arithmetic.
+// model-agnostic. The Random Forest is the default; every kind
+// delegates to its own package, so no arithmetic is re-implemented
+// here.
 //
-// Concurrency contract: the kind registry is safe for concurrent
-// Register/New/Unmarshal/Kinds calls. A fitted Model is immutable —
-// PredictProba/PredictProbaBatch and MarshalJSON may run concurrently
-// from any goroutine; Fit must complete before the model is shared.
+// Concurrency contract: a fitted Model is immutable — PredictProba and
+// MarshalJSON may run concurrently from any goroutine; Train must
+// complete before the model is shared.
 package model
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/knn"
 	"repro/internal/rf"
 	"repro/internal/svm"
 )
 
-// Registered model kinds.
+// Model kinds, as persisted in artifacts.
 const (
 	// KindRF is the paper's Random Forest, the default.
 	KindRF = "rf"
@@ -40,8 +37,6 @@ const (
 // the fuzzy-hash similarity features. Implementations are safe for
 // concurrent prediction once trained.
 type Model interface {
-	// Kind returns the registered kind tag ("rf", "knn", "svm").
-	Kind() string
 	// NumClasses returns the number of classes the model was trained on.
 	NumClasses() int
 	// NumFeatures returns the input dimensionality.
@@ -49,9 +44,6 @@ type Model interface {
 	// PredictProba returns the class-probability vector of one sample,
 	// in class-index order.
 	PredictProba(x []float64) []float64
-	// PredictProbaBatch predicts many samples with a bounded worker
-	// pool; workers <= 0 selects GOMAXPROCS.
-	PredictProbaBatch(X [][]float64, workers int) [][]float64
 	// MarshalJSON serialises the fitted model parameters; Unmarshal with
 	// the same kind restores a behaviourally identical model.
 	json.Marshaler
@@ -63,8 +55,8 @@ type Importancer interface {
 	Importances() []float64
 }
 
-// Options carries the per-kind training parameters; each TrainFunc
-// reads only its own field (parallelism knobs live inside the per-kind
+// Options carries the per-kind training parameters; each kind reads
+// only its own field (parallelism knobs live inside the per-kind
 // params, e.g. rf.Params.Workers).
 type Options struct {
 	// Forest configures the "rf" kind.
@@ -75,83 +67,40 @@ type Options struct {
 	SVM svm.Params
 }
 
-// TrainFunc fits a model of one kind on the feature matrix X with
-// integer labels y in [0, numClasses).
-type TrainFunc func(X [][]float64, y []int, numClasses int, opt Options) (Model, error)
-
-// UnmarshalFunc restores a model of one kind from its MarshalJSON
-// payload.
-type UnmarshalFunc func(data []byte) (Model, error)
-
-// factory pairs the two constructors of one registered kind.
-type factory struct {
-	train     TrainFunc
-	unmarshal UnmarshalFunc
-}
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]factory{}
-)
-
-// Register installs a model kind. Registering an already-registered kind
-// panics: kinds are persisted in model artifacts, so silent replacement
-// would change what stored models load as.
-func Register(kind string, train TrainFunc, unmarshal UnmarshalFunc) {
-	if kind == "" || train == nil || unmarshal == nil {
-		panic("model: Register with empty kind or nil constructor")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[kind]; dup {
-		panic(fmt.Sprintf("model: kind %q registered twice", kind))
-	}
-	registry[kind] = factory{train: train, unmarshal: unmarshal}
-}
-
-// Kinds returns the registered kind tags, sorted.
+// Kinds returns the model kind tags, sorted.
 func Kinds() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return []string{KindKNN, KindRF, KindSVM}
 }
 
-// lookup resolves a kind; the empty kind selects the default Random
-// Forest so zero-valued configurations keep the paper's model.
-func lookup(kind string) (factory, string, error) {
-	if kind == "" {
-		kind = KindRF
-	}
-	registryMu.RLock()
-	f, ok := registry[kind]
-	registryMu.RUnlock()
-	if !ok {
-		return factory{}, kind, fmt.Errorf("model: unknown kind %q (registered: %v)", kind, Kinds())
-	}
-	return f, kind, nil
-}
-
-// Validate reports whether the kind is registered ("" selects the
-// default and is always valid). Callers that do expensive work before
-// training — featurisation, tuning splits — should validate first so a
-// typo fails in microseconds, not minutes.
+// Validate reports whether the kind is known ("" selects the default
+// and is always valid). Callers that do expensive work before training
+// — featurisation, tuning splits — should validate first so a typo
+// fails in microseconds, not minutes.
 func Validate(kind string) error {
-	_, _, err := lookup(kind)
-	return err
+	switch kind {
+	case "", KindRF, KindKNN, KindSVM:
+		return nil
+	}
+	return fmt.Errorf("model: unknown kind %q (known: %v)", kind, Kinds())
 }
 
-// Train fits a model of the given kind ("" selects the default "rf").
+// Train fits a model of the given kind ("" selects the default "rf")
+// on the feature matrix X with integer labels y in [0, numClasses).
 func Train(kind string, X [][]float64, y []int, numClasses int, opt Options) (Model, error) {
-	f, kind, err := lookup(kind)
-	if err != nil {
-		return nil, err
+	var m Model
+	var err error
+	switch kind {
+	case "", KindRF:
+		var f *rf.Forest
+		f, err = rf.Train(X, y, numClasses, opt.Forest)
+		m = forest{f}
+	case KindKNN:
+		m, err = knn.Train(X, y, numClasses, opt.KNN)
+	case KindSVM:
+		m, err = svm.Train(X, y, numClasses, opt.SVM)
+	default:
+		return nil, Validate(kind)
 	}
-	m, err := f.train(X, y, numClasses, opt)
 	if err != nil {
 		return nil, fmt.Errorf("model: training %s: %w", kind, err)
 	}
@@ -159,15 +108,39 @@ func Train(kind string, X [][]float64, y []int, numClasses int, opt Options) (Mo
 }
 
 // Unmarshal restores a model of the given kind from its persisted
-// payload.
+// payload. Each kind validates its payload as it decodes, so a
+// malformed artifact fails here rather than at prediction time.
 func Unmarshal(kind string, data []byte) (Model, error) {
-	f, kind, err := lookup(kind)
-	if err != nil {
-		return nil, err
+	var m Model
+	var dst any
+	switch kind {
+	case "", KindRF:
+		f := &rf.Forest{}
+		m, dst = forest{f}, f
+	case KindKNN:
+		c := &knn.Classifier{}
+		m, dst = c, c
+	case KindSVM:
+		c := &svm.Classifier{}
+		m, dst = c, c
+	default:
+		return nil, Validate(kind)
 	}
-	m, err := f.unmarshal(data)
-	if err != nil {
+	if err := json.Unmarshal(data, dst); err != nil {
 		return nil, fmt.Errorf("model: loading %s: %w", kind, err)
 	}
 	return m, nil
 }
+
+// forest adapts *rf.Forest to Model: the forest's NumClasses,
+// NumFeatures and Importances are exported fields (and the artifact's
+// JSON keys), so they cannot also be its methods.
+type forest struct {
+	*rf.Forest
+}
+
+func (f forest) NumClasses() int        { return f.Forest.NumClasses }
+func (f forest) NumFeatures() int       { return f.Forest.NumFeatures }
+func (f forest) Importances() []float64 { return f.Forest.Importances }
+
+func (f forest) MarshalJSON() ([]byte, error) { return json.Marshal(f.Forest) }

@@ -1,6 +1,9 @@
 package par
 
 import (
+	"errors"
+	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,7 +25,8 @@ func TestMapRunsEveryIndexOnce(t *testing.T) {
 
 // TestMapPanicReachesCaller: a panic on a pool goroutine is re-raised on
 // the caller, after every worker has stopped, instead of ending the
-// process.
+// process, and the re-raised value carries the panicking worker's
+// stack.
 func TestMapPanicReachesCaller(t *testing.T) {
 	const n = 200
 	var running, ran atomic.Int32
@@ -41,8 +45,12 @@ func TestMapPanicReachesCaller(t *testing.T) {
 	}()
 	select {
 	case r := <-got:
-		if r != "boom" {
-			t.Fatalf("recovered %v, want the fn's panic value", r)
+		pe, ok := r.(*PanicError)
+		if !ok || pe.Value != "boom" {
+			t.Fatalf("recovered %v, want a *PanicError with the fn's panic value", r)
+		}
+		if !strings.Contains(string(pe.Stack), "TestMapPanicReachesCaller.func") {
+			t.Fatalf("re-raised stack does not name the panicking fn:\n%s", pe.Stack)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Map deadlocked after a panic")
@@ -53,4 +61,17 @@ func TestMapPanicReachesCaller(t *testing.T) {
 	if r := ran.Load(); r == n {
 		t.Fatal("indices after the panic were not skipped")
 	}
+}
+
+// TestMapPanicUnwraps: an error panic value stays reachable through the
+// re-raised *PanicError, so a recover site that matches a sentinel such
+// as http.ErrAbortHandler still matches it from inside a pool.
+func TestMapPanicUnwraps(t *testing.T) {
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, http.ErrAbortHandler) {
+			t.Fatalf("recovered %v, want one that unwraps to http.ErrAbortHandler", err)
+		}
+	}()
+	Map(4, 2, func(int) { panic(http.ErrAbortHandler) })
 }

@@ -12,7 +12,7 @@
 //     restart does not lose the corpus;
 //   - a background loop retrains on a trigger policy — N newly harvested
 //     samples, a wall-clock interval, or an explicit Kick — through the
-//     existing model registry and inner-split threshold tuning, entirely
+//     existing model layer and inner-split threshold tuning, entirely
 //     off the serving hot path;
 //   - promotion is gated on a frozen holdout: the candidate must
 //     meet-or-beat the incumbent's macro-F1 within a configurable

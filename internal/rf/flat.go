@@ -4,11 +4,12 @@ package rf
 // Training and persistence keep the pointer-linked Tree/Node shape (the
 // JSON artifact format is unchanged); before the first prediction the
 // forest is flattened once into contiguous node arrays sized for cache
-// residency, and both prediction paths, PredictProba and
-// PredictProbaBatch, traverse the flat form. The tests hold it to a
-// pointer walk over Tree.Nodes: the two produce bit-identical
-// distributions because the flat walk visits the same splits and
-// accumulates the same leaf weights in the same order.
+// residency, and PredictProba, the only prediction path, traverses the
+// flat form. The tests hold it to a pointer walk over Tree.Nodes: the
+// two produce bit-identical distributions because the flat walk visits
+// the same splits and accumulates the same leaf weights in the same
+// order. Decoding validated the node indices (Forest.UnmarshalJSON), so
+// every walk ends at a leaf.
 
 // flatNode is one tree node in inference layout: split nodes carry the
 // feature index, threshold and child offsets; leaves (feature == -1)

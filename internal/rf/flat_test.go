@@ -79,31 +79,6 @@ func TestFlatAfterJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchTinyBatches exercises the worker clamp: batches far smaller
-// than the requested worker count must still match the single-sample
-// path exactly.
-func TestBatchTinyBatches(t *testing.T) {
-	X, y := blobs(19, 30)
-	f, err := Train(X, y, 3, Params{NumTrees: 10, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, 1, 2, 3} {
-		batch := f.PredictProbaBatch(X[:n], 128)
-		if len(batch) != n {
-			t.Fatalf("batch of %d returned %d rows", n, len(batch))
-		}
-		for i := 0; i < n; i++ {
-			single := f.PredictProba(X[i])
-			for c := range single {
-				if batch[i][c] != single[c] {
-					t.Fatalf("tiny batch %d sample %d differs from single path", n, i)
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkPredictProbaOracle(b *testing.B) {
 	X, y := blobs(21, 70)
 	f, err := Train(X, y, 3, Params{NumTrees: 100, Seed: 1})
@@ -115,19 +90,4 @@ func BenchmarkPredictProbaOracle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.predictProbaOracle(X[i%len(X)])
 	}
-}
-
-func BenchmarkPredictProbaBatch(b *testing.B) {
-	X, y := blobs(21, 70)
-	f, err := Train(X, y, 3, Params{NumTrees: 100, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.PredictProbaBatch(X, 0)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(X)), "samples/op")
 }

@@ -6,13 +6,16 @@
 // including the two properties it selects the model for (non-linearity
 // and feature-importance scores).
 //
-// Concurrency contract: a fitted Forest is immutable — PredictProba,
-// PredictProbaBatch (which parallelises via internal/par) and
-// FeatureImportance are safe from any goroutine. Fit is deterministic
-// for a given seed and must complete before the forest is shared.
+// Concurrency contract: a fitted Forest is immutable — PredictProba and
+// the exported fields are safe to read from any goroutine. Train is
+// deterministic for a given seed (it parallelises via internal/par) and
+// must complete before the forest is shared. A decoded forest is
+// validated before it is returned, so inference never loops or indexes
+// out of range on a malformed artifact.
 package rf
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -280,50 +283,60 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 	return proba
 }
 
-// batchChunk is the number of samples one batch-traversal task owns.
-// Within a chunk traversal is tree-major: every sample walks tree t
-// before any sample touches tree t+1, so one tree's node array stays
-// cache-resident while the whole chunk passes through it.
-const batchChunk = 64
+// UnmarshalJSON decodes a persisted forest and rejects one that
+// inference could not walk safely. Training emits every tree in
+// preorder, so each child index must lie after its parent's and inside
+// the tree: that rules out both cycles, which would never finish a
+// walk, and dangling indices, which would panic.
+func (f *Forest) UnmarshalJSON(data []byte) error {
+	type forestFields Forest // drops this method, so Decode does not recurse
+	if err := json.Unmarshal(data, (*forestFields)(f)); err != nil {
+		return err
+	}
+	if len(f.Trees) == 0 {
+		return fmt.Errorf("rf: model has no trees")
+	}
+	if f.NumClasses < 2 || f.NumFeatures < 1 {
+		return fmt.Errorf("rf: model has %d classes and %d features", f.NumClasses, f.NumFeatures)
+	}
+	if len(f.Importances) != f.NumFeatures {
+		return fmt.Errorf("rf: %d importances for %d features", len(f.Importances), f.NumFeatures)
+	}
+	for t, tree := range f.Trees {
+		if tree == nil || len(tree.Nodes) == 0 {
+			return fmt.Errorf("rf: tree %d is empty", t)
+		}
+		if err := tree.validate(f.NumClasses, f.NumFeatures); err != nil {
+			return fmt.Errorf("rf: tree %d: %w", t, err)
+		}
+	}
+	return nil
+}
 
-// PredictProbaBatch predicts distributions for many samples in parallel.
-// workers <= 0 selects GOMAXPROCS; the count is clamped to GOMAXPROCS and
-// to the number of chunks, so tiny batches do not pay for idle goroutine
-// spawns. Per sample the output is bit-identical to PredictProba.
-func (f *Forest) PredictProbaBatch(X [][]float64, workers int) [][]float64 {
-	fl := f.flattened()
-	out := make([][]float64, len(X))
-	chunks := (len(X) + batchChunk - 1) / batchChunk
-	if maxProcs := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxProcs {
-		workers = maxProcs
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	inv := 1 / float64(len(f.Trees))
-	par.Map(chunks, workers, func(c int) {
-		lo := c * batchChunk
-		hi := lo + batchChunk
-		if hi > len(X) {
-			hi = len(X)
+// validate checks one decoded tree's node indices and leaf payloads.
+func (t *Tree) validate(numClasses, numFeatures int) error {
+	n := int32(len(t.Nodes))
+	for i := range t.Nodes {
+		nd := &t.Nodes[i]
+		if len(nd.Classes) != len(nd.Weights) {
+			return fmt.Errorf("node %d has %d classes but %d weights", i, len(nd.Classes), len(nd.Weights))
 		}
-		for i := lo; i < hi; i++ {
-			out[i] = make([]float64, f.NumClasses)
-		}
-		for t := range fl.trees {
-			tree := &fl.trees[t]
-			for i := lo; i < hi; i++ {
-				tree.accumulate(X[i], fl, out[i])
+		if nd.Feature == -1 {
+			for _, c := range nd.Classes {
+				if c < 0 || int(c) >= numClasses {
+					return fmt.Errorf("leaf %d names class %d of %d", i, c, numClasses)
+				}
 			}
+			continue
 		}
-		for i := lo; i < hi; i++ {
-			proba := out[i]
-			for j := range proba {
-				proba[j] *= inv
-			}
+		if nd.Feature < 0 || int(nd.Feature) >= numFeatures {
+			return fmt.Errorf("node %d splits on feature %d of %d", i, nd.Feature, numFeatures)
 		}
-	})
-	return out
+		if p := int32(i); nd.Left <= p || nd.Left >= n || nd.Right <= p || nd.Right >= n {
+			return fmt.Errorf("node %d has children %d and %d, want indices in (%d, %d)", i, nd.Left, nd.Right, p, n)
+		}
+	}
+	return nil
 }
 
 // treeBuilder carries the state of one tree's construction.

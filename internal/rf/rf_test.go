@@ -287,23 +287,6 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
-func TestPredictProbaBatchMatchesSingle(t *testing.T) {
-	X, y := blobs(11, 30)
-	f, err := Train(X, y, 3, Params{NumTrees: 10, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := f.PredictProbaBatch(X, 4)
-	for i := range X {
-		single := f.PredictProba(X[i])
-		for c := range single {
-			if math.Abs(single[c]-batch[i][c]) > 1e-12 {
-				t.Fatalf("batch prediction differs at sample %d", i)
-			}
-		}
-	}
-}
-
 func TestConstantFeaturesYieldLeaf(t *testing.T) {
 	// All features identical: no split possible, forest must still train
 	// and predict the majority class.

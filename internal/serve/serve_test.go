@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/par"
 	"repro/internal/rf"
 	"repro/internal/synth"
 )
@@ -477,7 +478,7 @@ func TestEngineClassifyAllWindowPanic(t *testing.T) {
 	}()
 	select {
 	case r := <-panicked:
-		if r != "backend failure" {
+		if pe, ok := r.(*par.PanicError); !ok || pe.Value != "backend failure" {
 			t.Fatalf("ClassifyAll recovered %v, want the backend's panic", r)
 		}
 	case <-time.After(10 * time.Second):

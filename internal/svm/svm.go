@@ -5,9 +5,8 @@
 // similarity features as the Random Forest.
 //
 // Concurrency contract: a fitted Classifier is immutable; PredictProba
-// and PredictProbaBatch (parallel via internal/par) are safe from any
-// goroutine. Fit is deterministic for a given seed and must complete
-// before the classifier is shared.
+// is safe from any goroutine. Train is deterministic for a given seed
+// and must complete before the classifier is shared.
 package svm
 
 import (
@@ -15,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -145,17 +143,6 @@ func (c *Classifier) PredictProba(x []float64) []float64 {
 		m[i] /= sum
 	}
 	return m
-}
-
-// PredictProbaBatch predicts calibrated distributions for many samples
-// with a bounded worker pool, matching the batch surface of the rf and
-// knn packages. workers <= 0 selects GOMAXPROCS.
-func (c *Classifier) PredictProbaBatch(X [][]float64, workers int) [][]float64 {
-	out := make([][]float64, len(X))
-	par.Map(len(X), workers, func(i int) {
-		out[i] = c.PredictProba(X[i])
-	})
-	return out
 }
 
 // NumClasses returns the number of classes the model was trained on.
