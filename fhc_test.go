@@ -320,12 +320,9 @@ var testOnlyFuncs = map[string]string{
 // satisfies.
 var interfaceMethods = map[string]string{
 	"repro/internal/knn.Classifier.MarshalJSON":                      "json.Marshaler",
-	"repro/internal/knn.Classifier.UnmarshalJSON":                    "json.Unmarshaler",
 	"repro/internal/svm.Classifier.MarshalJSON":                      "json.Marshaler",
-	"repro/internal/svm.Classifier.UnmarshalJSON":                    "json.Unmarshaler",
 	"repro/internal/model.forest.MarshalJSON":                        "json.Marshaler",
 	"repro/internal/par.PanicError.Unwrap":                           "errors.Is and errors.As",
-	"repro/internal/rf.Forest.UnmarshalJSON":                         "json.Unmarshaler",
 	"repro/internal/tools/fhcvet/analysis.mappedImporter.ImportFrom": "types.ImporterFrom",
 }
 

@@ -112,7 +112,7 @@ func Train(kind string, X [][]float64, y []int, numClasses int, opt Options) (Mo
 // malformed artifact fails here rather than at prediction time.
 func Unmarshal(kind string, data []byte) (Model, error) {
 	var m Model
-	var dst any
+	var dst json.Unmarshaler
 	switch kind {
 	case "", KindRF:
 		f := &rf.Forest{}
@@ -126,7 +126,10 @@ func Unmarshal(kind string, data []byte) (Model, error) {
 	default:
 		return nil, Validate(kind)
 	}
-	if err := json.Unmarshal(data, dst); err != nil {
+	// Calling the decoder directly, not through json.Unmarshal, saves
+	// two scans of the payload: json.Unmarshal would validate and then
+	// skip over it before handing the same bytes to UnmarshalJSON.
+	if err := dst.UnmarshalJSON(data); err != nil {
 		return nil, fmt.Errorf("model: loading %s: %w", kind, err)
 	}
 	return m, nil

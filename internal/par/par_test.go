@@ -1,8 +1,6 @@
 package par
 
 import (
-	"errors"
-	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -61,17 +59,4 @@ func TestMapPanicReachesCaller(t *testing.T) {
 	if r := ran.Load(); r == n {
 		t.Fatal("indices after the panic were not skipped")
 	}
-}
-
-// TestMapPanicUnwraps: an error panic value stays reachable through the
-// re-raised *PanicError, so a recover site that matches a sentinel such
-// as http.ErrAbortHandler still matches it from inside a pool.
-func TestMapPanicUnwraps(t *testing.T) {
-	defer func() {
-		err, _ := recover().(error)
-		if !errors.Is(err, http.ErrAbortHandler) {
-			t.Fatalf("recovered %v, want one that unwraps to http.ErrAbortHandler", err)
-		}
-	}()
-	Map(4, 2, func(int) { panic(http.ErrAbortHandler) })
 }
