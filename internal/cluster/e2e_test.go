@@ -91,11 +91,18 @@ func TestE2EKillShardMidLoad(t *testing.T) {
 	const total = goroutines * perG
 	var done atomic.Int64
 	var wg sync.WaitGroup
+	killed := make(chan struct{})
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for k := 0; k < perG; k++ {
+				if g%2 == 1 && k == perG/2 {
+					// Half the clients hold their second half until the
+					// kill, so load reaches the fleet after it even when
+					// the killer goroutine is scheduled late.
+					<-killed
+				}
 				n := g*perG + k
 				i := n % len(fixBins)
 				resp, err := e2eClassify(c.URL(), fixBins[i], n%2 == 0)
@@ -116,6 +123,7 @@ func TestE2EKillShardMidLoad(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	c.Workers[0].Proxy.SetMode(clustertest.Reset)
+	close(killed)
 	wg.Wait()
 	if t.Failed() {
 		t.Fatalf("requests lost or corrupted with one shard down")
