@@ -156,8 +156,9 @@ func FuzzHashCompare(f *testing.F) {
 // picks b's block size from a's (same, double, half or off by one) so
 // that comparable pairs stay common. The seeds cover signatures over
 // SpamsumLength characters, runs longer than maxRepeat, a shared 7-gram
-// and a gram-hash collision ("EbnKkzc" and "LCOjJgf") whose substrings
-// differ.
+// and gram-hash collisions ("EbnKkzc" and "LCOjJgf", and the pairs
+// gramCollisions finds) whose substrings differ, alone and inside runs
+// of equal hashes where only a later pair matches.
 func FuzzCompareMatchesOracle(f *testing.F) {
 	long := strings.Repeat("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghi", 2)
 	f.Add(uint32(96), uint8(0), long, "AbCdEfGhIjKlMnOp", long[:60]+"zzzzyyyyxx", "QrStUvWxYz012345")
@@ -165,6 +166,10 @@ func FuzzCompareMatchesOracle(f *testing.F) {
 	f.Add(uint32(3), uint8(1), "abcdefghijk", "xEbnKkzcx", "yLCOjJgfy", "lmnopqrstu")
 	f.Add(uint32(12), uint8(2), "Q1w2E3r4T5y6U7i8", "EbnKkzcLCOjJgf", "LCOjJgfPPPP", "Q1w2E3r4T5y6")
 	f.Add(uint32(6), uint8(3), "short", "", "short", "")
+	for _, c := range gramCollisions(f, 2) {
+		f.Add(uint32(3), uint8(0), "x"+c[0]+"y", "", "z"+c[1]+"w", "")
+		f.Add(uint32(24), uint8(1), "r4T5", "x"+c[1]+"y", c[0]+"!"+c[1], "")
+	}
 	distances := []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum}
 	f.Fuzz(func(t *testing.T, bs uint32, rel uint8, a1, a2, b1, b2 string) {
 		a := Digest{BlockSize: bs, Sig1: a1, Sig2: a2}
@@ -190,6 +195,87 @@ func FuzzCompareMatchesOracle(f *testing.F) {
 			}
 			if got := ix.QueryGroupsPrepared(pa, 1, dist)[0]; got != want {
 				t.Fatalf("distance %d: QueryGroupsPrepared(%v) over {%v} = %d, oracle %d", di, a, b, got, want)
+			}
+		}
+	})
+}
+
+// FuzzQueryGroupsMatchesScan holds the grouped index to a scan over raw
+// grouped digests: QueryGroupsPrepared must report, per group, the best
+// compareDistanceOracle score over that group's entries. Each line of
+// entries is one digest. Its first byte picks the owner group (byte%5-1:
+// NoGroup or 0..3), its second the block size relative to the query's
+// (byte%5: same, double, half, quadruple or off by one), and the rest
+// splits at the first ':' into the two signatures. The seeds cover
+// signatures over SpamsumLength characters, runs longer than maxRepeat,
+// grams shared across groups, colliding gram hashes and block sizes a
+// factor of two apart.
+func FuzzQueryGroupsMatchesScan(f *testing.F) {
+	const numGroups = 4
+	entry := func(group int, rel byte, s1, s2 string) string {
+		return string([]byte{byte(group + 1), rel}) + s1 + ":" + s2 + "\n"
+	}
+	long := strings.Repeat("Q1w2E3r4T5y6U7i8o9P0", 5)
+	f.Add(uint32(96), long, "AbCdEfGhIjKl",
+		entry(0, 0, long, "AbCdEfGhIjKl")+
+			entry(1, 0, long[:60]+"zz", "AbCdEfGhIjKm")+
+			entry(NoGroup, 0, long, "AbCdEfGhIjKl")+
+			entry(2, 1, "AbCdEfGhIjKl", long))
+	f.Add(uint32(48), "xxabcdefgxxAAAAAAAA", "qqqq",
+		entry(0, 0, "yyabcdefgyyAAAAA", "rrrr")+
+			entry(0, 0, "abcdefgBBBBBBBBBBzz", "")+
+			entry(1, 0, "zzzabcdefgzzz", "")+
+			entry(3, 4, "xxabcdefgxxAAAAAAAA", "qqqq"))
+	f.Add(uint32(12), "Q1w2E3r4T5y6U7i8", "EbnKkzcLCOjJgf",
+		entry(0, 1, "LCOjJgfPPPP", "Q1w2E3r4T5y6")+
+			entry(1, 2, "zz", "Q1w2E3r4T5y6U7")+
+			entry(2, 3, "EbnKkzcLCOjJgf", "x")+
+			entry(3, 0, "Q1w2E3r4T5y6U7i8", "EbnKkzcLCOjJgf"))
+	for _, c := range gramCollisions(f, 2) {
+		f.Add(uint32(48), "x"+c[0]+"y", "",
+			entry(0, 0, "z"+c[1]+"w", "")+
+				entry(1, 0, c[1]+"!"+c[0], "")+
+				entry(2, 2, "", c[1]+"?"+c[1])+
+				entry(3, 2, "", c[1]+c[0]))
+	}
+	distances := []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum}
+	f.Fuzz(func(t *testing.T, bs uint32, q1, q2, entries string) {
+		q := Digest{BlockSize: bs, Sig1: q1, Sig2: q2}
+		ix := NewIndex()
+		var digests []Digest
+		var groups []int
+		for _, line := range strings.Split(entries, "\n") {
+			if len(line) < 2 {
+				continue
+			}
+			g := int(line[0]%(numGroups+1)) - 1
+			d := Digest{BlockSize: bs}
+			switch line[1] % 5 {
+			case 1:
+				d.BlockSize = 2 * bs
+			case 2:
+				d.BlockSize = bs / 2
+			case 3:
+				d.BlockSize = 4 * bs
+			case 4:
+				d.BlockSize = bs + 1
+			}
+			d.Sig1, d.Sig2, _ = strings.Cut(line[2:], ":")
+			ix.AddGroup(d, g)
+			digests = append(digests, d)
+			groups = append(groups, g)
+		}
+		pq := Prepare(q)
+		for di, dist := range distances {
+			want := make([]int, numGroups)
+			for i, d := range digests {
+				if g := groups[i]; g != NoGroup {
+					want[g] = max(want[g], compareDistanceOracle(q, d, dist))
+				}
+			}
+			if got := ix.QueryGroupsPrepared(pq, numGroups, dist); !slices.Equal(got, want) {
+				t.Fatalf("distance %d: QueryGroupsPrepared(%v) = %v, scan %v over %v (groups %v)",
+					di, q, got, want, digests, groups)
 			}
 		}
 	})

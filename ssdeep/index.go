@@ -13,7 +13,8 @@ const NoGroup = -1
 
 // Index is a similarity-search structure over many fuzzy digests.
 // Entries are bucketed by block size, and each bucket keeps an inverted
-// index from rolling 7-gram hashes to entry ids. Because a non-zero
+// index from rolling 7-gram hashes to entry ids: a map from gram hash to
+// a slot in one slice of posting lists. Because a non-zero
 // similarity score requires a shared 7-gram in the compared signature
 // pair (the common-substring gate), every digest scoring above zero
 // against the query shares at least one posting list with it — so a query
@@ -34,13 +35,17 @@ type Index struct {
 	entries []Prepared
 	// groups holds the owner-group id of each entry, NoGroup if none.
 	groups []int32
-	// buckets maps block size -> gram hash -> posting list. For each entry
-	// both signatures are indexed: Sig1 under its block size and Sig2
-	// under twice that, mirroring how comparison pairs signatures.
-	// Posting lists are delta-encoded varints (see postings): entry ids
-	// are appended in ascending order, so most postings cost one byte
-	// instead of four and a bucket scan walks a dense byte run.
-	buckets map[uint32]map[uint32]*postings
+	// buckets maps block size -> gram hash -> slot in lists. For each
+	// entry both signatures are indexed: Sig1 under its block size and
+	// Sig2 under twice that, mirroring how comparison pairs signatures.
+	// Slots are indexes, not pointers, so the maps hold no pointers and a
+	// distinct gram costs no heap object of its own.
+	buckets map[uint32]map[uint32]int32
+	// lists holds the posting list of every slot. Posting lists are
+	// delta-encoded varints (see postings): entry ids are appended in
+	// ascending order, so most postings cost one byte instead of four and
+	// a bucket scan walks a dense byte run.
+	lists []postings
 	// exact maps the normalised digest string to ids, covering identical
 	// digests whose signatures are too short to carry any 7-gram.
 	exact map[string][]int32
@@ -98,7 +103,7 @@ func (p *postings) each(consider func(int32)) {
 // NewIndex returns an empty index.
 func NewIndex() *Index {
 	return &Index{
-		buckets: make(map[uint32]map[uint32]*postings),
+		buckets: make(map[uint32]map[uint32]int32),
 		exact:   make(map[string][]int32),
 	}
 }
@@ -127,27 +132,30 @@ func (ix *Index) AddGroup(d Digest, group int) int {
 	return int(id)
 }
 
-// post adds every 7-gram hash of one prepared signature (as computed by
-// Prepare) to the bucket of size bs. One posting per distinct gram per
+// post adds the hash of every 7-gram of one prepared signature (as
+// computed by Prepare) to the bucket of size bs, opening a slot in lists
+// for a hash the bucket has not seen. One posting per distinct gram per
 // entry: ids only grow across calls, so a repeated gram hash within this
 // signature is exactly a list whose last posting is already id, and
-// postings.add drops it.
-func (ix *Index) post(bs uint32, grams []uint32, id int32) {
+// postings.add drops it whatever the order of the grams.
+func (ix *Index) post(bs uint32, grams []uint64, id int32) {
 	if len(grams) == 0 {
 		return
 	}
 	bucket := ix.buckets[bs]
 	if bucket == nil {
-		bucket = make(map[uint32]*postings)
+		bucket = make(map[uint32]int32)
 		ix.buckets[bs] = bucket
 	}
-	for _, h := range grams {
-		pl := bucket[h]
-		if pl == nil {
-			pl = &postings{last: -1}
-			bucket[h] = pl
+	for _, g := range grams {
+		h := uint32(g >> 32)
+		slot, ok := bucket[h]
+		if !ok {
+			slot = int32(len(ix.lists))
+			bucket[h] = slot
+			ix.lists = append(ix.lists, postings{last: -1})
 		}
-		pl.add(id)
+		ix.lists[slot].add(id)
 	}
 }
 
@@ -283,14 +291,14 @@ func (ix *Index) visit(q Prepared, s *queryScratch, consider func(int32)) {
 // one sequential pass.
 //
 // fhc:hotpath
-func (ix *Index) collect(bs uint32, grams []uint32, consider func(int32)) {
+func (ix *Index) collect(bs uint32, grams []uint64, consider func(int32)) {
 	bucket := ix.buckets[bs]
 	if bucket == nil {
 		return
 	}
-	for _, h := range grams {
-		if pl := bucket[h]; pl != nil {
-			pl.each(consider)
+	for _, g := range grams {
+		if slot, ok := bucket[uint32(g>>32)]; ok {
+			ix.lists[slot].each(consider)
 		}
 	}
 }

@@ -163,3 +163,35 @@ func hasCommonSubstring(s1, s2 string) bool {
 	}
 	return false
 }
+
+// The quadratic gate: the oracle the merge in commonGram is tested
+// against. It hashes every window of both signatures in position order
+// and compares every hash pair, confirming a match on the bytes.
+
+// gramHashes appends the rolling hash of every rollingWindow-length
+// substring of s to dst and returns it.
+func gramHashes(s string, dst []uint32) []uint32 {
+	var r rollState
+	for i := 0; i < len(s); i++ {
+		h := r.roll(s[i])
+		if i >= rollingWindow-1 {
+			dst = append(dst, h)
+		}
+	}
+	return dst
+}
+
+// commonGramOracle reports whether s1 and s2 share a 7-byte substring by
+// checking every pair of equal gram hashes on the bytes.
+func commonGramOracle(s1, s2 string) bool {
+	g1, g2 := gramHashes(s1, nil), gramHashes(s2, nil)
+	for i := 0; i < len(g1); i++ {
+		h := g1[i]
+		for j := 0; j < len(g2); j++ {
+			if h == g2[j] && s1[i:i+rollingWindow] == s2[j:j+rollingWindow] {
+				return true
+			}
+		}
+	}
+	return false
+}

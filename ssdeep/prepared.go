@@ -5,30 +5,68 @@ package ssdeep
 // common-substring gate are precomputed. Classifier feature extraction
 // compares every sample against every class profile, so this preparation
 // removes the dominant constant factor from the hot loop.
+//
+// Each gram is packed as hash<<32 | window start and each signature's
+// grams are sorted, so the gate is a linear merge of two sorted lists
+// that confirms hash matches on the bytes at the recorded starts.
 type Prepared struct {
 	// BlockSize mirrors Digest.BlockSize.
 	BlockSize uint32
 
 	sig1, sig2     string
-	grams1, grams2 []uint32
+	grams1, grams2 []uint64
 }
 
 // Prepare normalises d and precomputes its comparison state. Both
-// signatures' gram hashes share one exactly sized array.
+// signatures' sorted grams share one exactly sized array. A signature
+// longer than SpamsumLength gets no grams: it scores 0 against anything,
+// and the index finds identical digests through its exact map.
 func Prepare(d Digest) Prepared {
 	p := Prepared{
 		BlockSize: d.BlockSize,
 		sig1:      normalize(d.Sig1),
 		sig2:      normalize(d.Sig2),
 	}
-	n1 := max(0, len(p.sig1)-rollingWindow+1)
-	n2 := max(0, len(p.sig2)-rollingWindow+1)
+	n1, n2 := gramCount(p.sig1), gramCount(p.sig2)
 	if n1+n2 > 0 {
-		grams := make([]uint32, n1+n2)
-		p.grams1 = gramHashes(p.sig1, grams[:0:n1])
-		p.grams2 = gramHashes(p.sig2, grams[n1:n1])
+		grams := make([]uint64, n1+n2)
+		p.grams1 = sortedGrams(p.sig1, grams[:0:n1])
+		p.grams2 = sortedGrams(p.sig2, grams[n1:n1])
 	}
 	return p
+}
+
+// gramCount is the number of grams Prepare keeps for the normalised
+// signature s.
+func gramCount(s string) int {
+	if len(s) > SpamsumLength {
+		return 0
+	}
+	return max(0, len(s)-rollingWindow+1)
+}
+
+// sortedGrams appends the packed grams of s (see Prepared) to dst,
+// insertion-sorted: a signature has at most SpamsumLength-rollingWindow+1
+// grams, too few for a general sort to pay off.
+func sortedGrams(s string, dst []uint64) []uint64 {
+	if gramCount(s) == 0 {
+		return dst
+	}
+	var r rollState
+	for i := 0; i < len(s); i++ {
+		h := r.roll(s[i])
+		if i < rollingWindow-1 {
+			continue
+		}
+		g := uint64(h)<<32 | uint64(i-rollingWindow+1)
+		j := len(dst)
+		dst = append(dst, g)
+		for ; j > 0 && dst[j-1] > g; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = g
+	}
+	return dst
 }
 
 // IsZero reports whether p was prepared from the zero digest.
@@ -73,7 +111,7 @@ func ComparePrepared(a, b Prepared, dist DistanceFunc) int {
 // share a common substring of rollingWindow characters, and matches at
 // small block sizes are capped so short signatures cannot claim high
 // similarity.
-func scorePrepared(s1, s2 string, g1, g2 []uint32, blockSize uint32, dist DistanceFunc) int {
+func scorePrepared(s1, s2 string, g1, g2 []uint64, blockSize uint32, dist DistanceFunc) int {
 	if len(s1) > SpamsumLength || len(s2) > SpamsumLength {
 		return 0
 	}
@@ -108,18 +146,36 @@ func scorePrepared(s1, s2 string, g1, g2 []uint32, blockSize uint32, dist Distan
 	return score
 }
 
-// commonGram reports whether s1 and s2 share a 7-byte substring, using
-// precomputed rolling-gram hashes for both sides. The reference
+// commonGram reports whether s1 and s2 share a 7-byte substring, by a
+// merge intersection of their sorted grams (see Prepared). The reference
 // implementation requires this before scoring to suppress coincidental
-// base64 overlap; a hash match is confirmed on the bytes, so colliding
-// hashes of different substrings do not pass.
-func commonGram(s1, s2 string, g1, g2 []uint32) bool {
-	for i := 0; i < len(g1); i++ {
-		h := g1[i]
-		for j := 0; j < len(g2); j++ {
-			if h == g2[j] && s1[i:i+rollingWindow] == s2[j:j+rollingWindow] {
-				return true
+// base64 overlap. Within a run of equal hashes every pair is confirmed
+// on the bytes, so colliding hashes of different substrings do not pass.
+//
+// fhc:hotpath
+func commonGram(s1, s2 string, g1, g2 []uint64) bool {
+	i, j := 0, 0
+	for i < len(g1) && j < len(g2) {
+		h := g1[i] >> 32
+		switch h2 := g2[j] >> 32; {
+		case h < h2:
+			i++
+		case h > h2:
+			j++
+		default:
+			je := j
+			for je < len(g2) && g2[je]>>32 == h {
+				je++
 			}
+			for ; i < len(g1) && g1[i]>>32 == h; i++ {
+				w := s1[uint32(g1[i]):][:rollingWindow]
+				for _, g := range g2[j:je] {
+					if w == s2[uint32(g):][:rollingWindow] {
+						return true
+					}
+				}
+			}
+			j = je
 		}
 	}
 	return false

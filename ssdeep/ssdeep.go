@@ -198,16 +198,3 @@ func normalize(s string) string {
 	}
 	return string(out)
 }
-
-// gramHashes appends the rolling hash of every rollingWindow-length
-// substring of s to dst and returns it.
-func gramHashes(s string, dst []uint32) []uint32 {
-	var r rollState
-	for i := 0; i < len(s); i++ {
-		h := r.roll(s[i])
-		if i >= rollingWindow-1 {
-			dst = append(dst, h)
-		}
-	}
-	return dst
-}

@@ -2,6 +2,7 @@ package ssdeep
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -237,32 +238,210 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// gramCollisions returns n pairs of distinct 7-byte base64 windows
+// whose rolling gram hashes are equal, found by brute force over a fixed
+// pseudo-random stream of windows.
+func gramCollisions(tb testing.TB, n int) [][2]string {
+	tb.Helper()
+	r := rng.New(7)
+	seen := make(map[uint32]string)
+	var out [][2]string
+	var w [rollingWindow]byte
+	var h [1]uint32
+	for tries := 0; len(out) < n; tries++ {
+		if tries == 1<<22 {
+			tb.Fatalf("found %d of %d gram-hash collisions in %d windows", len(out), n, tries)
+		}
+		for i := range w {
+			w[i] = b64[r.Intn(len(b64))]
+		}
+		s := string(w[:])
+		if normalize(s) != s {
+			continue
+		}
+		k := gramHashes(s, h[:0])[0]
+		if prev, ok := seen[k]; !ok {
+			seen[k] = s
+		} else if prev != s {
+			out = append(out, [2]string{prev, s})
+		}
+	}
+	return out
+}
+
 // TestHasCommonSubstring pins the common-substring gate as production
-// runs it: commonGram over the gram hashes Prepare computes, agreeing
-// with the oracle's byte scan. "EbnKkzc" and "LCOjJgf" share a rolling
-// gram hash, so the gate must confirm a hash match on the bytes.
+// runs it: the merge in commonGram over the sorted grams Prepare
+// computes, agreeing with the quadratic commonGramOracle and the byte
+// scan, in both argument orders. The colliding windows share a rolling
+// gram hash but differ in their bytes, so the gate must confirm every
+// hash match on the bytes, including a later pair inside a run of
+// equal hashes.
 func TestHasCommonSubstring(t *testing.T) {
 	gate := func(s1, s2 string) bool {
 		p := Prepare(Digest{BlockSize: MinBlockSize, Sig1: s1})
 		q := Prepare(Digest{BlockSize: MinBlockSize, Sig1: s2})
 		return commonGram(p.sig1, q.sig1, p.grams1, q.grams1)
 	}
-	for _, c := range []struct {
+	type gateCase struct {
 		s1, s2 string
 		want   bool
-	}{
+	}
+	cases := []gateCase{
 		{"abcdefg", "hijklmn", false},
 		{"xxabcdefgxx", "yyabcdefgyy", true},
 		{"abcdef", "abcdef", false},
 		{"xEbnKkzcx", "yLCOjJgfy", false},
 		{"EbnKkzcLCOjJgf", "LCOjJgf", true},
-	} {
-		if got := gate(c.s1, c.s2); got != c.want {
-			t.Errorf("gate(%q, %q) = %v, want %v", c.s1, c.s2, got, c.want)
+		// Repeated grams, on one side and on both.
+		{"abcdefgabcdefg", "xxabcdefgxx", true},
+		{"abcdefgabcdefg", "bcdefgh", false},
+		{"abcdefgabcdefg", "zabcdefgabcdefgz", true},
+	}
+	for _, c := range gramCollisions(t, 3) {
+		a, b := c[0], c[1]
+		cases = append(cases,
+			gateCase{a, b, false},
+			gateCase{"x" + a + "y", "z" + b + "w", false},
+			// An equal-hash run where only the later pair matches.
+			gateCase{a + b, b, true},
+			gateCase{a + "!" + a, b + "?" + a, true},
+			// Runs on both sides with no byte match at all.
+			gateCase{a + "_" + a, b + "_" + b, false},
+		)
+	}
+	for _, c := range cases {
+		for _, s := range [][2]string{{c.s1, c.s2}, {c.s2, c.s1}} {
+			if got := gate(s[0], s[1]); got != c.want {
+				t.Errorf("gate(%q, %q) = %v, want %v", s[0], s[1], got, c.want)
+			}
+			if got := commonGramOracle(s[0], s[1]); got != c.want {
+				t.Errorf("commonGramOracle(%q, %q) = %v, want %v", s[0], s[1], got, c.want)
+			}
+			if got := hasCommonSubstring(s[0], s[1]); got != c.want {
+				t.Errorf("hasCommonSubstring(%q, %q) = %v, want %v", s[0], s[1], got, c.want)
+			}
 		}
-		if got := hasCommonSubstring(c.s1, c.s2); got != c.want {
-			t.Errorf("oracle(%q, %q) = %v, want %v", c.s1, c.s2, got, c.want)
+	}
+}
+
+// signature returns an n-byte base64 signature with no run longer than
+// maxRepeat, so normalisation leaves it as it is.
+func signature(seed uint64, n int) string {
+	r := rng.New(seed)
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		c := b64[r.Intn(len(b64))]
+		if k := len(out); k >= maxRepeat && out[k-1] == c && out[k-2] == c && out[k-3] == c {
+			continue
 		}
+		out = append(out, c)
+	}
+	return string(out)
+}
+
+// checkGrams asserts that grams are the sorted packed grams of sig: one
+// per window start, no start wrapped, each hash that of its window. A
+// signature over SpamsumLength gets none.
+func checkGrams(t *testing.T, sig string, grams []uint64) {
+	t.Helper()
+	if len(sig) > SpamsumLength {
+		if len(grams) != 0 {
+			t.Errorf("%d-byte signature has %d grams, want none", len(sig), len(grams))
+		}
+		return
+	}
+	if want := max(0, len(sig)-rollingWindow+1); len(grams) != want {
+		t.Fatalf("%d-byte signature has %d grams, want %d", len(sig), len(grams), want)
+	}
+	if !slices.IsSorted(grams) {
+		t.Errorf("grams of %q are not sorted", sig)
+	}
+	starts := make([]bool, len(grams))
+	for _, g := range grams {
+		pos := int(uint32(g))
+		if pos >= len(grams) || starts[pos] {
+			t.Fatalf("gram start %d of %d-byte signature is out of range or repeated", pos, len(sig))
+		}
+		starts[pos] = true
+		if h := gramHashes(sig[pos:pos+rollingWindow], nil)[0]; uint32(g>>32) != h {
+			t.Errorf("gram at %d hashes %#x, window hashes %#x", pos, g>>32, h)
+		}
+	}
+}
+
+// TestOverLongSignatures covers digests built without Parse, whose
+// signatures may exceed SpamsumLength (up to 300 bytes): Prepare keeps
+// every window start unwrapped and gives over-long signatures no grams,
+// ComparePrepared scores them as the oracle does, and the index still
+// finds an identical over-long digest through its exact map.
+func TestOverLongSignatures(t *testing.T) {
+	var digests []Digest
+	for i, n := range []int{7, 57, 63, 64, 65, 128, 255, 256, 257, 300} {
+		long := signature(uint64(100+i), n)
+		half := signature(uint64(200+i), min(n, SpamsumLength/2))
+		digests = append(digests,
+			Digest{BlockSize: 48, Sig1: long, Sig2: half},
+			Digest{BlockSize: 48, Sig1: long[:n-1] + "/", Sig2: half},
+			Digest{BlockSize: 24, Sig1: signature(uint64(300+i), 40), Sig2: long},
+			Digest{BlockSize: 96, Sig1: long, Sig2: long},
+		)
+	}
+	// 300 raw bytes that normalise to 40: starts index the normalised form.
+	digests = append(digests, Digest{BlockSize: 48, Sig1: strings.Repeat(strings.Repeat("A", 29)+"B", 10)})
+
+	for _, d := range digests {
+		p := Prepare(d)
+		checkGrams(t, p.sig1, p.grams1)
+		checkGrams(t, p.sig2, p.grams2)
+	}
+	for _, a := range digests {
+		pa := Prepare(a)
+		for _, b := range digests {
+			pb := Prepare(b)
+			for di, dist := range []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum} {
+				if got, want := ComparePrepared(pa, pb, dist), compareDistanceOracle(a, b, dist); got != want {
+					t.Errorf("distance %d: ComparePrepared(%v, %v) = %d, oracle %d", di, a, b, got, want)
+				}
+			}
+		}
+	}
+
+	ix := NewIndex()
+	for _, d := range digests {
+		ix.Add(d)
+	}
+	for qi, q := range digests {
+		var want []Match
+		for id, e := range digests {
+			if score := compareDistanceOracle(q, e, DistanceDL); score > 0 {
+				want = append(want, Match{ID: id, Score: score})
+			}
+		}
+		slices.SortStableFunc(want, func(a, b Match) int { return b.Score - a.Score })
+		got := ix.Query(q, 1)
+		if !slices.Equal(got, want) {
+			t.Errorf("Query(%v) = %v, scan %v", q, got, want)
+		}
+		if !slices.Contains(got, Match{ID: qi, Score: 100}) {
+			t.Errorf("Query(%v) misses the identical digest %d: %v", q, qi, got)
+		}
+	}
+}
+
+// TestPrepareAllocatesOnce pins Prepare at one allocation, the array
+// both signatures' grams share, for a digest whose signatures need no
+// normalising.
+func TestPrepareAllocatesOnce(t *testing.T) {
+	d := mustHash(t, corpus(5, 30000))
+	if normalize(d.Sig1) != d.Sig1 || normalize(d.Sig2) != d.Sig2 || len(d.Sig2) < rollingWindow {
+		t.Fatalf("digest %v needs normalising or has no grams", d)
+	}
+	var sink Prepared
+	if n := testing.AllocsPerRun(100, func() { sink = Prepare(d) }); n != 1 {
+		t.Errorf("Prepare allocates %v times, want 1", n)
+	}
+	if len(sink.grams1) == 0 {
+		t.Fatal("prepared digest has no grams")
 	}
 }
 
