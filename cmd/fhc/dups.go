@@ -42,31 +42,22 @@ func cmdDups(args []string) error {
 		return err
 	}
 
-	ix := ssdeep.NewIndex()
-	ids := make([]int, 0, len(samples))
+	// Index the samples carrying this feature; an entry's id is its
+	// position in owner.
+	var digests []ssdeep.Digest
+	var owner []int
 	for i := range samples {
-		d := samples[i].Digests[kind]
-		if d.IsZero() {
-			ids = append(ids, -1)
-			continue
-		}
-		ids = append(ids, ix.Add(d))
-	}
-	// Map index ids back to samples.
-	byID := map[int]int{}
-	for si, id := range ids {
-		if id >= 0 {
-			byID[id] = si
+		if d := samples[i].Digests[kind]; !d.IsZero() {
+			digests = append(digests, d)
+			owner = append(owner, i)
 		}
 	}
+	ix := ssdeep.NewIndex(digests, nil)
 
 	reported := 0
-	for si := range samples {
-		if ids[si] < 0 {
-			continue
-		}
-		for _, m := range ix.Query(samples[si].Digests[kind], *minScore) {
-			sj := byID[m.ID]
+	for id, si := range owner {
+		for _, m := range ix.Query(digests[id], *minScore) {
+			sj := owner[m.ID]
 			if sj <= si {
 				continue // report each pair once
 			}

@@ -38,19 +38,19 @@ func main() {
 	}
 
 	// Index every sample's symbol digest and look for pairs of highly
-	// similar executables under different labels.
-	ix := ssdeep.NewIndex()
-	owner := make([]int, 0, len(samples))
+	// similar executables under different labels. An entry's id is its
+	// sample's position.
+	digests := make([]ssdeep.Digest, len(samples))
 	for i := range samples {
-		ix.Add(samples[i].Digests[fhc.FeatureSymbols])
-		owner = append(owner, i)
+		digests[i] = samples[i].Digests[fhc.FeatureSymbols]
 	}
+	ix := ssdeep.NewIndex(digests, nil)
 
 	type pairKey struct{ a, b string }
 	crossPairs := map[pairKey]int{}
 	for i := range samples {
-		for _, m := range ix.Query(samples[i].Digests[fhc.FeatureSymbols], 60) {
-			j := owner[m.ID]
+		for _, m := range ix.Query(digests[i], 60) {
+			j := m.ID
 			if j <= i || samples[i].Class == samples[j].Class {
 				continue
 			}

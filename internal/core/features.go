@@ -96,13 +96,19 @@ func (ps *profileSet) ensureIndexes() {
 	ps.indexOnce.Do(func() {
 		ps.indexes = make(map[dataset.FeatureKind]*ssdeep.Index, len(ps.features))
 		for _, kind := range ps.features {
-			ix := ssdeep.NewIndex()
-			for ci := range ps.profiles[kind] {
-				for _, d := range ps.profiles[kind][ci].parsed {
-					ix.AddGroup(d, ci)
+			n := 0
+			for _, p := range ps.profiles[kind] {
+				n += len(p.parsed)
+			}
+			digests := make([]ssdeep.Digest, 0, n)
+			groups := make([]int32, 0, n)
+			for ci, p := range ps.profiles[kind] {
+				digests = append(digests, p.parsed...)
+				for range p.parsed {
+					groups = append(groups, int32(ci))
 				}
 			}
-			ps.indexes[kind] = ix
+			ps.indexes[kind] = ssdeep.NewIndex(digests, groups)
 		}
 	})
 }

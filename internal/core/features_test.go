@@ -280,6 +280,22 @@ func BenchmarkFeaturizeIndexed(b *testing.B) { benchmarkFeaturize(b, false) }
 // training digests prepared once during setup.
 func BenchmarkFeaturizeBruteForce(b *testing.B) { benchmarkFeaturize(b, true) }
 
+// ensureIndexesSink keeps the benchmarked index build from being elided.
+var ensureIndexesSink *profileSet
+
+// BenchmarkEnsureIndexes times the per-kind grouped index build a
+// worker pays before its first featurisation, on the featurisation
+// benchmarks' class profiles.
+func BenchmarkEnsureIndexes(b *testing.B) {
+	ps, _, _ := benchProfiles(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ensureIndexesSink = &profileSet{features: ps.features, classes: ps.classes, profiles: ps.profiles}
+		ensureIndexesSink.ensureIndexes()
+	}
+}
+
 // featurizeSink keeps the benchmarked featurisation from being elided.
 var featurizeSink []float64
 

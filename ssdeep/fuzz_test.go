@@ -183,8 +183,7 @@ func FuzzCompareMatchesOracle(f *testing.F) {
 			b.BlockSize = bs + 1
 		}
 		pa, pb := Prepare(a), Prepare(b)
-		ix := NewIndex()
-		ix.AddGroup(b, 0)
+		ix := NewIndex([]Digest{b}, []int32{0})
 		for di, dist := range distances {
 			want := compareDistanceOracle(a, b, dist)
 			if got := CompareDistance(a, b, dist); got != want {
@@ -241,9 +240,8 @@ func FuzzQueryGroupsMatchesScan(f *testing.F) {
 	distances := []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum}
 	f.Fuzz(func(t *testing.T, bs uint32, q1, q2, entries string) {
 		q := Digest{BlockSize: bs, Sig1: q1, Sig2: q2}
-		ix := NewIndex()
 		var digests []Digest
-		var groups []int
+		var groups []int32
 		for _, line := range strings.Split(entries, "\n") {
 			if len(line) < 2 {
 				continue
@@ -261,10 +259,10 @@ func FuzzQueryGroupsMatchesScan(f *testing.F) {
 				d.BlockSize = bs + 1
 			}
 			d.Sig1, d.Sig2, _ = strings.Cut(line[2:], ":")
-			ix.AddGroup(d, g)
 			digests = append(digests, d)
-			groups = append(groups, g)
+			groups = append(groups, int32(g))
 		}
+		ix := NewIndex(digests, groups)
 		pq := Prepare(q)
 		for di, dist := range distances {
 			want := make([]int, numGroups)

@@ -2,6 +2,8 @@ package ssdeep
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -11,152 +13,195 @@ import (
 // queries skip it.
 const NoGroup = -1
 
-// Index is a similarity-search structure over many fuzzy digests.
-// Entries are bucketed by block size, and each bucket keeps an inverted
-// index from rolling 7-gram hashes to entry ids: a map from gram hash to
-// a slot in one slice of posting lists. Because a non-zero
-// similarity score requires a shared 7-gram in the compared signature
-// pair (the common-substring gate), every digest scoring above zero
-// against the query shares at least one posting list with it — so a query
-// touches only genuine candidates instead of the whole corpus.
+// Index is a similarity-search structure over many fuzzy digests. Every
+// 7-gram of every entry is posted under a 64-bit key, bucket<<32 | gram
+// hash, whose bucket is the block size the signature was computed at:
+// Sig1 posts under BlockSize and Sig2 under twice that, mirroring how
+// comparison pairs signatures. Because a non-zero similarity score
+// requires a shared 7-gram in the compared signature pair (the
+// common-substring gate), every digest scoring above zero against the
+// query shares at least one posted key with it, so a query touches only
+// genuine candidates instead of the whole corpus.
 //
 // This is the digest-matching mode of the original ssdeep tool,
 // generalised to an in-memory structure. Index serves two workloads:
 // corpus-level queries (near-duplicate discovery, cross-class label
 // auditing — the paper's CellRanger vs Cell-Ranger case — and ad-hoc
 // lookups) via Query, and the classifier's profile featurisation via
-// grouped queries: entries added with AddGroup carry an owner-group id,
-// and QueryGroupsPrepared returns the best score per group in one pass
-// over the candidates.
+// grouped queries: each entry may carry an owner-group id, and
+// QueryGroupsPrepared returns the best score per group in one pass over
+// the candidates.
 //
-// An Index is safe for concurrent queries; Add/AddGroup must not run
-// concurrently with queries or each other.
+// NewIndex builds an Index in one pass and nothing modifies it after, so
+// an Index is safe for concurrent queries.
 type Index struct {
 	entries []Prepared
-	// groups holds the owner-group id of each entry, NoGroup if none.
+	// groups holds the owner-group id of each entry, NoGroup if none;
+	// nil when NewIndex was given none.
 	groups []int32
-	// buckets maps block size -> gram hash -> slot in lists. For each
-	// entry both signatures are indexed: Sig1 under its block size and
-	// Sig2 under twice that, mirroring how comparison pairs signatures.
-	// Slots are indexes, not pointers, so the maps hold no pointers and a
-	// distinct gram costs no heap object of its own.
-	buckets map[uint32]map[uint32]int32
-	// lists holds the posting list of every slot. Posting lists are
-	// delta-encoded varints (see postings): entry ids are appended in
-	// ascending order, so most postings cost one byte instead of four and
-	// a bucket scan walks a dense byte run.
-	lists []postings
-	// exact maps the normalised digest string to ids, covering identical
-	// digests whose signatures are too short to carry any 7-gram.
+	// The posting lists in compressed sparse row form: keys holds the
+	// distinct posted keys, and the ascending ids of the entries posting
+	// keys[k] are ids[offsets[k]:offsets[k+1]]. slots is an open-addressing
+	// table over keys, linear probing from slotHash: a slot holds k+1, or
+	// 0 when empty. It is sized once and never rehashed.
+	keys    []uint64
+	offsets []int32
+	ids     []int32
+	slots   []int32
+	shift   uint8
+	// exact maps the normalised digest string to the ids of entries that
+	// post no gram at all: identical digests whose signatures are too
+	// short (or too long) to carry a 7-gram. An entry that posts a gram
+	// needs no entry here, since an identical query posts the same key.
 	exact map[string][]int32
 	// scratchPool recycles per-query visited-entry stamps, keeping
 	// candidate deduplication O(1) without serialising queries.
 	scratchPool sync.Pool
 }
 
-// postings is one gram's compressed entry-id list: ascending ids stored
-// as uvarint deltas from the previous id (the first delta is taken from
-// -1, so id 0 encodes as 1). Appends come from AddGroup in strictly
-// ascending entry order, which both guarantees positive deltas and makes
-// same-entry deduplication a single comparison against last.
-type postings struct {
-	data []byte
-	last int32
-}
-
-// add appends id unless it is already the most recent posting (the same
-// entry posting the same gram hash twice within one signature).
-func (p *postings) add(id int32) {
-	if len(p.data) > 0 && p.last == id {
-		return
+// NewIndex indexes digests; an entry's id is its position in digests.
+// groups gives each entry's owner group (NoGroup for none), or is nil
+// when no entry has one. Grouped queries report, per group, the best
+// score over the entries owned by that group. The index keeps a copy of
+// groups, and the grams of all entries share one exactly sized array.
+func NewIndex(digests []Digest, groups []int32) *Index {
+	if groups != nil && len(groups) != len(digests) {
+		panic("ssdeep: NewIndex needs one group per digest")
 	}
-	delta := uint32(id - p.last)
-	p.last = id
-	for delta >= 0x80 {
-		p.data = append(p.data, byte(delta)|0x80)
-		delta >>= 7
+	if len(digests) > math.MaxInt32 {
+		panic("ssdeep: too many index entries")
 	}
-	p.data = append(p.data, byte(delta))
-}
-
-// each streams the decoded entry ids to consider in ascending order. The
-// varint decode runs inline over the byte run — no scratch slice, no
-// allocation, one sequential scan.
-//
-// fhc:hotpath
-func (p *postings) each(consider func(int32)) {
-	cur := int32(-1)
-	var acc uint32
-	var shift uint
-	for _, b := range p.data {
-		acc |= uint32(b&0x7f) << shift
-		if b < 0x80 {
-			cur += int32(acc)
-			consider(cur)
-			acc, shift = 0, 0
-		} else {
-			shift += 7
+	for _, g := range groups {
+		if g < NoGroup {
+			panic("ssdeep: group id out of range")
 		}
 	}
-}
-
-// NewIndex returns an empty index.
-func NewIndex() *Index {
-	return &Index{
-		buckets: make(map[uint32]map[uint32]int32),
+	ix := &Index{
+		entries: make([]Prepared, len(digests)),
+		groups:  slices.Clone(groups),
 		exact:   make(map[string][]int32),
 	}
-}
-
-// Add indexes d with no owner group and returns its id.
-func (ix *Index) Add(d Digest) int {
-	return ix.AddGroup(d, NoGroup)
-}
-
-// AddGroup indexes d under the owner group id group (NoGroup for none)
-// and returns its entry id. Grouped queries report, per group, the best
-// score over the entries owned by that group.
-func (ix *Index) AddGroup(d Digest, group int) int {
-	if group < NoGroup || group > math.MaxInt32 {
-		panic("ssdeep: group id out of range")
+	n := 0
+	for i, d := range digests {
+		p := &ix.entries[i]
+		*p = Prepared{BlockSize: d.BlockSize, sig1: normalize(d.Sig1), sig2: normalize(d.Sig2)}
+		n += gramCount(p.sig1) + gramCount(p.sig2)
 	}
-	id := int32(len(ix.entries))
-	p := Prepare(d)
-	ix.entries = append(ix.entries, p)
-	ix.groups = append(ix.groups, int32(group))
-
-	ix.post(p.BlockSize, p.grams1, id)
-	ix.post(2*p.BlockSize, p.grams2, id)
-	key := exactKey(p)
-	ix.exact[key] = append(ix.exact[key], id)
-	return int(id)
+	grams := make([]uint64, n)
+	keys := make([]uint64, 0, n)
+	ids := make([]int32, 0, n)
+	for i := range ix.entries {
+		p := &ix.entries[i]
+		grams = p.carveGrams(grams)
+		if len(p.grams1)+len(p.grams2) == 0 {
+			key := exactKey(*p)
+			ix.exact[key] = append(ix.exact[key], int32(i))
+			continue
+		}
+		for _, g := range p.grams1 {
+			keys = append(keys, uint64(p.BlockSize)<<32|g>>32)
+			ids = append(ids, int32(i))
+		}
+		for _, g := range p.grams2 {
+			keys = append(keys, uint64(2*p.BlockSize)<<32|g>>32)
+			ids = append(ids, int32(i))
+		}
+	}
+	// Ids were emitted in ascending order and the sort is stable, so each
+	// key's ids come out ascending and a repeated (key, id) pair is
+	// adjacent.
+	keys, ids = radixSort(keys, ids)
+	ix.build(keys, ids)
+	return ix
 }
 
-// post adds the hash of every 7-gram of one prepared signature (as
-// computed by Prepare) to the bucket of size bs, opening a slot in lists
-// for a hash the bucket has not seen. One posting per distinct gram per
-// entry: ids only grow across calls, so a repeated gram hash within this
-// signature is exactly a list whose last posting is already id, and
-// postings.add drops it whatever the order of the grams.
-func (ix *Index) post(bs uint32, grams []uint64, id int32) {
-	if len(grams) == 0 {
+// build writes the sorted (key, id) pairs as the CSR arrays, dropping
+// repeated pairs, and fills the slot table.
+func (ix *Index) build(keys []uint64, ids []int32) {
+	distinct, unique := 0, 0
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1] {
+			distinct++
+		} else if ids[i] == ids[i-1] {
+			continue
+		}
+		unique++
+	}
+	if unique > math.MaxInt32 {
+		panic("ssdeep: too many index postings")
+	}
+	if distinct == 0 {
 		return
 	}
-	bucket := ix.buckets[bs]
-	if bucket == nil {
-		bucket = make(map[uint32]int32)
-		ix.buckets[bs] = bucket
-	}
-	for _, g := range grams {
-		h := uint32(g >> 32)
-		slot, ok := bucket[h]
-		if !ok {
-			slot = int32(len(ix.lists))
-			bucket[h] = slot
-			ix.lists = append(ix.lists, postings{last: -1})
+	ix.keys = make([]uint64, 0, distinct)
+	ix.offsets = make([]int32, 0, distinct+1)
+	ix.ids = make([]int32, 0, unique)
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1] {
+			ix.keys = append(ix.keys, keys[i])
+			ix.offsets = append(ix.offsets, int32(len(ix.ids)))
+		} else if ids[i] == ids[i-1] {
+			continue
 		}
-		ix.lists[slot].add(id)
+		ix.ids = append(ix.ids, ids[i])
 	}
+	ix.offsets = append(ix.offsets, int32(len(ix.ids)))
+
+	// At least half again as many slots as keys keeps probe runs short;
+	// a power of two lets slotHash take the top bits of one multiply.
+	size := 1 << bits.Len(uint(distinct+distinct/2))
+	ix.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	ix.slots = make([]int32, size)
+	mask := size - 1
+	for k, key := range ix.keys {
+		h := ix.slotHash(key)
+		for ix.slots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		ix.slots[h] = int32(k + 1)
+	}
+}
+
+// slotHash is the home slot of key: Fibonacci hashing, the top bits of
+// key times 2^64 over the golden ratio.
+func (ix *Index) slotHash(key uint64) int {
+	return int(key * 0x9e3779b97f4a7c15 >> ix.shift)
+}
+
+// radixBits is the digit width of radixSort: a digit's 2,048 counters
+// stay in cache, and the 32-bit hash half takes three passes.
+const radixBits = 11
+
+// radixSort sorts keys ascending, moving each id with its key, by a
+// least-significant-digit radix sort. It is stable, and it skips every
+// digit that all keys share: the high bits of the bucket half are the
+// same for every key of a realistic corpus. It returns the sorted
+// slices, which may be scratch buffers rather than the inputs.
+func radixSort(keys []uint64, ids []int32) ([]uint64, []int32) {
+	const radix = 1 << radixBits
+	keys2, ids2 := make([]uint64, len(keys)), make([]int32, len(ids))
+	for d := uint(0); d < 64; d += radixBits {
+		var c [radix]int
+		for _, k := range keys {
+			c[k>>d&(radix-1)]++
+		}
+		if len(keys) == 0 || c[keys[0]>>d&(radix-1)] == len(keys) {
+			continue
+		}
+		sum := 0
+		for v, n := range c {
+			c[v] = sum
+			sum += n
+		}
+		for i, k := range keys {
+			v := k >> d & (radix - 1)
+			keys2[c[v]], ids2[c[v]] = k, ids[i]
+			c[v]++
+		}
+		keys, keys2 = keys2, keys
+		ids, ids2 = ids2, ids
+	}
+	return keys, ids
 }
 
 // exactKey renders the comparison-relevant state of a digest as a map
@@ -244,7 +289,7 @@ func (ix *Index) QueryGroupsPrepared(q Prepared, numGroups int, dist DistanceFun
 		return nil
 	}
 	out := make([]int, numGroups)
-	if q.IsZero() {
+	if q.IsZero() || ix.groups == nil {
 		return out
 	}
 	s := ix.scratch()
@@ -278,27 +323,36 @@ func (ix *Index) visit(q Prepared, s *queryScratch, consider func(int32)) {
 	// Candidate generation: pair each query signature with the bucket it
 	// would be compared against. Sig1 lives at BlockSize, Sig2 at twice
 	// that; comparison crosses buckets exactly when block sizes differ by
-	// a factor of two, which the bucket keys already encode.
+	// a factor of two, which the bucket half of the key already encodes.
 	ix.collect(q.BlockSize, q.grams1, once)
 	ix.collect(2*q.BlockSize, q.grams2, once)
-	for _, id := range ix.exact[exactKey(q)] {
-		once(id)
+	// A digest identical to q posts q's grams, so only a gramless q can
+	// have an exact match the posting lists miss.
+	if len(q.grams1)+len(q.grams2) == 0 {
+		for _, id := range ix.exact[exactKey(q)] {
+			once(id)
+		}
 	}
 }
 
 // collect feeds every entry sharing a gram with the query signature in
-// the given bucket to consider, decoding each compressed posting list in
-// one sequential pass.
+// the given bucket to consider, walking each gram's run of ids.
 //
 // fhc:hotpath
 func (ix *Index) collect(bs uint32, grams []uint64, consider func(int32)) {
-	bucket := ix.buckets[bs]
-	if bucket == nil {
+	if len(ix.slots) == 0 {
 		return
 	}
+	mask := len(ix.slots) - 1
 	for _, g := range grams {
-		if slot, ok := bucket[uint32(g>>32)]; ok {
-			ix.lists[slot].each(consider)
+		key := uint64(bs)<<32 | g>>32
+		for h := ix.slotHash(key); ix.slots[h] != 0; h = (h + 1) & mask {
+			if k := ix.slots[h] - 1; ix.keys[k] == key {
+				for _, id := range ix.ids[ix.offsets[k]:ix.offsets[k+1]] {
+					consider(id)
+				}
+				break
+			}
 		}
 	}
 }

@@ -27,13 +27,19 @@ func Prepare(d Digest) Prepared {
 		sig1:      normalize(d.Sig1),
 		sig2:      normalize(d.Sig2),
 	}
-	n1, n2 := gramCount(p.sig1), gramCount(p.sig2)
-	if n1+n2 > 0 {
-		grams := make([]uint64, n1+n2)
-		p.grams1 = sortedGrams(p.sig1, grams[:0:n1])
-		p.grams2 = sortedGrams(p.sig2, grams[n1:n1])
+	if n := gramCount(p.sig1) + gramCount(p.sig2); n > 0 {
+		p.carveGrams(make([]uint64, n))
 	}
 	return p
+}
+
+// carveGrams computes the sorted grams of p's normalised signatures into
+// the front of buf, Sig1's then Sig2's, and returns the rest of buf.
+func (p *Prepared) carveGrams(buf []uint64) []uint64 {
+	n1, n2 := gramCount(p.sig1), gramCount(p.sig2)
+	p.grams1 = sortedGrams(p.sig1, buf[:0:n1])
+	p.grams2 = sortedGrams(p.sig2, buf[n1:n1:n1+n2])
+	return buf[n1+n2:]
 }
 
 // gramCount is the number of grams Prepare keeps for the normalised
@@ -47,18 +53,27 @@ func gramCount(s string) int {
 
 // sortedGrams appends the packed grams of s (see Prepared) to dst,
 // insertion-sorted: a signature has at most SpamsumLength-rollingWindow+1
-// grams, too few for a general sort to pay off.
+// grams, too few for a general sort to pay off. The hash is rollState's
+// over each window; with the whole signature in hand, h1 and h2 drop
+// the outgoing byte s[i-rollingWindow] directly instead of keeping a
+// window ring, and h3's shifts already push it out.
 func sortedGrams(s string, dst []uint64) []uint64 {
 	if gramCount(s) == 0 {
 		return dst
 	}
-	var r rollState
+	var h1, h2, h3 uint32
 	for i := 0; i < len(s); i++ {
-		h := r.roll(s[i])
+		in := uint32(s[i])
+		h2 += rollingWindow*in - h1
+		h1 += in
+		if i >= rollingWindow {
+			h1 -= uint32(s[i-rollingWindow])
+		}
+		h3 = h3<<5 ^ in
 		if i < rollingWindow-1 {
 			continue
 		}
-		g := uint64(h)<<32 | uint64(i-rollingWindow+1)
+		g := uint64(h1+h2+h3)<<32 | uint64(i-rollingWindow+1)
 		j := len(dst)
 		dst = append(dst, g)
 		for ; j > 0 && dst[j-1] > g; j-- {

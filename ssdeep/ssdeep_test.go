@@ -406,10 +406,7 @@ func TestOverLongSignatures(t *testing.T) {
 		}
 	}
 
-	ix := NewIndex()
-	for _, d := range digests {
-		ix.Add(d)
-	}
+	ix := NewIndex(digests, nil)
 	for qi, q := range digests {
 		var want []Match
 		for id, e := range digests {
