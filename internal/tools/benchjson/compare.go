@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"regexp/syntax"
+	"slices"
 	"sort"
 )
 
@@ -108,15 +110,71 @@ func compareReports(old, cur Report, cfg compareConfig) (regressions, improvemen
 	return regressions, improvements, compared
 }
 
+// gateAlternatives splits a gate expression into its top-level
+// alternatives, one regexp per allowlist name. regexp/syntax factors
+// common prefixes out of an alternation ("ab|ac" parses as
+// "a(?:b|c)"), so an alternation that ends a concatenation is
+// multiplied back out.
+func gateAlternatives(gate *regexp.Regexp) []*regexp.Regexp {
+	// gate compiled, so its source parses.
+	re, _ := syntax.Parse(gate.String(), syntax.Perl)
+	var split func(re *syntax.Regexp) []*syntax.Regexp
+	split = func(re *syntax.Regexp) []*syntax.Regexp {
+		var out []*syntax.Regexp
+		switch last := len(re.Sub) - 1; {
+		case re.Op == syntax.OpAlternate:
+			for _, sub := range re.Sub {
+				out = append(out, split(sub)...)
+			}
+		case re.Op == syntax.OpConcat && re.Sub[last].Op == syntax.OpAlternate:
+			for _, tail := range split(re.Sub[last]) {
+				out = append(out, &syntax.Regexp{Op: syntax.OpConcat, Flags: re.Flags,
+					Sub: append(slices.Clone(re.Sub[:last]), tail)})
+			}
+		default:
+			out = append(out, re)
+		}
+		return out
+	}
+	var alts []*regexp.Regexp
+	for _, alt := range split(re) {
+		alts = append(alts, regexp.MustCompile(alt.String()))
+	}
+	return alts
+}
+
+// unmatchedGates returns the top-level alternatives of gate that match
+// no package-qualified benchmark name in cur: an allowlist entry that
+// gates nothing, because its benchmark was renamed or deleted, or the
+// run did not reach it.
+func unmatchedGates(gate *regexp.Regexp, cur Report) []string {
+	var unmatched []string
+	for _, alt := range gateAlternatives(gate) {
+		if !slices.ContainsFunc(cur.Results, func(r Result) bool { return alt.MatchString(key(r)) }) {
+			unmatched = append(unmatched, alt.String())
+		}
+	}
+	return unmatched
+}
+
 // runCompare executes the gate: diff cur against the baseline at
 // oldPath, report both directions and the compared count (a run at
 // another -cpu than the baseline's compares nothing), and return false
-// on any regression.
+// on any regression or on a -gate alternative that matches no
+// benchmark in cur.
 func runCompare(oldPath string, cur Report, cfg compareConfig) bool {
 	old, err := loadReport(oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: baseline: %v\n", err)
 		return false
+	}
+	if cfg.gate != nil {
+		if unmatched := unmatchedGates(cfg.gate, cur); len(unmatched) > 0 {
+			for _, alt := range unmatched {
+				fmt.Fprintf(os.Stderr, "benchjson: -gate alternative %q matches no benchmark in this run\n", alt)
+			}
+			return false
+		}
 	}
 	regressions, improvements, compared := compareReports(old, cur, cfg)
 	for _, d := range improvements {

@@ -156,3 +156,79 @@ func TestRunComparePrintsCount(t *testing.T) {
 		t.Fatalf("runCompare = %v, output %q; want a pass that reports 0 compared", ok, out)
 	}
 }
+
+// TestGateAlternatives: the gate splits into one regexp per top-level
+// alternative, although regexp/syntax factors shared prefixes out of
+// CI's allowlist; a bracketed or escaped "|", or one inside a group
+// that does not end the expression, does not split.
+func TestGateAlternatives(t *testing.T) {
+	ci := `EngineThroughput/warm|OSA64|Levenshtein64|DamerauLevenshtein64|PredictProba|IndexQuery1000|ComparePrepared|ClassifyHTTPRawStream/1MiB|ClassifyHTTPHashFirstWarm`
+	ciNames := []string{
+		"EngineThroughput/warm", "OSA64", "Levenshtein64", "DamerauLevenshtein64", "PredictProba",
+		"IndexQuery1000", "ComparePrepared", "ClassifyHTTPRawStream/1MiB", "ClassifyHTTPHashFirstWarm",
+	}
+	for _, c := range []struct {
+		expr   string
+		want   []string // the alternatives, as regexps
+		probes []string // names each alternative must agree with want on
+	}{
+		{ci, ciNames, append(ciNames, "Compare", "ClassifyHTTP", "OSA", "x.BenchmarkOSA64-1")},
+		{`p\.Bench(?:Warm|Cold)`, []string{`p\.BenchWarm`, `p\.BenchCold`}, []string{"p.BenchWarm", "p.BenchCold", "p.Bench"}},
+		{`^p\.Bench(?:Warm|Cold)$`, []string{`^p\.Bench(?:Warm|Cold)$`}, []string{"p.BenchWarm", "p.BenchCold", "xp.BenchCold"}},
+		{`Hot(Path)?|[|]x|a\|b`, []string{`Hot(Path)?`, `[|]x`, `a\|b`}, []string{"Hot", "HotPath", "|x", "a|b", "a", "b"}},
+		{`Warm`, []string{`Warm`}, []string{"Warm", "Cold"}},
+	} {
+		alts := gateAlternatives(regexp.MustCompile(c.expr))
+		if len(alts) != len(c.want) {
+			t.Fatalf("%q split into %v, want %q", c.expr, alts, c.want)
+		}
+		for i, alt := range alts {
+			want := regexp.MustCompile(c.want[i])
+			for _, name := range c.probes {
+				if alt.MatchString(name) != want.MatchString(name) {
+					t.Fatalf("%q: alternative %d is %q, want %q (they differ on %q)", c.expr, i, alt, want, name)
+				}
+			}
+		}
+	}
+}
+
+// TestRunCompareFailsOnUnmatchedGate: an allowlist alternative that
+// matches no benchmark of the fresh run fails the gate, even with no
+// regression, and is named; one that matches passes.
+func TestRunCompareFailsOnUnmatchedGate(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "base.json")
+	raw, err := json.Marshal(report(res("p", "BenchmarkHot", 1000, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cur := report(res("p", "BenchmarkHot", 1000, 0), res("q", "BenchmarkColdPath", 1000, 0))
+	capture := func(f func() bool) (bool, string) {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr, stdout := os.Stderr, os.Stdout
+		os.Stderr, os.Stdout = w, w
+		ok := f()
+		os.Stderr, os.Stdout = stderr, stdout
+		w.Close()
+		out, _ := io.ReadAll(r)
+		return ok, string(out)
+	}
+	ok, out := capture(func() bool {
+		return runCompare(base, cur, compareConfig{threshold: 0.10, gate: regexp.MustCompile(`Hot|ColdPath|Retired`)})
+	})
+	if ok || !strings.Contains(out, `"Retired" matches no benchmark`) || strings.Contains(out, `"Hot"`) {
+		t.Fatalf("runCompare = %v, output %q; want a failure naming only Retired", ok, out)
+	}
+	ok, out = capture(func() bool {
+		return runCompare(base, cur, compareConfig{threshold: 0.10, gate: regexp.MustCompile(`Hot|ColdPath`)})
+	})
+	if !ok {
+		t.Fatalf("runCompare failed with every alternative matched: %q", out)
+	}
+}

@@ -10,8 +10,11 @@
 // exit status is non-zero when any gated benchmark's ns/op grew beyond
 // -threshold (default 10%) or its allocs/op grew at all. -gate
 // restricts the gate to an allowlist of package-qualified benchmark
-// names; -skip exempts names from it. Benchmarks present on only one
-// side never fail the gate, so adding or retiring benchmarks is free.
+// names; -skip exempts names from it. Each top-level alternative of
+// -gate must match some benchmark of the fresh run, or the gate fails:
+// a renamed or deleted benchmark cannot drop out of the allowlist
+// unnoticed. Otherwise benchmarks present on only one side never fail
+// the gate, so adding or retiring benchmarks is free.
 //
 // Output shape: one record per benchmark line, carrying the package
 // ("pkg:" context lines), the benchmark's base name, the -cpu suffix,

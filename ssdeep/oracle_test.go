@@ -8,6 +8,20 @@ import "testing"
 // the signature comes out too short, exactly as the reference
 // implementation's retry loop does.
 
+// roll absorbs c into the rolling hash one byte at a time, through the
+// window ring, and returns the hash.
+func (r *rollState) roll(c byte) uint32 {
+	r.h2 -= r.h1
+	r.h2 += rollingWindow * uint32(c)
+	r.h1 += uint32(c)
+	r.h1 -= uint32(r.window[r.n%rollingWindow])
+	r.window[r.n%rollingWindow] = c
+	r.n++
+	r.h3 <<= 5
+	r.h3 ^= uint32(c)
+	return r.h1 + r.h2 + r.h3
+}
+
 // sumHash is the FNV-1 style piecewise chunk hash.
 func sumHash(h uint32, c byte) uint32 {
 	return h*hashPrime ^ uint32(c)

@@ -99,25 +99,14 @@ func Parse(s string) (Digest, error) {
 
 // rollState is the spamsum rolling hash over a 7-byte window. The sum of
 // its three components changes whenever any byte in the window changes,
-// which is what makes chunk boundaries content-triggered.
+// which is what makes chunk boundaries content-triggered. The window is
+// a ring: the byte at count n sits in window[n%rollingWindow].
 type rollState struct {
 	window [rollingWindow]byte
 	h1     uint32 // sum of window bytes
 	h2     uint32 // position-weighted sum
 	h3     uint32 // shift-xor mix
 	n      uint32 // total bytes consumed
-}
-
-func (r *rollState) roll(c byte) uint32 {
-	r.h2 -= r.h1
-	r.h2 += rollingWindow * uint32(c)
-	r.h1 += uint32(c)
-	r.h1 -= uint32(r.window[r.n%rollingWindow])
-	r.window[r.n%rollingWindow] = c
-	r.n++
-	r.h3 <<= 5
-	r.h3 ^= uint32(c)
-	return r.h1 + r.h2 + r.h3
 }
 
 // HashBytes computes the fuzzy digest of data: one whole-buffer run of

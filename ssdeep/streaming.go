@@ -8,7 +8,7 @@ package ssdeep
 // at half the block size when the signature comes out too short. A
 // stream gets no second pass, so the Hasher maintains every candidate
 // block size that can still be selected concurrently: one small context
-// per size 3·2^k holding the signature accumulated at that size. Four
+// per size 3·2^k holding the signature accumulated at that size. Five
 // observations keep that affordable:
 //
 //   - a trigger at block size 2b is always a trigger at block size b
@@ -31,7 +31,16 @@ package ssdeep
 //   - the double-block-size signature (Sig2, capped at 31 characters)
 //     appends in lockstep with the same context's full signature until
 //     the cap, so it is a prefix of the full signature — only its
-//     residue hash needs tracking separately after they diverge.
+//     residue hash needs tracking separately after they diverge;
+//   - the digest reads a piecewise hash only modulo 64, and
+//     (h·hashPrime ⊕ c) mod 64 depends only on h mod 64, so the
+//     contexts step as lanes: each piecewise and half hash is a 6-bit
+//     residue in a 16-bit lane, four to a uint64, and one multiply, xor
+//     and mask steps four of them. Half hashes step whether or not they
+//     diverged, so no context's state is tested per byte. The four
+//     lowest live contexts step in registers, any above them in place,
+//     and the rolling hash stays in locals for the whole Write, its
+//     outgoing byte read from the input.
 //
 // The result is bit-identical to that guess-and-retry algorithm, which
 // the tests keep as the buffered oracle (hashBytesOracle, fuzzed against
@@ -50,7 +59,27 @@ import (
 // digest's uint32 field.
 const maxContexts = 31
 
-// blockCtx accumulates the signature at one candidate block size.
+// The piecewise hashes as packed lanes: one 6-bit residue in each
+// 16-bit lane, four lanes to a word. A residue times lanePrime stays
+// below 2^11, so one multiply steps four lanes without a carry between
+// them, and the xor with a byte spread over all lanes (c·laneOnes)
+// touches only the low 8 bits of each.
+const (
+	laneWords = (maxContexts + 3) / 4 // words per hash kind
+	laneOnes  = 0x0001000100010001
+	laneMask  = 0x003f003f003f003f
+	lanePrime = hashPrime % 64 // 19
+	laneInit  = hashInit % 64  // 39
+)
+
+// stepLanes absorbs byte c, spread as cl = c·laneOnes, into the four
+// residues of lanes: each becomes (h·hashPrime ⊕ c) mod 64.
+func stepLanes(lanes, cl uint64) uint64 {
+	return (lanes*lanePrime ^ cl) & laneMask
+}
+
+// blockCtx accumulates the signature at one candidate block size. Its
+// piecewise hashes live in the Hasher's lanes.
 type blockCtx struct {
 	// full holds the signature characters appended so far, up to the
 	// SpamsumLength-1 cap of the reference algorithm; the residue
@@ -58,15 +87,11 @@ type blockCtx struct {
 	full [SpamsumLength - 1]byte
 	// flen is the populated length of full.
 	flen uint8
-	// h is the FNV-style piecewise chunk hash, reset after each append
-	// while full is under its cap — exactly the reference's Sig1 hash.
-	h uint32
-	// halfH tracks the double-block-size signature's residue hash after
-	// it diverges from h. The half signature (Sig2 of the next-smaller
-	// block size) appends in lockstep with full until it caps at
-	// SpamsumLength/2-1 characters; from the following trigger on, full
-	// keeps resetting h while the half hash accumulates unreset.
-	halfH    uint32
+	// diverged reports that the half hash left the piecewise hash. The
+	// half signature (Sig2 of the next-smaller block size) appends in
+	// lockstep with full until it caps at SpamsumLength/2-1 characters;
+	// from the following trigger on, full keeps resetting its piecewise
+	// hash while the half hash accumulates unreset.
 	diverged bool
 }
 
@@ -80,6 +105,8 @@ type blockCtx struct {
 // Writing more bytes after Sum is permitted: Sum does not reset state,
 // so a later Sum covers everything written so far.
 type Hasher struct {
+	// roll is the rolling hash as of the last Write, its window in the
+	// reference's ring layout.
 	roll rollState
 	n    uint64 // total bytes written
 	// total is the length declared by SetTotalLength, 0 when unknown.
@@ -91,6 +118,12 @@ type Hasher struct {
 	// bhend never exceeds bhcap, which a declared length lowers.
 	bhstart, bhend, bhcap int
 	ctx                   [maxContexts]blockCtx
+	// lanes holds the active contexts' piecewise hashes modulo 64, by
+	// slot k-bhstart for context k: word 2w the piecewise hashes of
+	// slots 4w..4w+3, lowest lane first, and word 2w+1 their half
+	// hashes. A half hash is stepped whether or not it has diverged,
+	// and read only once it has.
+	lanes [2 * laneWords]uint64
 }
 
 // hasherPool recycles Hasher state (a few KiB per instance) across
@@ -123,7 +156,7 @@ func (h *Hasher) Reset() {
 	h.bhstart = 0
 	h.bhend = 1
 	h.bhcap = maxContexts
-	h.ctx[0].h = hashInit
+	h.lanes = [2 * laneWords]uint64{laneInit}
 }
 
 // SetTotalLength declares that exactly n bytes will be written, which
@@ -157,34 +190,84 @@ func blockGuess(n uint64) int {
 //
 // fhc:hotpath
 func (h *Hasher) Write(p []byte) (int, error) {
-	n := h.n
+	// The rolling hash counts bytes in a uint32, as the reference does,
+	// and its window ring slips where the count wraps. Split a Write
+	// there, so that within one Write the byte leaving the window is
+	// always the one seven back.
+	if rest := 1<<32 - uint64(h.roll.n); uint64(len(p)) > rest {
+		h.Write(p[:rest])
+		h.Write(p[rest:])
+		return len(p), nil
+	}
+	n0 := h.n
+	h1, h2, h3 := h.roll.h1, h.roll.h2, h.roll.h3
 	// A trigger at the smallest active block size 3·2^bhstart needs
 	// rh ≡ -1 modulo both 2^bhstart and 3: the mask screens the first
 	// without a division, and only its survivors reach the second.
 	mask := uint32(1)<<h.bhstart - 1
-	ctxs := h.ctx[h.bhstart:h.bhend]
-	for _, c := range p {
-		rh := h.roll.roll(c)
-		n++
-		// Every active context absorbs the byte into its piecewise
-		// hash; diverged half hashes accumulate alongside.
-		for i := range ctxs {
-			ctx := &ctxs[i]
-			ctx.h = ctx.h*hashPrime ^ uint32(c)
-			if ctx.diverged {
-				ctx.halfH = ctx.halfH*hashPrime ^ uint32(c)
-			}
+	// Slots 0-3 step in registers, any higher ones in place.
+	pw, hw, upper := h.lanes[0], h.lanes[1], h.upperLanes()
+	// The bytes leaving the window during the first seven, in order.
+	var head [rollingWindow]byte
+	for j := range min(len(p), rollingWindow) {
+		head[j] = h.roll.window[(h.roll.n+uint32(j))%rollingWindow]
+	}
+	for i, c := range p {
+		var out byte
+		if i >= rollingWindow {
+			out = p[i-rollingWindow]
+		} else {
+			out = head[i]
 		}
+		h2 += rollingWindow*uint32(c) - h1
+		h1 += uint32(c) - uint32(out)
+		h3 = h3<<5 ^ uint32(c)
+		cl := uint64(c) * laneOnes
+		pw = stepLanes(pw, cl)
+		hw = stepLanes(hw, cl)
+		for k := range upper {
+			upper[k] = stepLanes(upper[k], cl)
+		}
+		rh := h1 + h2 + h3
 		if rh&mask != mask || rh%3 != 2 {
 			continue
 		}
-		h.trigger(rh, n)
+		h.lanes[0], h.lanes[1] = pw, hw
+		h.trigger(rh, n0+uint64(i)+1)
 		mask = uint32(1)<<h.bhstart - 1
-		ctxs = h.ctx[h.bhstart:h.bhend]
+		pw, hw, upper = h.lanes[0], h.lanes[1], h.upperLanes()
 	}
-	h.n = n
+	h.lanes[0], h.lanes[1] = pw, hw
+	h.roll.h1, h.roll.h2, h.roll.h3 = h1, h2, h3
+	// Save the last bytes where the ring keeps them: count m in slot m%7.
+	k := max(len(p)-rollingWindow, 0)
+	for j, c := range p[k:] {
+		h.roll.window[(h.roll.n+uint32(k+j))%rollingWindow] = c
+	}
+	h.roll.n += uint32(len(p))
+	h.n = n0 + uint64(len(p))
 	h.retire()
 	return len(p), nil
+}
+
+// upperLanes returns the lane words of the active slots above 3.
+func (h *Hasher) upperLanes() []uint64 {
+	return h.lanes[2 : (h.bhend-h.bhstart+3)/4*2]
+}
+
+// lane returns the piecewise hash (half 0) or the half hash (half 1)
+// of active context i, modulo 64.
+func (h *Hasher) lane(i, half int) byte {
+	j := i - h.bhstart
+	return byte(h.lanes[j/4*2+half] >> (j % 4 * 16) & 63)
+}
+
+// setLane sets the piecewise hash (half 0) or the half hash (half 1)
+// of active context i to v < 64.
+func (h *Hasher) setLane(i, half int, v byte) {
+	j := i - h.bhstart
+	w, s := &h.lanes[j/4*2+half], uint(j%4*16)
+	*w = *w&^(0xffff<<s) | uint64(v)<<s
 }
 
 // trigger runs the cascade for a rolling hash rh that triggers at the
@@ -205,22 +288,23 @@ func (h *Hasher) trigger(rh uint32, n uint64) {
 			// First trigger of the top context: fork the next block
 			// size. It has never triggered (its triggers are a subset
 			// of this one's), so its piecewise hash is the pre-reset
-			// hash of the whole prefix — exactly ctx.h right now. The
-			// loop then visits the fork with the same rolling hash,
-			// cascading further if it triggers.
-			h.ctx[h.bhend] = blockCtx{h: ctx.h}
+			// hash of the whole prefix — exactly this context's right
+			// now. The loop then visits the fork with the same rolling
+			// hash, cascading further if it triggers.
+			h.ctx[h.bhend] = blockCtx{}
+			h.setLane(h.bhend, 0, h.lane(i, 0))
 			h.bhend++
 		}
 		if !ctx.diverged && ctx.flen >= SpamsumLength/2-1 {
 			// The half signature capped at the previous trigger; from
 			// here its residue hash never resets again.
 			ctx.diverged = true
-			ctx.halfH = ctx.h
+			h.setLane(i, 1, h.lane(i, 0))
 		}
 		if ctx.flen < SpamsumLength-1 {
-			ctx.full[ctx.flen] = b64[ctx.h%64]
+			ctx.full[ctx.flen] = b64[h.lane(i, 0)]
 			ctx.flen++
-			ctx.h = hashInit
+			h.setLane(i, 0, laneInit)
 		}
 		bs *= 2
 	}
@@ -235,7 +319,7 @@ func (h *Hasher) trigger(rh uint32, n uint64) {
 // monotone, so context k is dead. A declared length stands in for the
 // bytes written so far: Sum fails unless the two end up equal.
 // (Reading ctx[bhstart+1] of a context never forked sees flen 0 and
-// keeps the window.)
+// keeps the window.) Each retirement moves every lane down one slot.
 func (h *Hasher) retire() {
 	n := h.n
 	if h.total > 0 {
@@ -245,6 +329,13 @@ func (h *Hasher) retire() {
 		uint64(uint32(MinBlockSize)<<h.bhstart)*SpamsumLength < n &&
 		h.ctx[h.bhstart+1].flen >= SpamsumLength/2 {
 		h.bhstart++
+		for w := range h.lanes {
+			var next uint64
+			if w+2 < len(h.lanes) {
+				next = h.lanes[w+2]
+			}
+			h.lanes[w] = h.lanes[w]>>16 | next<<48
+		}
 	}
 }
 
@@ -282,7 +373,7 @@ func (h *Hasher) Sum() (Digest, error) {
 	c1 := &h.ctx[bi]
 	n1 := copy(s1[:], c1.full[:c1.flen])
 	if residue {
-		s1[n1] = b64[c1.h%64]
+		s1[n1] = b64[h.lane(bi, 0)]
 		n1++
 	}
 	// Sig2 is the half view of the next block size up: its first
@@ -295,19 +386,19 @@ func (h *Hasher) Sum() (Digest, error) {
 			hl = SpamsumLength/2 - 1
 		}
 		n2 = copy(s2[:], c2.full[:hl])
-		hh := c2.h
-		if c2.diverged {
-			hh = c2.halfH
-		}
 		if residue {
-			s2[n2] = b64[hh%64]
+			half := 0
+			if c2.diverged {
+				half = 1
+			}
+			s2[n2] = b64[h.lane(bi+1, half)]
 			n2++
 		}
 	} else if residue {
 		// The double block size never saw a trigger (it was never even
 		// forked), so its piecewise hash is the never-reset hash of the
 		// whole input — which the top context still holds.
-		s2[0] = b64[h.ctx[h.bhend-1].h%64]
+		s2[0] = b64[h.lane(h.bhend-1, 0)]
 		n2 = 1
 	}
 	return Digest{

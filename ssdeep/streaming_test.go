@@ -293,6 +293,103 @@ func TestHashReaderStreaming(t *testing.T) {
 	}
 }
 
+// TestLaneStepMatchesFNV checks the identity the packed lanes rest on:
+// the FNV step modulo 64 depends only on h modulo 64, so a lane's 6-bit
+// residue steps to exactly sumHash(h, c) % 64. It covers every residue
+// and byte in every lane position, random full 32-bit hashes, and long
+// runs of steps from hashInit; a lane must never hold bits above its
+// residue.
+func TestLaneStepMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(hs [4]uint32, c byte) {
+		t.Helper()
+		var lanes uint64
+		for j, hv := range hs {
+			lanes |= uint64(hv%64) << (16 * j)
+		}
+		got := stepLanes(lanes, uint64(c)*laneOnes)
+		for j, hv := range hs {
+			if lane, want := got>>(16*j)&0xffff, uint64(sumHash(hv, c)%64); lane != want {
+				t.Fatalf("lane %d: h %#x, c %#x: stepped to %d, FNV mod 64 is %d", j, hv, c, lane, want)
+			}
+		}
+	}
+	for r := uint32(0); r < 64; r++ {
+		for c := 0; c < 256; c++ {
+			var hs [4]uint32
+			for j := range hs {
+				hs[j] = rng.Uint32()&^63 | (r+uint32(17*j))%64
+			}
+			check(hs, byte(c))
+		}
+	}
+	for range 100000 {
+		check([4]uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}, byte(rng.Intn(256)))
+	}
+	hv, lanes := uint32(hashInit), uint64(laneInit)*laneOnes
+	for i := range 100000 {
+		c := byte(rng.Intn(256))
+		hv, lanes = sumHash(hv, c), stepLanes(lanes, uint64(c)*laneOnes)
+		if lanes != uint64(hv%64)*laneOnes {
+			t.Fatalf("after %d steps from hashInit: lanes %#x, FNV mod 64 %d", i+1, lanes, hv%64)
+		}
+	}
+}
+
+// TestCorpusDrivesUpperLanes pins the coverage the differential tests
+// rely on: written unhinted, the streamingInputs corpus keeps more than
+// eight contexts live at once. So the digests TestHasherMatchesHashBytes
+// compares against the oracle also depend on the lane words that step
+// in memory rather than in registers (slots 4 and up).
+func TestCorpusDrivesUpperLanes(t *testing.T) {
+	h := NewHasher()
+	defer h.Release()
+	most, where := 0, ""
+	for name, data := range streamingInputs(t) {
+		h.Reset()
+		for i := range data {
+			h.Write(data[i : i+1])
+			if live := h.bhend - h.bhstart; live > most {
+				most, where = live, name
+			}
+		}
+	}
+	t.Logf("at most %d live contexts, in %s", most, where)
+	if most <= 8 {
+		t.Fatalf("the corpus keeps at most %d contexts live, want more than 8", most)
+	}
+}
+
+// TestHasherRollMatchesRollState checks the rolling hash Write keeps in
+// locals against rollState.roll, the reference's byte-at-a-time ring,
+// after every Write of several chunkings: its sums, its window in ring
+// layout and its count. One run starts five bytes before the uint32
+// count wraps, where the ring's slot order slips.
+func TestHasherRollMatchesRollState(t *testing.T) {
+	data := make([]byte, 300)
+	rand.New(rand.NewSource(13)).Read(data)
+	for _, start := range []uint32{0, 1<<32 - 5} {
+		for _, sizes := range [][]int{{1}, {2, 3, 1, 5}, {7}, {8, 6, 40}, {1 << 30}} {
+			h := NewHasher()
+			h.roll.n = start
+			want := rollState{n: start}
+			for i := 0; i < len(data); {
+				n := min(sizes[i%len(sizes)], len(data)-i)
+				h.Write(data[i : i+n])
+				for _, c := range data[i : i+n] {
+					want.roll(c)
+				}
+				i += n
+				if h.roll != want {
+					t.Fatalf("start %d, chunks %v, after %d bytes: Hasher %+v, rollState %+v",
+						start, sizes, i, h.roll, want)
+				}
+			}
+			h.Release()
+		}
+	}
+}
+
 // TestHasherZeroAlloc proves the steady-state write loop and Sum do not
 // allocate: the O(1)-memory ingestion invariant at the hasher layer.
 func TestHasherZeroAlloc(t *testing.T) {
@@ -328,14 +425,49 @@ func TestHasherZeroAlloc(t *testing.T) {
 	}
 }
 
+// coldBody returns the shape of a cold upload: a synthetic ELF image
+// padded to 1 MiB with a seeded random tail.
+func coldBody(tb testing.TB) []byte {
+	tb.Helper()
+	samples, err := synth.GenerateOne(synth.ClassSpec{Name: "B", Samples: 1}, synth.Options{Seed: 9})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := make([]byte, 1<<20)
+	n := copy(body, samples[0].Binary)
+	rand.New(rand.NewSource(2)).Read(body[n:])
+	return body
+}
+
+// writeLog records the sizes of the writes made into it.
+type writeLog struct {
+	data  []byte
+	sizes []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.data = append(w.data, p...)
+	w.sizes = append(w.sizes, len(p))
+	return len(p), nil
+}
+
 // BenchmarkHashStreaming measures the streaming hasher against the
 // buffered test oracle on the same input: one whole-input Write, then the
 // 64 KiB writes dataset.FromReader makes, without and with the declared
-// length it passes when the reader knows it.
+// length it passes when the reader knows it. The inputs are 1 MiB of
+// random bytes and the strings(1) text of a cold upload (coldBody); the
+// text is also fed in the run-sized writes the strings channel of
+// dataset.FromReader makes, unhinted as there, which prices the
+// per-call cost of Write.
 func BenchmarkHashStreaming(b *testing.B) {
-	data := make([]byte, 1<<20)
-	rand.New(rand.NewSource(1)).Read(data)
-	stream := func(chunk int, hinted bool) func(*testing.B) {
+	random := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(random)
+	var runs writeLog
+	var str extract.StringStreamer
+	str.Reset(&runs, 0)
+	str.Write(coldBody(b))
+	str.Close()
+	stream := func(data []byte, sizes []int, hinted bool) func(*testing.B) {
 		return func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
@@ -346,23 +478,30 @@ func BenchmarkHashStreaming(b *testing.B) {
 				if hinted {
 					h.SetTotalLength(int64(len(data)))
 				}
-				writeChunked(h, data, []int{chunk})
+				writeChunked(h, data, sizes)
 				if _, err := h.Sum(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	b.Run("streaming", stream(len(data), false))
-	b.Run("chunked64k", stream(64<<10, false))
-	b.Run("chunked64k-hinted", stream(64<<10, true))
-	b.Run("buffered", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := hashBytesOracle(data); err != nil {
-				b.Fatal(err)
+	buffered := func(data []byte) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := hashBytesOracle(data); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("streaming", stream(random, []int{len(random)}, false))
+	b.Run("chunked64k", stream(random, []int{64 << 10}, false))
+	b.Run("chunked64k-hinted", stream(random, []int{64 << 10}, true))
+	b.Run("buffered", buffered(random))
+	b.Run("strings-chunked64k", stream(runs.data, []int{64 << 10}, false))
+	b.Run("strings-chunked64k-hinted", stream(runs.data, []int{64 << 10}, true))
+	b.Run("strings-runs", stream(runs.data, runs.sizes, false))
+	b.Run("strings-buffered", buffered(runs.data))
 }
