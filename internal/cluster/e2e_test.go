@@ -75,12 +75,18 @@ func TestE2EKillShardMidLoad(t *testing.T) {
 	// The generous health timeout keeps probe starvation out of the
 	// drill: under the race detector the loaded workers can hold a
 	// readyz answer past the harness's 250ms default, and ejecting a
-	// merely-slow shard is not the fault being injected. The killed
-	// shard still ejects promptly — its probes fail with an immediate
-	// RST, not a timeout.
+	// merely-slow shard is not the fault being injected. The health
+	// interval outlasts the run up to the kill, a quarter of the load
+	// (a few seconds even under the race detector), so no periodic
+	// probe can eject the killed shard before load reaches it: the
+	// first request routed there fails with an immediate RST, is
+	// retried, and kicks the probe that ejects it. MaxBackoff keeps the
+	// re-probes that readmit it within one interval.
+	const interval = 10 * time.Second
 	c := startCluster(t, cluster.Options{
 		HedgeAfter:     150 * time.Millisecond,
-		HealthInterval: 100 * time.Millisecond,
+		HealthInterval: interval,
+		MaxBackoff:     interval,
 		HealthTimeout:  3 * time.Second,
 	})
 	c.WaitReady(t, 3, 5*time.Second)
@@ -139,7 +145,7 @@ func TestE2EKillShardMidLoad(t *testing.T) {
 	// Recovery: the shard heals, the prober readmits it, and affinity
 	// routes its keys back.
 	c.Workers[0].Proxy.SetMode(clustertest.Pass)
-	c.WaitReady(t, 3, 5*time.Second)
+	c.WaitReady(t, 3, 2*interval)
 	assertFleetServes(t, c, "post-recovery", want)
 }
 

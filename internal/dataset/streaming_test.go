@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/synth"
+	"repro/ssdeep"
 )
 
 // chunkReader yields data in fixed-size reads to exercise chunk
@@ -177,6 +178,38 @@ func TestFromReaderReadError(t *testing.T) {
 type errorReader struct{}
 
 func (errorReader) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
+
+// TestPooledStringStreamerZeroAlloc pins that the strings channel of a
+// pooled featState allocates nothing per input: its StringStreamer
+// collects the text in the streamer's own block and writes it to the
+// strings Hasher, in the 64 KiB writes FromReader makes.
+func TestPooledStringStreamerZeroAlloc(t *testing.T) {
+	samples, err := synth.GenerateOne(
+		synth.ClassSpec{Name: "B", Samples: 1}, synth.Options{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 256<<10)
+	rand.New(rand.NewSource(2)).Read(body[copy(body, samples[0].Binary):])
+	st := featPool.Get().(*featState)
+	defer featPool.Put(st)
+	h := ssdeep.NewHasher()
+	defer h.Release()
+	allocs := testing.AllocsPerRun(10, func() {
+		h.Reset()
+		st.str.Reset(h, 0)
+		for off := 0; off < len(body); off += len(st.buf) {
+			st.str.Write(body[off : off+len(st.buf)])
+		}
+		st.str.Close()
+	})
+	if allocs != 0 {
+		t.Fatalf("the strings channel allocates %v times per input", allocs)
+	}
+	if st.str.Emitted() == 0 {
+		t.Fatal("the input emitted no strings text")
+	}
+}
 
 // BenchmarkFromReader measures the featuriser on a bytes.Reader and,
 // as buffered, through FromBinary, the whole-buffer call into it. As

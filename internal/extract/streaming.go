@@ -1,6 +1,10 @@
 package extract
 
-import "io"
+import (
+	"encoding/binary"
+	"io"
+	"math/bits"
+)
 
 // newline is the run separator of the StringsText stream, shared so the
 // hot write path never materialises a fresh slice per run.
@@ -13,10 +17,18 @@ var newline = []byte{'\n'}
 // chunked, the stream is byte-for-byte the one StringsText returns for
 // the whole buffer.
 //
-// Memory use is O(minLen), not O(input): at most minLen-1 bytes of an
-// unconfirmed run are held back across chunk boundaries; once a run is
-// confirmed its bytes stream straight through. A fully printable input
-// therefore flows through without any buffering at all.
+// Memory use is O(blockSize + minLen), not O(input): the stream is
+// copied into a fixed 4 KiB block that goes downstream when it fills
+// and at the end of every Write and Close, so the writer sees a few
+// large writes rather than one per run, and a piece of at least a block
+// goes straight through. At most minLen-1 bytes of an unconfirmed run
+// are held back across chunk boundaries.
+//
+// While no run is open and minLen is at most 64, the scan takes 64
+// bytes at a time: one printable bitmask per block gives every run
+// that starts and ends inside it. A byte loop takes the rest: runs
+// carried across blocks or Writes, tails shorter than a block, and
+// larger minLen.
 //
 // Call Close after the final Write to flush a trailing run. Write errors
 // from the underlying writer are sticky and returned from every
@@ -35,7 +47,14 @@ type StringStreamer struct {
 	confirmed bool
 	emitted   int64
 	err       error
+	// block holds nblock bytes of the stream not yet forwarded.
+	block  [blockSize]byte
+	nblock int
 }
+
+// blockSize is the size of the writes a StringStreamer makes downstream
+// while its text is made of pieces shorter than that.
+const blockSize = 4096
 
 // printTab is printable as a 0/1 table, so a run counter can be
 // advanced without a branch per byte.
@@ -73,6 +92,7 @@ func (s *StringStreamer) Reset(w io.Writer, minLen int) {
 	s.confirmed = false
 	s.emitted = 0
 	s.err = nil
+	s.nblock = 0
 }
 
 // Write scans p for printable runs, forwarding confirmed runs to the
@@ -84,11 +104,23 @@ func (s *StringStreamer) Write(p []byte) (int, error) {
 	if s.err != nil {
 		return len(p), s.err
 	}
+	s.scan(p)
+	s.flush()
+	return len(p), s.err
+}
+
+// scan emits the text of the confirmed runs in p.
+//
+// fhc:hotpath
+func (s *StringStreamer) scan(p []byte) {
 	minLen := s.minLen
 	// start is where the confirmed run's bytes in p begin.
 	start, i := 0, 0
 	for i < len(p) {
 		if !s.confirmed {
+			if s.run == 0 && minLen <= 64 {
+				i = s.scanBlocks(p, i)
+			}
 			// Count the run up to minLen: a non-printable byte zeroes
 			// the counter, a printable one advances it.
 			run, j := s.run, i
@@ -104,7 +136,7 @@ func (s *StringStreamer) Write(p []byte) (int, error) {
 					s.pending = append(s.pending[:0], p[len(p)-run:]...)
 				}
 				s.run = run
-				return len(p), s.err
+				return
 			}
 			// The run reached minLen at p[j-1]. When it began in an
 			// earlier Write, no byte of p[i:j] reset it, so pending
@@ -129,7 +161,61 @@ func (s *StringStreamer) Write(p []byte) (int, error) {
 		s.endRun()
 		i++
 	}
-	return len(p), s.err
+}
+
+// scanBlocks emits the runs that lie inside whole 64-byte blocks of p
+// from p[i] on, where no run is open, and returns where the byte loop
+// takes over: at the start of a run that reaches its block's top and is
+// long enough to confirm, or at the tail of p shorter than a block. A
+// shorter run at a block's top starts the next block.
+//
+// fhc:hotpath
+func (s *StringStreamer) scanBlocks(p []byte, i int) int {
+	for len(p)-i >= 64 {
+		m := printMask(p[i : i+64])
+		// Bit j of starts: the minLen bytes from j on are printable.
+		starts := m
+		for have := 1; have < s.minLen; {
+			sh := min(have, s.minLen-have)
+			starts &= starts >> sh
+			have += sh
+		}
+		for starts != 0 {
+			j := bits.TrailingZeros64(starts)
+			e := j + bits.TrailingZeros64(^(m >> j))
+			if e == 64 {
+				return i + j
+			}
+			s.emit(p[i+j : i+e])
+			s.emit(newline)
+			starts &= ^uint64(0) << e
+		}
+		i += 64 - bits.LeadingZeros64(^m)
+	}
+	return i
+}
+
+// printMask returns the printable bytes of b[:64] as a bit mask, b[j]
+// in bit j, eight bytes to a word: a byte's top bit in
+// (y+0x60) &^ (y+0x01) &^ x, y being the byte without its top bit,
+// marks 0x20 <= x <= 0x7e, and the zero test of x^0x09 marks a tab.
+func printMask(b []byte) uint64 {
+	const (
+		ones = 0x0101010101010101
+		low7 = 0x7f * ones
+		top  = 0x80 * ones
+	)
+	var m uint64
+	for w := range 8 {
+		x := binary.LittleEndian.Uint64(b[8*w:])
+		y := x & low7
+		in := (y + 0x60*ones) &^ (y + ones) &^ x
+		t := x ^ 0x09*ones
+		tab := ^((t&low7 + low7) | t)
+		// Gather the eight top bits into the word's byte of m.
+		m |= ((in | tab) & top) * 0x0002040810204081 >> 56 << (8 * w)
+	}
+	return m
 }
 
 // endRun terminates the current run: a confirmed run gets its newline,
@@ -143,8 +229,32 @@ func (s *StringStreamer) endRun() {
 	s.pending = s.pending[:0]
 }
 
+// emit appends b to the stream: into the block when it fits, else
+// after flushing the block, and straight downstream when b is at least
+// a block long.
 func (s *StringStreamer) emit(b []byte) {
-	if s.err != nil || len(b) == 0 {
+	if len(b) > blockSize-s.nblock {
+		s.flush()
+		if len(b) >= blockSize {
+			s.forward(b)
+			return
+		}
+	}
+	s.nblock += copy(s.block[s.nblock:], b)
+}
+
+// flush forwards the block.
+func (s *StringStreamer) flush() {
+	if s.nblock > 0 {
+		s.forward(s.block[:s.nblock])
+		s.nblock = 0
+	}
+}
+
+// forward writes b downstream, counting it in Emitted and keeping the
+// first error.
+func (s *StringStreamer) forward(b []byte) {
+	if s.err != nil {
 		return
 	}
 	n, err := s.w.Write(b)
@@ -158,6 +268,7 @@ func (s *StringStreamer) emit(b []byte) {
 // (Emitted) afterwards; Reset readies it for the next input.
 func (s *StringStreamer) Close() error {
 	s.endRun()
+	s.flush()
 	return s.err
 }
 

@@ -38,9 +38,15 @@ package ssdeep
 //     residue in a 16-bit lane, four to a uint64, and one multiply, xor
 //     and mask steps four of them. Half hashes step whether or not they
 //     diverged, so no context's state is tested per byte. The four
-//     lowest live contexts step in registers, any above them in place,
-//     and the rolling hash stays in locals for the whole Write, its
-//     outgoing byte read from the input.
+//     lowest live contexts step in registers, any above them in place.
+//
+// One byte loop (step) does that stepping. It keeps the rolling hash in
+// locals and reads the byte leaving the window seven back in its input,
+// so it tests no position per byte, and it returns at each trigger, so
+// that the cascade's call leaves its registers alone. Write runs it
+// (through absorb) twice: over a 14-byte stitched head, the saved
+// window in ring order followed by the first seven bytes of the Write,
+// then over the Write's own bytes from the eighth on.
 //
 // The result is bit-identical to that guess-and-retry algorithm, which
 // the tests keep as the buffered oracle (hashBytesOracle, fuzzed against
@@ -200,47 +206,19 @@ func (h *Hasher) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	n0 := h.n
-	h1, h2, h3 := h.roll.h1, h.roll.h2, h.roll.h3
-	// A trigger at the smallest active block size 3·2^bhstart needs
-	// rh ≡ -1 modulo both 2^bhstart and 3: the mask screens the first
-	// without a division, and only its survivors reach the second.
-	mask := uint32(1)<<h.bhstart - 1
-	// Slots 0-3 step in registers, any higher ones in place.
-	pw, hw, upper := h.lanes[0], h.lanes[1], h.upperLanes()
-	// The bytes leaving the window during the first seven, in order.
-	var head [rollingWindow]byte
-	for j := range min(len(p), rollingWindow) {
+	// The first seven bytes of p push out the saved window: step them
+	// behind it in a stitched head, then step the rest of p in place.
+	var head [2 * rollingWindow]byte
+	for j := range rollingWindow {
 		head[j] = h.roll.window[(h.roll.n+uint32(j))%rollingWindow]
 	}
-	for i, c := range p {
-		var out byte
-		if i >= rollingWindow {
-			out = p[i-rollingWindow]
-		} else {
-			out = head[i]
-		}
-		h2 += rollingWindow*uint32(c) - h1
-		h1 += uint32(c) - uint32(out)
-		h3 = h3<<5 ^ uint32(c)
-		cl := uint64(c) * laneOnes
-		pw = stepLanes(pw, cl)
-		hw = stepLanes(hw, cl)
-		for k := range upper {
-			upper[k] = stepLanes(upper[k], cl)
-		}
-		rh := h1 + h2 + h3
-		if rh&mask != mask || rh%3 != 2 {
-			continue
-		}
-		h.lanes[0], h.lanes[1] = pw, hw
-		h.trigger(rh, n0+uint64(i)+1)
-		mask = uint32(1)<<h.bhstart - 1
-		pw, hw, upper = h.lanes[0], h.lanes[1], h.upperLanes()
+	k := copy(head[rollingWindow:], p)
+	h.absorb(head[:rollingWindow+k], n0)
+	if len(p) > rollingWindow {
+		h.absorb(p, n0+rollingWindow)
 	}
-	h.lanes[0], h.lanes[1] = pw, hw
-	h.roll.h1, h.roll.h2, h.roll.h3 = h1, h2, h3
 	// Save the last bytes where the ring keeps them: count m in slot m%7.
-	k := max(len(p)-rollingWindow, 0)
+	k = max(len(p)-rollingWindow, 0)
 	for j, c := range p[k:] {
 		h.roll.window[(h.roll.n+uint32(k+j))%rollingWindow] = c
 	}
@@ -248,6 +226,59 @@ func (h *Hasher) Write(p []byte) (int, error) {
 	h.n = n0 + uint64(len(p))
 	h.retire()
 	return len(p), nil
+}
+
+// absorb steps the digest state over src[7:], n bytes into the input,
+// the byte leaving the window being the one seven back in src, and runs
+// the cascade at each trigger.
+//
+// fhc:hotpath
+func (h *Hasher) absorb(src []byte, n uint64) {
+	end := len(src) - rollingWindow
+	for i := 0; ; i++ {
+		if i = h.step(src, i); i == end {
+			return
+		}
+		h.trigger(h.roll.h1+h.roll.h2+h.roll.h3, n+uint64(i)+1)
+	}
+}
+
+// step is the byte loop. It steps the rolling hash and the lanes over
+// in[i:], in being src[7:] and the byte leaving the window the one
+// seven back in src, and stops after the first byte whose rolling hash
+// triggers at the smallest active block size. It returns that byte's
+// index in in, or len(in). It calls nothing, so its state stays in
+// registers across the loop.
+//
+// fhc:hotpath
+func (h *Hasher) step(src []byte, i int) int {
+	h1, h2, h3 := h.roll.h1, h.roll.h2, h.roll.h3
+	// A trigger at the smallest active block size 3·2^bhstart needs
+	// rh ≡ -1 modulo both 2^bhstart and 3: the mask screens the first
+	// without a division, and only its survivors reach the second.
+	mask := uint32(1)<<h.bhstart - 1
+	// Slots 0-3 step in registers, any higher ones in place.
+	pw, hw, upper := h.lanes[0], h.lanes[1], h.upperLanes()
+	in := src[rollingWindow:]
+	outs := src[:len(in)]
+	for ; i < len(in); i++ {
+		c := in[i]
+		h2 += rollingWindow*uint32(c) - h1
+		h1 += uint32(c) - uint32(outs[i])
+		h3 = h3<<5 ^ uint32(c)
+		cl := uint64(c) * laneOnes
+		pw = stepLanes(pw, cl)
+		hw = stepLanes(hw, cl)
+		for k := range upper {
+			upper[k] = stepLanes(upper[k], cl)
+		}
+		if rh := h1 + h2 + h3; rh&mask == mask && rh%3 == 2 {
+			break
+		}
+	}
+	h.lanes[0], h.lanes[1] = pw, hw
+	h.roll.h1, h.roll.h2, h.roll.h3 = h1, h2, h3
+	return i
 }
 
 // upperLanes returns the lane words of the active slots above 3.

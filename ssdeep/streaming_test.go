@@ -363,29 +363,57 @@ func TestCorpusDrivesUpperLanes(t *testing.T) {
 // TestHasherRollMatchesRollState checks the rolling hash Write keeps in
 // locals against rollState.roll, the reference's byte-at-a-time ring,
 // after every Write of several chunkings: its sums, its window in ring
-// layout and its count. One run starts five bytes before the uint32
-// count wraps, where the ring's slot order slips.
+// layout and its count. The chunkings include every length from 1 to 15
+// and a mix of them, around the seven bytes the stitched head of Write
+// takes from the saved window. One run starts five bytes before the
+// uint32 count wraps, where the ring's slot order slips. The digest
+// must equal the oracle's from count 0, and near the wrap that of the
+// same bytes in one Write.
 func TestHasherRollMatchesRollState(t *testing.T) {
-	data := make([]byte, 300)
+	data := make([]byte, 2000)
 	rand.New(rand.NewSource(13)).Read(data)
+	// A quiet stretch makes the small block sizes trigger unevenly.
+	clear(data[700:900])
+	chunkings := [][]int{{2, 3, 1, 5}, {8, 6, 40}, {1 << 30},
+		{7, 1, 8, 6, 15, 2, 9, 14, 3, 13, 4, 12, 5, 11, 10}}
+	for n := 1; n <= 15; n++ {
+		chunkings = append(chunkings, []int{n})
+	}
 	for _, start := range []uint32{0, 1<<32 - 5} {
-		for _, sizes := range [][]int{{1}, {2, 3, 1, 5}, {7}, {8, 6, 40}, {1 << 30}} {
+		whole := NewHasher()
+		whole.roll.n = start
+		whole.Write(data)
+		want, err := whole.Sum()
+		whole.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start == 0 {
+			if oracle, err := hashBytesOracle(data); err != nil || oracle != want {
+				t.Fatalf("one Write %q != oracle %q (%v)", want, oracle, err)
+			}
+		}
+		for _, sizes := range chunkings {
 			h := NewHasher()
 			h.roll.n = start
-			want := rollState{n: start}
-			for i := 0; i < len(data); {
-				n := min(sizes[i%len(sizes)], len(data)-i)
+			roll := rollState{n: start}
+			for i, w := 0, 0; i < len(data); w++ {
+				n := min(sizes[w%len(sizes)], len(data)-i)
 				h.Write(data[i : i+n])
 				for _, c := range data[i : i+n] {
-					want.roll(c)
+					roll.roll(c)
 				}
 				i += n
-				if h.roll != want {
+				if h.roll != roll {
 					t.Fatalf("start %d, chunks %v, after %d bytes: Hasher %+v, rollState %+v",
-						start, sizes, i, h.roll, want)
+						start, sizes, i, h.roll, roll)
 				}
 			}
+			got, err := h.Sum()
 			h.Release()
+			if err != nil || got != want {
+				t.Fatalf("start %d, chunks %v: %q (%v), want %q", start, sizes, got, err, want)
+			}
 		}
 	}
 }
@@ -439,34 +467,28 @@ func coldBody(tb testing.TB) []byte {
 	return body
 }
 
-// writeLog records the sizes of the writes made into it.
-type writeLog struct {
-	data  []byte
-	sizes []int
-}
-
-func (w *writeLog) Write(p []byte) (int, error) {
-	w.data = append(w.data, p...)
-	w.sizes = append(w.sizes, len(p))
-	return len(p), nil
-}
-
 // BenchmarkHashStreaming measures the streaming hasher against the
 // buffered test oracle on the same input: one whole-input Write, then the
 // 64 KiB writes dataset.FromReader makes, without and with the declared
 // length it passes when the reader knows it. The inputs are 1 MiB of
 // random bytes and the strings(1) text of a cold upload (coldBody); the
-// text is also fed in the run-sized writes the strings channel of
-// dataset.FromReader makes, unhinted as there, which prices the
-// per-call cost of Write.
+// text is also fed in run-sized writes, one per run and one per
+// newline, which prices the per-call cost of Write. strings-streamer is
+// the strings channel of dataset.FromReader: coldBody in 64 KiB writes
+// through a StringStreamer into an unhinted Hasher, priced per byte of
+// the body.
 func BenchmarkHashStreaming(b *testing.B) {
 	random := make([]byte, 1<<20)
 	rand.New(rand.NewSource(1)).Read(random)
-	var runs writeLog
-	var str extract.StringStreamer
-	str.Reset(&runs, 0)
-	str.Write(coldBody(b))
-	str.Close()
+	body := coldBody(b)
+	text := extract.StringsText(body, 0)
+	// The run-sized writes: each run, then its newline.
+	var runs []int
+	for _, line := range bytes.SplitAfter(text, []byte{'\n'}) {
+		if len(line) > 0 {
+			runs = append(runs, len(line)-1, 1)
+		}
+	}
 	stream := func(data []byte, sizes []int, hinted bool) func(*testing.B) {
 		return func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
@@ -500,8 +522,26 @@ func BenchmarkHashStreaming(b *testing.B) {
 	b.Run("chunked64k", stream(random, []int{64 << 10}, false))
 	b.Run("chunked64k-hinted", stream(random, []int{64 << 10}, true))
 	b.Run("buffered", buffered(random))
-	b.Run("strings-chunked64k", stream(runs.data, []int{64 << 10}, false))
-	b.Run("strings-chunked64k-hinted", stream(runs.data, []int{64 << 10}, true))
-	b.Run("strings-runs", stream(runs.data, runs.sizes, false))
-	b.Run("strings-buffered", buffered(runs.data))
+	b.Run("strings-chunked64k", stream(text, []int{64 << 10}, false))
+	b.Run("strings-chunked64k-hinted", stream(text, []int{64 << 10}, true))
+	b.Run("strings-runs", stream(text, runs, false))
+	b.Run("strings-buffered", buffered(text))
+	b.Run("strings-streamer", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		h := NewHasher()
+		defer h.Release()
+		var str extract.StringStreamer
+		for i := 0; i < b.N; i++ {
+			h.Reset()
+			str.Reset(h, 0)
+			for off := 0; off < len(body); off += 64 << 10 {
+				str.Write(body[off:min(off+64<<10, len(body))])
+			}
+			str.Close()
+			if _, err := h.Sum(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
