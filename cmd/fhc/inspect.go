@@ -94,11 +94,11 @@ func cmdCompare(args []string) error {
 	return nil
 }
 
-func pickDistance(name string) (ssdeep.DistanceFunc, error) {
+func pickDistance(name string) (ssdeep.Distance, error) {
 	if name == "dl" {
 		name = string(core.DistanceDL)
 	}
-	return core.DistanceName(name).Func()
+	return core.DistanceName(name).Resolve()
 }
 
 // cmdStrings prints the printable-run view.

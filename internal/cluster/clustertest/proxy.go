@@ -16,8 +16,11 @@
 package clustertest
 
 import (
+	"bufio"
 	"io"
 	"net"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -42,6 +45,11 @@ const (
 	// SlowLoris relays the request but trickles the response back one
 	// byte at a time.
 	SlowLoris
+	// Fail500 answers each request itself, never reaching the worker: a
+	// POST gets a JSON 500, as from a worker whose classify fails the
+	// same way every time, and anything else a bare 200, so readiness
+	// probes pass and the shard stays in the ring.
+	Fail500
 )
 
 // Proxy is a TCP fault injector between the router and one worker.
@@ -202,6 +210,10 @@ func (p *Proxy) relay(client net.Conn, mode Mode, delay time.Duration) {
 		_, _ = io.Copy(io.Discard, client)
 		return
 	}
+	if mode == Fail500 {
+		fail500(client)
+		return
+	}
 	if mode == Delay {
 		// Stall before even dialing the worker: the whole exchange,
 		// connect included, sits behind the injected latency.
@@ -244,6 +256,23 @@ func (p *Proxy) relay(client net.Conn, mode Mode, delay time.Duration) {
 	}()
 	<-done
 	<-done
+}
+
+// fail500 reads one request from client and answers it as Fail500
+// describes.
+func fail500(client net.Conn) {
+	req, err := http.ReadRequest(bufio.NewReader(client))
+	if err != nil {
+		return
+	}
+	_, _ = io.Copy(io.Discard, req.Body)
+	reply := "HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+	if req.Method == http.MethodPost {
+		const body = `{"error":"injected fault"}`
+		reply = "HTTP/1.1 500 Internal Server Error\r\nContent-Type: application/json\r\n" +
+			"Content-Length: " + strconv.Itoa(len(body)) + "\r\nConnection: close\r\n\r\n" + body
+	}
+	_, _ = io.WriteString(client, reply)
 }
 
 // trickleCopy relays backend→client one byte per tick.

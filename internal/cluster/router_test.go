@@ -209,6 +209,94 @@ func TestRetryOnReset(t *testing.T) {
 	}
 }
 
+// ownerOf returns the fleet member that owns bin right now.
+func ownerOf(t *testing.T, c *clustertest.Cluster, bin []byte) *clustertest.WorkerHandle {
+	t.Helper()
+	name := shardOf(t, c.URL(), bin)
+	for _, w := range c.Workers {
+		if w.Name == name {
+			return w
+		}
+	}
+	t.Fatalf("no worker named %q", name)
+	return nil
+}
+
+// TestWorker500PassesThrough pins what the router does with a worker's
+// deterministic 500: it is a complete reply, so the router passes it to
+// the client from the owning shard and neither retries it elsewhere nor
+// ejects the shard.
+func TestWorker500PassesThrough(t *testing.T) {
+	c := startCluster(t, cluster.Options{
+		HedgeAfter:     -1,
+		HealthInterval: time.Second, // only the request, not a probe, meets the fault
+	})
+	bin := fixBins[3]
+	owner := ownerOf(t, c, bin)
+	owner.Proxy.SetMode(clustertest.Fail500)
+
+	code, body, hdr := postJSON(t, c.URL()+"/v1/classify", httpserve.ClassifyRequest{
+		Exe: "job", BinaryB64: base64.StdEncoding.EncodeToString(bin),
+	})
+	if code != http.StatusInternalServerError || !strings.Contains(string(body), "injected fault") {
+		t.Fatalf("classify answered %d: %s, want the worker's 500", code, body)
+	}
+	if got := hdr.Get("Fhc-Shard"); got != owner.Name {
+		t.Fatalf("the 500 came from %s, want the owner %s", got, owner.Name)
+	}
+	if st := c.Router.Stats(); st.Retries != 0 || st.HedgesFired != 0 {
+		t.Fatalf("the 500 was retried or hedged: %+v", st)
+	}
+	for _, ws := range c.Router.WorkerStates() {
+		if !ws.Ready {
+			t.Fatalf("the 500 ejected %s", ws.Name)
+		}
+	}
+}
+
+// TestHedgeRace500Wins pins the hedge race: once a hedge has fired, the
+// first complete reply wins whatever its status. The owner stalls on a
+// request it would answer 200, the hedged shard answers 500 at once,
+// and the client gets the 500.
+func TestHedgeRace500Wins(t *testing.T) {
+	c := startCluster(t, cluster.Options{
+		HedgeAfter:     50 * time.Millisecond,
+		HealthTimeout:  2 * time.Second,
+		HealthInterval: time.Second,
+	})
+	req := httpserve.ClassifyRequest{Exe: "job", BinaryB64: base64.StdEncoding.EncodeToString(fixBins[4])}
+	// With every shard failing at once, the owner's 500 names it, and
+	// no classify runs long enough to fire a hedge.
+	for _, w := range c.Workers {
+		w.Proxy.SetMode(clustertest.Fail500)
+	}
+	_, _, hdr := postJSON(t, c.URL()+"/v1/classify", req)
+	owner := hdr.Get("Fhc-Shard")
+	for _, w := range c.Workers {
+		if w.Name == owner {
+			w.Proxy.SetDelay(600 * time.Millisecond)
+			w.Proxy.SetMode(clustertest.Delay)
+		}
+	}
+
+	before := c.Router.Stats()
+	start := time.Now()
+	code, body, hdr := postJSON(t, c.URL()+"/v1/classify", req)
+	if elapsed := time.Since(start); elapsed >= 600*time.Millisecond {
+		t.Fatalf("request took %v: it waited out the stalled owner", elapsed)
+	}
+	if code != http.StatusInternalServerError {
+		t.Fatalf("classify answered %d: %s, want the hedged shard's 500", code, body)
+	}
+	if got := hdr.Get("Fhc-Shard"); got == owner {
+		t.Fatalf("the stalled owner %s answered", got)
+	}
+	st := c.Router.Stats()
+	if st.HedgesFired-before.HedgesFired != 1 || st.HedgeWins-before.HedgeWins != 1 || st.Retries != before.Retries {
+		t.Fatalf("want one hedge that won and no retry: before %+v, after %+v", before, st)
+	}
+}
+
 // TestUnroutable blackholes the whole fleet: requests answer 503 with
 // the router's own error (not a hang), readyz flips, and the counter
 // moves.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/openset"
 	"repro/internal/par"
-	"repro/ssdeep"
 )
 
 // Classifier is a trained Fuzzy Hash Classifier.
@@ -19,7 +18,6 @@ type Classifier struct {
 	cfg      Config
 	profiles *profileSet
 	mdl      model.Model
-	distance ssdeep.DistanceFunc
 
 	// threshold is the confidence cut-off, stored as float bits so
 	// SetThreshold is safe while another goroutine serves predictions.
@@ -61,7 +59,7 @@ func Train(samples []dataset.Sample, cfg Config) (*Classifier, error) {
 		return nil, fmt.Errorf("core: Grid forest parameters apply only to the %q model kind; sweep only Thresholds with %q",
 			model.KindRF, cfg.Model)
 	}
-	dist, err := cfg.Distance.Func()
+	dist, err := cfg.Distance.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -82,9 +80,11 @@ func Train(samples []dataset.Sample, cfg Config) (*Classifier, error) {
 	}
 	sort.Strings(classes)
 
-	c := &Classifier{cfg: cfg, distance: dist}
+	c := &Classifier{cfg: cfg}
 	c.SetThreshold(cfg.Threshold)
-	c.profiles = buildProfiles(samples, cfg.Features, classes)
+	if c.profiles, err = buildProfiles(samples, cfg.Features, classes, dist); err != nil {
+		return nil, err
+	}
 
 	// Hyper-parameter and threshold tuning on an inner split of the
 	// training set (the paper tunes "only within the training set").
@@ -95,7 +95,7 @@ func Train(samples []dataset.Sample, cfg Config) (*Classifier, error) {
 		if grid == nil {
 			grid = &Grid{Thresholds: defaultThresholds()}
 		}
-		best, curve, err := tune(samples, cfg, grid)
+		best, curve, err := tune(samples, cfg, dist, grid)
 		if err != nil {
 			return nil, fmt.Errorf("core: tuning: %w", err)
 		}
@@ -107,15 +107,8 @@ func Train(samples []dataset.Sample, cfg Config) (*Classifier, error) {
 	}
 
 	// Final fit on the full training set.
-	X := c.profiles.featurizeBatch(samples, dist, cfg.Workers)
-	y := make([]int, len(samples))
-	classIndex := make(map[string]int, len(classes))
-	for i, cl := range classes {
-		classIndex[cl] = i
-	}
-	for i := range samples {
-		y[i] = classIndex[samples[i].Class]
-	}
+	X := c.profiles.featurizeBatch(samples, cfg.Workers)
+	y := c.Labels(samples)
 	forestParams.Balanced = true
 	forestParams.Workers = cfg.Workers
 	mdl, err := model.Train(cfg.Model, X, y, len(classes), model.Options{
@@ -194,19 +187,25 @@ func (c *Classifier) TuningCurve() []ThresholdScore {
 // the model-comparison ablations that train other classifiers on the same
 // features.
 func (c *Classifier) Featurize(s *dataset.Sample) []float64 {
-	return c.profiles.featurize(s, c.distance)
+	return c.profiles.featurize(s)
 }
 
 // FeaturizeBatch featurises samples in parallel.
 func (c *Classifier) FeaturizeBatch(samples []dataset.Sample) [][]float64 {
-	return c.profiles.featurizeBatch(samples, c.distance, c.cfg.Workers)
+	return c.profiles.featurizeBatch(samples, c.cfg.Workers)
 }
 
 // Labels encodes training-style integer labels for samples against this
 // classifier's class list; unknown classes map to -1.
 func (c *Classifier) Labels(samples []dataset.Sample) []int {
-	idx := make(map[string]int, len(c.profiles.classes))
-	for i, cl := range c.profiles.classes {
+	return labelsOf(samples, c.profiles.classes)
+}
+
+// labelsOf encodes each sample's class as its index in classes, or -1
+// when classes does not hold it.
+func labelsOf(samples []dataset.Sample, classes []string) []int {
+	idx := make(map[string]int, len(classes))
+	for i, cl := range classes {
 		idx[cl] = i
 	}
 	out := make([]int, len(samples))
@@ -252,7 +251,7 @@ func (c *Classifier) PredictProbaBatch(samples []dataset.Sample) [][]float64 {
 // then each class's best fuzzy-hash similarity to the sample (the
 // open-set evidence channel) — and no threshold applied.
 func (c *Classifier) predictWide(s *dataset.Sample) []float64 {
-	x := c.profiles.featurize(s, c.distance)
+	x := c.profiles.featurize(s)
 	return c.profiles.appendEvidence(c.mdl.PredictProba(x), x)
 }
 
@@ -343,16 +342,16 @@ func decide(proba []float64, classes []string, threshold float64) Prediction {
 // classifier knows the class, UnknownLabel otherwise — exactly how the
 // paper scores its test set (Table 4's "-1" row).
 func (c *Classifier) GroundTruth(samples []dataset.Sample) []string {
-	known := map[string]bool{}
-	for _, cl := range c.profiles.classes {
-		known[cl] = true
-	}
+	return groundTruth(samples, c.profiles.classes)
+}
+
+// groundTruth is GroundTruth against the known classes.
+func groundTruth(samples []dataset.Sample, classes []string) []string {
 	out := make([]string, len(samples))
-	for i := range samples {
-		if known[samples[i].Class] {
+	for i, ci := range labelsOf(samples, classes) {
+		out[i] = UnknownLabel
+		if ci >= 0 {
 			out[i] = samples[i].Class
-		} else {
-			out[i] = UnknownLabel
 		}
 	}
 	return out
@@ -380,13 +379,13 @@ func (c *Classifier) FeatureImportance() map[string]float64 {
 		return nil
 	}
 	importances := imp.Importances()
-	groups := c.profiles.featureGroups()
-	out := make(map[string]float64, len(groups))
+	n := len(c.profiles.classes)
+	out := make(map[string]float64, len(c.profiles.features))
 	total := 0.0
-	for kind, span := range groups {
+	for k, kind := range c.profiles.features {
 		sum := 0.0
-		for i := span[0]; i < span[1]; i++ {
-			sum += importances[i]
+		for _, v := range importances[k*n : (k+1)*n] {
+			sum += v
 		}
 		out[kind.String()] = sum
 		total += sum

@@ -35,39 +35,42 @@ import (
 // known application class (the paper's "-1").
 const UnknownLabel = "-1"
 
-// DistanceName selects the signature distance used for similarity scoring.
+// DistanceName is the artifact and CLI name of a signature distance.
 type DistanceName string
 
 // Supported scoring distances. The paper specifies Damerau–Levenshtein.
 // The names resolve to the bit-parallel implementations; the
 // dynamic-programming oracles they are tested against
-// (editdist.OSADP, editdist.LevenshteinDP) are not selectable by name.
+// (editdist.OSADP, editdist.LevenshteinDP) run only in tests.
 const (
 	DistanceDL          DistanceName = "damerau-levenshtein"
 	DistanceLevenshtein DistanceName = "levenshtein"
 	DistanceSpamsum     DistanceName = "spamsum"
 )
 
-// retiredDistances maps the "-dp" oracle names that artifacts written
-// before the oracles left production may carry onto the fast distances
-// that are bit-identical to them, so those artifacts keep loading.
-var retiredDistances = map[DistanceName]DistanceName{
-	"damerau-levenshtein-dp": DistanceDL,
-	"levenshtein-dp":         DistanceLevenshtein,
+// distanceNames is the name of each ssdeep.Distance, the one Save
+// writes, indexed by the distance.
+var distanceNames = [...]DistanceName{
+	ssdeep.DistanceDL:          DistanceDL,
+	ssdeep.DistanceLevenshtein: DistanceLevenshtein,
+	ssdeep.DistanceSpamsum:     DistanceSpamsum,
 }
 
-// Func returns the ssdeep distance function for the name.
-func (d DistanceName) Func() (ssdeep.DistanceFunc, error) {
+// Resolve returns the ssdeep distance the name selects. The empty name is
+// the paper's default. The "-dp" oracle names that artifacts written
+// before the oracles left production may carry resolve to the fast
+// distances that are bit-identical to them, so those artifacts keep
+// loading.
+func (d DistanceName) Resolve() (ssdeep.Distance, error) {
 	switch d {
-	case DistanceDL, "":
+	case DistanceDL, "", "damerau-levenshtein-dp":
 		return ssdeep.DistanceDL, nil
-	case DistanceLevenshtein:
+	case DistanceLevenshtein, "levenshtein-dp":
 		return ssdeep.DistanceLevenshtein, nil
 	case DistanceSpamsum:
 		return ssdeep.DistanceSpamsum, nil
-	default:
-		return nil, fmt.Errorf("core: unknown distance %q", string(d))
 	}
+	return 0, fmt.Errorf("core: unknown distance %q", string(d))
 }
 
 // Config configures training of a Fuzzy Hash Classifier.

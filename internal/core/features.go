@@ -1,116 +1,94 @@
 package core
 
 import (
+	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/par"
 	"repro/ssdeep"
 )
 
-// classProfile is the fuzzy-hash signature set of one class for one
-// feature kind: the deduplicated digests of its training samples.
-type classProfile struct {
-	digests []string // canonical digest strings (sorted, unique)
-	parsed  []ssdeep.Digest
-}
-
-// profileSet holds, per feature kind, one profile per known class (class
-// index order), plus a grouped 7-gram index per kind with classes as
-// owner groups. Featurisation queries the index, visiting only training
-// digests that share a 7-gram with the sample.
+// profileSet is a classifier's serving state: per feature position, one
+// digest profile per known class (class index order) and a grouped
+// 7-gram index over those profiles with classes as owner groups, scored
+// under one distance. newProfileSet builds all of it, so featurisation
+// only reads: it queries the index, visiting only training digests that
+// share a 7-gram with the sample.
 type profileSet struct {
 	features []dataset.FeatureKind
 	classes  []string
-	profiles map[dataset.FeatureKind][]classProfile
-	indexes  map[dataset.FeatureKind]*ssdeep.Index
-	// indexOnce guards the lazy construction of the grouped indexes.
-	indexOnce sync.Once
+	dist     ssdeep.Distance
+	// digests[k][ci] are class ci's canonical digest strings for
+	// features[k], sorted and unique: what Save writes.
+	digests [][][]string
+	// indexes[k] is features[k]'s grouped index.
+	indexes []*ssdeep.Index
 }
 
-// buildProfiles collects per-class digest profiles from training samples;
-// the per-kind grouped indexes are built lazily on first featurisation.
-// classIndex maps class name to label; samples of classes not present in
-// the index are ignored.
-func buildProfiles(samples []dataset.Sample, features []dataset.FeatureKind, classes []string) *profileSet {
-	classIndex := make(map[string]int, len(classes))
-	for i, c := range classes {
-		classIndex[c] = i
-	}
+// newProfileSet parses perKind, each feature position's per-class digest
+// strings (one list per class, in class order), and builds each
+// position's grouped index.
+func newProfileSet(features []dataset.FeatureKind, classes []string, dist ssdeep.Distance, perKind [][][]string) (*profileSet, error) {
 	ps := &profileSet{
 		features: features,
 		classes:  classes,
-		profiles: make(map[dataset.FeatureKind][]classProfile, len(features)),
+		dist:     dist,
+		digests:  perKind,
+		indexes:  make([]*ssdeep.Index, len(features)),
 	}
-	for _, kind := range features {
+	for k, perClass := range perKind {
+		var digests []ssdeep.Digest
+		var groups []int32
+		for ci, strs := range perClass {
+			for _, s := range strs {
+				d, err := ssdeep.Parse(s)
+				if err != nil {
+					return nil, fmt.Errorf("core: model digest %q: %w", s, err)
+				}
+				digests = append(digests, d)
+				groups = append(groups, int32(ci))
+			}
+		}
+		ps.indexes[k] = ssdeep.NewIndex(digests, groups)
+	}
+	return ps, nil
+}
+
+// buildProfiles collects each class's training digests per feature kind
+// and builds their profile set. Samples of classes outside classes are
+// ignored, and so is a digest whose canonical string does not parse
+// back: kept, it would burn a comparison slot on every sample and fail
+// the Save/Load round trip.
+func buildProfiles(samples []dataset.Sample, features []dataset.FeatureKind, classes []string, dist ssdeep.Distance) (*profileSet, error) {
+	y := labelsOf(samples, classes)
+	perKind := make([][][]string, len(features))
+	for k, kind := range features {
 		sets := make([]map[string]bool, len(classes))
 		for i := range sets {
 			sets[i] = map[string]bool{}
 		}
 		for i := range samples {
-			ci, ok := classIndex[samples[i].Class]
-			if !ok {
-				continue
-			}
 			d := samples[i].Digests[kind]
-			if d.IsZero() {
+			if y[i] < 0 || d.IsZero() {
 				continue
 			}
-			sets[ci][d.String()] = true
+			s := d.String()
+			if _, err := ssdeep.Parse(s); err == nil {
+				sets[y[i]][s] = true
+			}
 		}
-		profiles := make([]classProfile, len(classes))
+		perKind[k] = make([][]string, len(classes))
 		for ci, set := range sets {
 			all := make([]string, 0, len(set))
 			for s := range set {
 				all = append(all, s)
 			}
 			sort.Strings(all)
-			p := classProfile{
-				digests: make([]string, 0, len(all)),
-				parsed:  make([]ssdeep.Digest, 0, len(all)),
-			}
-			for _, s := range all {
-				d, err := ssdeep.Parse(s)
-				if err != nil {
-					// Drop the digest entirely: keeping the string while
-					// leaving a zero parsed slot would burn a comparison
-					// slot on every sample and poison Save/Load round-trips.
-					continue
-				}
-				p.digests = append(p.digests, s)
-				p.parsed = append(p.parsed, d)
-			}
-			profiles[ci] = p
+			perKind[k][ci] = all
 		}
-		ps.profiles[kind] = profiles
 	}
-	return ps
-}
-
-// ensureIndexes derives the per-kind grouped similarity indexes from the
-// class profiles on first use; classes become owner groups, so one
-// grouped query yields the whole per-class score row of a feature
-// vector. Safe under featurizeBatch's worker pool.
-func (ps *profileSet) ensureIndexes() {
-	ps.indexOnce.Do(func() {
-		ps.indexes = make(map[dataset.FeatureKind]*ssdeep.Index, len(ps.features))
-		for _, kind := range ps.features {
-			n := 0
-			for _, p := range ps.profiles[kind] {
-				n += len(p.parsed)
-			}
-			digests := make([]ssdeep.Digest, 0, n)
-			groups := make([]int32, 0, n)
-			for ci, p := range ps.profiles[kind] {
-				digests = append(digests, p.parsed...)
-				for range p.parsed {
-					groups = append(groups, int32(ci))
-				}
-			}
-			ps.indexes[kind] = ssdeep.NewIndex(digests, groups)
-		}
-	})
+	return newProfileSet(features, classes, dist, perKind)
 }
 
 // numFeatures is the featurised dimensionality: |kinds| x |classes|.
@@ -127,10 +105,9 @@ func (ps *profileSet) numFeatures() int {
 // corpus size. The index is exact: the common-substring gate zeroes
 // every pair it never visits, so the row equals a scan of every
 // training digest of every class.
-func (ps *profileSet) featurize(s *dataset.Sample, dist ssdeep.DistanceFunc) []float64 {
-	ps.ensureIndexes()
+func (ps *profileSet) featurize(s *dataset.Sample) []float64 {
 	out := make([]float64, 0, ps.numFeatures())
-	for _, kind := range ps.features {
+	for k, kind := range ps.features {
 		d := s.Digests[kind]
 		if d.IsZero() {
 			for range ps.classes {
@@ -138,7 +115,7 @@ func (ps *profileSet) featurize(s *dataset.Sample, dist ssdeep.DistanceFunc) []f
 			}
 			continue
 		}
-		for _, score := range ps.indexes[kind].QueryGroupsPrepared(ssdeep.Prepare(d), len(ps.classes), dist) {
+		for _, score := range ps.indexes[k].QueryGroupsPrepared(ssdeep.Prepare(d), len(ps.classes), ps.dist) {
 			out = append(out, float64(score))
 		}
 	}
@@ -147,13 +124,13 @@ func (ps *profileSet) featurize(s *dataset.Sample, dist ssdeep.DistanceFunc) []f
 
 // featurizeBatch featurises many samples with a bounded worker pool
 // (workers <= 0 runs sequentially).
-func (ps *profileSet) featurizeBatch(samples []dataset.Sample, dist ssdeep.DistanceFunc, workers int) [][]float64 {
+func (ps *profileSet) featurizeBatch(samples []dataset.Sample, workers int) [][]float64 {
 	if workers <= 0 {
 		workers = 1
 	}
 	out := make([][]float64, len(samples))
 	par.Map(len(samples), workers, func(i int) {
-		out[i] = ps.featurize(&samples[i], dist)
+		out[i] = ps.featurize(&samples[i])
 	})
 	return out
 }
@@ -178,16 +155,4 @@ func (ps *profileSet) appendEvidence(dst, x []float64) []float64 {
 		dst = append(dst, best)
 	}
 	return dst
-}
-
-// featureGroups returns, for each feature kind, the column range
-// [lo, hi) it occupies in the featurised vector; used to aggregate
-// Random-Forest importances into the paper's per-feature Table 5.
-func (ps *profileSet) featureGroups() map[dataset.FeatureKind][2]int {
-	groups := make(map[dataset.FeatureKind][2]int, len(ps.features))
-	for i, kind := range ps.features {
-		lo := i * len(ps.classes)
-		groups[kind] = [2]int{lo, lo + len(ps.classes)}
-	}
-	return groups
 }

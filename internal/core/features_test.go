@@ -2,11 +2,9 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/editdist"
 	"repro/internal/ml"
 	"repro/internal/synth"
 	"repro/ssdeep"
@@ -33,22 +31,27 @@ func classesOf(samples []dataset.Sample) []string {
 }
 
 // preparedProfiles is the brute-force oracle's view of a profileSet:
-// every training digest of every class, prepared once per feature kind.
+// every training digest of every class, prepared once per feature
+// position.
 type preparedProfiles struct {
 	*profileSet
-	prepared map[dataset.FeatureKind][][]ssdeep.Prepared
+	prepared [][][]ssdeep.Prepared
 }
 
-func prepareProfiles(ps *profileSet) *preparedProfiles {
-	pp := &preparedProfiles{profileSet: ps, prepared: map[dataset.FeatureKind][][]ssdeep.Prepared{}}
-	for _, kind := range ps.features {
-		classes := make([][]ssdeep.Prepared, len(ps.classes))
-		for ci, p := range ps.profiles[kind] {
-			for _, d := range p.parsed {
-				classes[ci] = append(classes[ci], ssdeep.Prepare(d))
+func prepareProfiles(t testing.TB, ps *profileSet) *preparedProfiles {
+	t.Helper()
+	pp := &preparedProfiles{profileSet: ps, prepared: make([][][]ssdeep.Prepared, len(ps.features))}
+	for k, perClass := range ps.digests {
+		pp.prepared[k] = make([][]ssdeep.Prepared, len(perClass))
+		for ci, digests := range perClass {
+			for _, s := range digests {
+				d, err := ssdeep.Parse(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pp.prepared[k][ci] = append(pp.prepared[k][ci], ssdeep.Prepare(d))
 			}
 		}
-		pp.prepared[kind] = classes
 	}
 	return pp
 }
@@ -56,14 +59,14 @@ func prepareProfiles(ps *profileSet) *preparedProfiles {
 // featurizeBruteForce is the oracle featurize is held to: it scores the
 // sample's digest against every training digest of every class, an
 // O(kinds × classes × digests) scan with no index.
-func featurizeBruteForce(pp *preparedProfiles, s *dataset.Sample, dist ssdeep.DistanceFunc) []float64 {
+func featurizeBruteForce(pp *preparedProfiles, s *dataset.Sample) []float64 {
 	out := make([]float64, 0, pp.numFeatures())
-	for _, kind := range pp.features {
+	for k, kind := range pp.features {
 		q := ssdeep.Prepare(s.Digests[kind])
-		for _, class := range pp.prepared[kind] {
+		for _, class := range pp.prepared[k] {
 			best := 0
 			for _, p := range class {
-				best = max(best, ssdeep.ComparePrepared(q, p, dist))
+				best = max(best, ssdeep.ComparePrepared(q, p, pp.dist))
 			}
 			out = append(out, float64(best))
 		}
@@ -71,64 +74,38 @@ func featurizeBruteForce(pp *preparedProfiles, s *dataset.Sample, dist ssdeep.Di
 	return out
 }
 
+// mustBuildProfiles is buildProfiles for tests, which fail on its error.
+func mustBuildProfiles(t testing.TB, samples []dataset.Sample, features []dataset.FeatureKind, classes []string, dist ssdeep.Distance) *profileSet {
+	t.Helper()
+	ps, err := buildProfiles(samples, features, classes, dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
 // TestFeaturizeIndexedMatchesBruteForce is the differential test behind
 // the index-backed hot path: over the full synthetic corpus (training
-// and held-out samples alike) and all five scoring distances, the
+// and held-out samples alike) and every scoring distance, the
 // grouped-index featurisation must reproduce the brute-force vectors
 // bit for bit.
 func TestFeaturizeIndexedMatchesBruteForce(t *testing.T) {
 	samples, split := testData(t)
 	train := gather(samples, split.TrainIdx)
 	classes := classesOf(train)
-	for dn, dist := range map[string]ssdeep.DistanceFunc{
-		"damerau-levenshtein":    ssdeep.DistanceDL,
-		"levenshtein":            ssdeep.DistanceLevenshtein,
-		"spamsum":                ssdeep.DistanceSpamsum,
-		"damerau-levenshtein-dp": editdist.OSADP,
-		"levenshtein-dp":         editdist.LevenshteinDP,
-	} {
-		ps := buildProfiles(train, paperKinds, classes)
-		pp := prepareProfiles(ps)
+	for di, name := range distanceNames {
+		ps := mustBuildProfiles(t, train, paperKinds, classes, ssdeep.Distance(di))
+		pp := prepareProfiles(t, ps)
 		for i := range samples {
-			indexed := ps.featurize(&samples[i], dist)
-			brute := featurizeBruteForce(pp, &samples[i], dist)
+			indexed := ps.featurize(&samples[i])
+			brute := featurizeBruteForce(pp, &samples[i])
 			if len(indexed) != len(brute) {
-				t.Fatalf("distance %s sample %d: vector lengths %d vs %d", dn, i, len(indexed), len(brute))
+				t.Fatalf("distance %s sample %d: vector lengths %d vs %d", name, i, len(indexed), len(brute))
 			}
 			for j := range indexed {
 				if indexed[j] != brute[j] {
 					t.Fatalf("distance %s sample %d column %d: indexed %v, brute force %v",
-						dn, i, j, indexed[j], brute[j])
-				}
-			}
-		}
-	}
-}
-
-// TestFeaturizeBitParallelMatchesDPOracle pins the fast-path contract of
-// this layer end to end: featurisation under the default bit-parallel
-// distances (over the compressed grouped index) is bit-identical to
-// featurisation under the retained dynamic-programming oracles.
-func TestFeaturizeBitParallelMatchesDPOracle(t *testing.T) {
-	samples, split := testData(t)
-	train := gather(samples, split.TrainIdx)
-	classes := classesOf(train)
-	pairs := []struct {
-		name         string
-		fast, oracle ssdeep.DistanceFunc
-	}{
-		{"damerau-levenshtein", ssdeep.DistanceDL, editdist.OSADP},
-		{"levenshtein", ssdeep.DistanceLevenshtein, editdist.LevenshteinDP},
-	}
-	for _, pair := range pairs {
-		ps := buildProfiles(train, paperKinds, classes)
-		for i := range samples {
-			got := ps.featurize(&samples[i], pair.fast)
-			want := ps.featurize(&samples[i], pair.oracle)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("distance %s sample %d column %d: bit-parallel %v, DP oracle %v",
-						pair.name, i, j, got[j], want[j])
+						name, i, j, indexed[j], brute[j])
 				}
 			}
 		}
@@ -141,10 +118,10 @@ func TestFeaturizeBitParallelMatchesDPOracle(t *testing.T) {
 func TestFeaturizeBatchMatchesSingle(t *testing.T) {
 	samples, split := testData(t)
 	train := gather(samples, split.TrainIdx)
-	ps := buildProfiles(train, paperKinds, classesOf(train))
-	batch := ps.featurizeBatch(samples, ssdeep.DistanceDL, 8)
+	ps := mustBuildProfiles(t, train, paperKinds, classesOf(train), ssdeep.DistanceDL)
+	batch := ps.featurizeBatch(samples, 8)
 	for i := range samples {
-		single := ps.featurize(&samples[i], ssdeep.DistanceDL)
+		single := ps.featurize(&samples[i])
 		for j := range single {
 			if batch[i][j] != single[j] {
 				t.Fatalf("sample %d column %d: batch %v, single %v", i, j, batch[i][j], single[j])
@@ -158,7 +135,7 @@ func TestFeaturizeBatchMatchesSingle(t *testing.T) {
 // re-parse (block size below the minimum) used to leave a zero-valued
 // Prepared in the profile that every sample was then compared against,
 // and poisoned Save/Load round-trips. The slot must be dropped from both
-// the digest strings and the parsed set.
+// the digest strings and the index.
 func TestBuildProfilesDropsUnparseableDigests(t *testing.T) {
 	good := mustDigest(t, "valid-but-distinctive-content-AAAA")
 	bad := ssdeep.Digest{BlockSize: 1, Sig1: "abcdefgh", Sig2: "ijkl"} // below MinBlockSize
@@ -170,18 +147,15 @@ func TestBuildProfilesDropsUnparseableDigests(t *testing.T) {
 		sampleWith(t, "A", bad),
 		sampleWith(t, "B", mustDigest(t, "other-class-content-BBBB")),
 	}
-	ps := buildProfiles(samples, []dataset.FeatureKind{dataset.FeatureFile}, []string{"A", "B"})
-	ps.ensureIndexes()
-	p := ps.profiles[dataset.FeatureFile][0]
-	if len(p.digests) != 1 || len(p.parsed) != 1 {
-		t.Fatalf("class A profile kept %d digests / %d parsed, want 1/1",
-			len(p.digests), len(p.parsed))
+	ps := mustBuildProfiles(t, samples, []dataset.FeatureKind{dataset.FeatureFile}, []string{"A", "B"}, ssdeep.DistanceDL)
+	if a := ps.digests[0][0]; len(a) != 1 || a[0] != good.String() {
+		t.Fatalf("class A kept %q, want [%q]", a, good.String())
 	}
-	if p.digests[0] != good.String() {
-		t.Fatalf("class A kept %q, want %q", p.digests[0], good.String())
-	}
-	if got := ps.indexes[dataset.FeatureFile].Query(bad, 1); len(got) != 0 {
+	if got := ps.indexes[0].Query(bad, 1); len(got) != 0 {
 		t.Fatalf("index matched the unparseable digest: %+v", got)
+	}
+	if got := ps.indexes[0].Query(good, 100); len(got) != 1 || got[0].ID != 0 {
+		t.Fatalf("exact query for class A's digest found %+v, want entry 0 alone", got)
 	}
 }
 
@@ -197,9 +171,9 @@ func TestClassifyMatchesOracleFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := prepareProfiles(c.profiles)
+	pp := prepareProfiles(t, c.profiles)
 	for i := range test {
-		x := featurizeBruteForce(pp, &test[i], c.distance)
+		x := featurizeBruteForce(pp, &test[i])
 		want := c.PredictFromProba(c.profiles.appendEvidence(c.mdl.PredictProba(x), x))
 		if got := c.Classify(&test[i]); got != want {
 			t.Fatalf("sample %d: Classify %+v, from oracle features %+v", i, got, want)
@@ -225,13 +199,12 @@ func sampleWith(t *testing.T, class string, d ssdeep.Digest) dataset.Sample {
 
 // benchCorpus caches the featurisation benchmarks' class profiles, their
 // oracle preparation and held-out queries, shared by the
-// indexed/brute-force pair.
+// indexed/brute-force pair. Benchmarks run one at a time, so the first
+// benchProfiles call fills it unguarded.
 var benchCorpus struct {
-	once    sync.Once
 	ps      *profileSet
 	pp      *preparedProfiles
 	queries []dataset.Sample
-	err     error
 }
 
 // benchProfiles builds class profiles over a synthetic corpus of 35
@@ -239,33 +212,27 @@ var benchCorpus struct {
 // oracle too, with the held-out samples to featurise.
 func benchProfiles(b *testing.B) (*profileSet, *preparedProfiles, []dataset.Sample) {
 	b.Helper()
-	benchCorpus.once.Do(func() {
+	if benchCorpus.ps == nil {
 		manifest := synth.SmallManifest(35, 9, 90)
 		if testing.Short() {
 			manifest = synth.SmallManifest(10, 3, 16)
 		}
 		corpus, err := synth.Generate(manifest, synth.Options{Seed: 1})
 		if err != nil {
-			benchCorpus.err = err
-			return
+			b.Fatal(err)
 		}
 		samples, err := dataset.FromCorpus(corpus, 0)
 		if err != nil {
-			benchCorpus.err = err
-			return
+			b.Fatal(err)
 		}
 		split, err := ml.SplitTwoPhase(samples, ml.SplitOptions{Mode: ml.PaperSplit, Seed: 1})
 		if err != nil {
-			benchCorpus.err = err
-			return
+			b.Fatal(err)
 		}
 		train := gather(samples, split.TrainIdx)
-		benchCorpus.ps = buildProfiles(train, paperKinds, classesOf(train))
-		benchCorpus.pp = prepareProfiles(benchCorpus.ps)
+		benchCorpus.ps = mustBuildProfiles(b, train, paperKinds, classesOf(train), ssdeep.DistanceDL)
+		benchCorpus.pp = prepareProfiles(b, benchCorpus.ps)
 		benchCorpus.queries = gather(samples, split.TestIdx)
-	})
-	if benchCorpus.err != nil {
-		b.Fatal(benchCorpus.err)
 	}
 	return benchCorpus.ps, benchCorpus.pp, benchCorpus.queries
 }
@@ -280,19 +247,22 @@ func BenchmarkFeaturizeIndexed(b *testing.B) { benchmarkFeaturize(b, false) }
 // training digests prepared once during setup.
 func BenchmarkFeaturizeBruteForce(b *testing.B) { benchmarkFeaturize(b, true) }
 
-// ensureIndexesSink keeps the benchmarked index build from being elided.
-var ensureIndexesSink *profileSet
+// profileSetSink keeps the benchmarked profile-set build from being
+// elided.
+var profileSetSink *profileSet
 
-// BenchmarkEnsureIndexes times the per-kind grouped index build a
-// worker pays before its first featurisation, on the featurisation
-// benchmarks' class profiles.
-func BenchmarkEnsureIndexes(b *testing.B) {
+// BenchmarkNewProfileSet times the serving-state build Train and Load
+// pay before they return: parsing the featurisation benchmarks' class
+// profiles and building their per-kind grouped indexes.
+func BenchmarkNewProfileSet(b *testing.B) {
 	ps, _, _ := benchProfiles(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ensureIndexesSink = &profileSet{features: ps.features, classes: ps.classes, profiles: ps.profiles}
-		ensureIndexesSink.ensureIndexes()
+		var err error
+		if profileSetSink, err = newProfileSet(ps.features, ps.classes, ps.dist, ps.digests); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -306,9 +276,9 @@ func benchmarkFeaturize(b *testing.B, bruteForce bool) {
 	for i := 0; i < b.N; i++ {
 		q := &queries[i%len(queries)]
 		if bruteForce {
-			featurizeSink = featurizeBruteForce(pp, q, ssdeep.DistanceDL)
+			featurizeSink = featurizeBruteForce(pp, q)
 		} else {
-			featurizeSink = ps.featurize(q, ssdeep.DistanceDL)
+			featurizeSink = ps.featurize(q)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -10,17 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/openset"
-	"repro/ssdeep"
 )
-
-// parseDigest parses and validates a stored digest string.
-func parseDigest(s string) (ssdeep.Digest, error) {
-	d, err := ssdeep.Parse(s)
-	if err != nil {
-		return ssdeep.Digest{}, fmt.Errorf("core: model digest %q: %w", s, err)
-	}
-	return d, nil
-}
 
 // Persisted format versions. Version 2 stores a self-describing
 // {model_kind, model} payload decoded by model.Unmarshal;
@@ -72,14 +63,11 @@ func (c *Classifier) Save(w io.Writer) error {
 	dto := modelDTO{
 		Version:   modelVersion,
 		Classes:   c.profiles.classes,
-		Distance:  string(c.cfg.Distance),
+		Distance:  string(distanceNames[c.profiles.dist]),
 		Threshold: c.Threshold(),
 		ModelKind: c.cfg.Model,
 		Model:     payload,
 		Tuning:    c.tuning,
-	}
-	if dto.Distance == "" {
-		dto.Distance = string(DistanceDL)
 	}
 	if cal := c.calibration.Load(); cal != nil {
 		blob, err := cal.Encode()
@@ -88,13 +76,9 @@ func (c *Classifier) Save(w io.Writer) error {
 		}
 		dto.Calibration = blob
 	}
-	for _, kind := range c.profiles.features {
+	for k, kind := range c.profiles.features {
 		dto.Features = append(dto.Features, int(kind))
-		kp := kindProfilesDTO{Kind: int(kind)}
-		for _, p := range c.profiles.profiles[kind] {
-			kp.PerClass = append(kp.PerClass, p.digests)
-		}
-		dto.Profiles = append(dto.Profiles, kp)
+		dto.Profiles = append(dto.Profiles, kindProfilesDTO{Kind: int(kind), PerClass: c.profiles.digests[k]})
 	}
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(&dto); err != nil {
@@ -185,68 +169,77 @@ func Load(r io.Reader) (*Classifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: loading model: %w", err)
 	}
-	distName := DistanceName(dto.Distance)
-	if fast, ok := retiredDistances[distName]; ok {
-		distName = fast
-	}
-	dist, err := distName.Func()
+	// Drop the decoded payload, so the index build below does not hold it.
+	dto.Model, dto.Forest = nil, nil
+	dist, err := DistanceName(dto.Distance).Resolve()
 	if err != nil {
 		return nil, err
 	}
-	features := make([]dataset.FeatureKind, len(dto.Features))
-	for i, k := range dto.Features {
-		if k < 0 || k >= int(dataset.NumFeatureKinds) {
-			return nil, fmt.Errorf("core: invalid feature kind %d", k)
-		}
-		features[i] = dataset.FeatureKind(k)
+	features, perKind, err := profilesByFeature(&dto)
+	if err != nil {
+		return nil, err
 	}
-	c := &Classifier{
-		cfg:      Config{Features: features, Distance: distName, Model: kind}.withDefaults(),
-		mdl:      mdl,
-		distance: dist,
-		tuning:   dto.Tuning,
-	}
-	c.SetThreshold(dto.Threshold)
-	// Rebuild prepared profiles from the digest strings.
-	ps := &profileSet{
-		features: features,
-		classes:  dto.Classes,
-		profiles: make(map[dataset.FeatureKind][]classProfile, len(features)),
-	}
-	for _, kp := range dto.Profiles {
-		kind := dataset.FeatureKind(kp.Kind)
-		if len(kp.PerClass) != len(dto.Classes) {
-			return nil, fmt.Errorf("core: profile shape mismatch for %v", kind)
-		}
-		profiles := make([]classProfile, len(kp.PerClass))
-		for ci, digests := range kp.PerClass {
-			p := classProfile{digests: digests}
-			for _, s := range digests {
-				d, err := parseDigest(s)
-				if err != nil {
-					return nil, err
-				}
-				p.parsed = append(p.parsed, d)
-			}
-			profiles[ci] = p
-		}
-		ps.profiles[kind] = profiles
-	}
-	c.profiles = ps
-	if got, want := c.profiles.numFeatures(), mdl.NumFeatures(); got != want {
+	if got, want := len(features)*len(dto.Classes), mdl.NumFeatures(); got != want {
 		return nil, fmt.Errorf("core: model inconsistency: %d profile features vs %d model features", got, want)
 	}
 	if got, want := len(dto.Classes), mdl.NumClasses(); got != want {
 		return nil, fmt.Errorf("core: model inconsistency: %d classes vs %d model classes", got, want)
 	}
+	var cal *openset.Calibration
 	if !rawIsNull(dto.Calibration) {
-		cal, err := openset.Decode(dto.Calibration)
-		if err != nil {
-			return nil, fmt.Errorf("core: loading model: %w", err)
-		}
-		if err := c.SetCalibration(cal); err != nil {
+		if cal, err = openset.Decode(dto.Calibration); err != nil {
 			return nil, fmt.Errorf("core: loading model: %w", err)
 		}
 	}
+	ps, err := newProfileSet(features, dto.Classes, dist, perKind)
+	if err != nil {
+		return nil, err
+	}
+	c := &Classifier{
+		cfg:      Config{Features: features, Model: kind}.withDefaults(),
+		profiles: ps,
+		mdl:      mdl,
+		tuning:   dto.Tuning,
+	}
+	c.SetThreshold(dto.Threshold)
+	if err := c.SetCalibration(cal); err != nil {
+		return nil, fmt.Errorf("core: loading model: %w", err)
+	}
 	return c, nil
+}
+
+// ErrProfileShape reports an artifact whose digest profiles do not pair
+// one-for-one with its feature kinds, or do not hold one digest list per
+// class.
+var ErrProfileShape = errors.New("core: profiles do not match the model's features and classes")
+
+// profilesByFeature validates an artifact's feature kinds and returns
+// them with their per-class digest lists. Save writes one profile per
+// feature, in feature order, so anything else is rejected: a repeated
+// feature kind, a missing, extra or repeated profile, a profile of
+// another kind and a profile without one list per class. A misshapen
+// artifact therefore fails before any index is built.
+func profilesByFeature(dto *modelDTO) ([]dataset.FeatureKind, [][][]string, error) {
+	if len(dto.Profiles) != len(dto.Features) {
+		return nil, nil, fmt.Errorf("%w: %d profiles for %d features", ErrProfileShape, len(dto.Profiles), len(dto.Features))
+	}
+	features := make([]dataset.FeatureKind, len(dto.Features))
+	perKind := make([][][]string, len(dto.Features))
+	var seen [dataset.NumFeatureKinds]bool
+	for k, kind := range dto.Features {
+		kp := dto.Profiles[k]
+		switch {
+		case kind < 0 || kind >= int(dataset.NumFeatureKinds):
+			return nil, nil, fmt.Errorf("core: invalid feature kind %d", kind)
+		case seen[kind]:
+			return nil, nil, fmt.Errorf("%w: feature kind %d listed twice", ErrProfileShape, kind)
+		case kp.Kind != kind:
+			return nil, nil, fmt.Errorf("%w: profile %d has kind %d, not its feature's %d", ErrProfileShape, k, kp.Kind, kind)
+		case len(kp.PerClass) != len(dto.Classes):
+			return nil, nil, fmt.Errorf("%w: %d class profiles for %d classes", ErrProfileShape, len(kp.PerClass), len(dto.Classes))
+		}
+		seen[kind] = true
+		features[k], perKind[k] = dataset.FeatureKind(kind), kp.PerClass
+	}
+	return features, perKind, nil
 }

@@ -8,9 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/editdist"
 	"repro/internal/model"
-	"repro/ssdeep"
 )
 
 // loadV1Fixture reads the frozen modelVersion-1 artifact generated by
@@ -181,17 +179,16 @@ func TestLoadRejectsBadVersions(t *testing.T) {
 
 // TestLoadRetiredDPDistance keeps artifacts that name a retired "-dp"
 // oracle distance loadable: they resolve to the fast distance that is
-// bit-identical to the oracle, so the loaded model featurises exactly
-// as the oracle would and predicts exactly as the model that was saved.
+// bit-identical to the oracle (ssdeep's compare oracle holds each
+// distance to its dynamic program), so the loaded model featurises and
+// predicts exactly as the model that was saved, and re-saves under the
+// fast name.
 func TestLoadRetiredDPDistance(t *testing.T) {
 	samples, split := testData(t)
 	train := gather(samples, split.TrainIdx)
-	cases := []struct {
-		fast, retired DistanceName
-		oracle        ssdeep.DistanceFunc
-	}{
-		{DistanceDL, "damerau-levenshtein-dp", editdist.OSADP},
-		{DistanceLevenshtein, "levenshtein-dp", editdist.LevenshteinDP},
+	cases := []struct{ fast, retired DistanceName }{
+		{DistanceDL, "damerau-levenshtein-dp"},
+		{DistanceLevenshtein, "levenshtein-dp"},
 	}
 	for _, tc := range cases {
 		t.Run(string(tc.retired), func(t *testing.T) {
@@ -220,14 +217,23 @@ func TestLoadRetiredDPDistance(t *testing.T) {
 				t.Fatalf("artifact naming %q no longer loads: %v", tc.retired, err)
 			}
 			for i := range samples {
-				got := loaded.Featurize(&samples[i])
-				want := loaded.profiles.featurize(&samples[i], tc.oracle)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("sample %d: loaded features %v, DP oracle %v", i, got, want)
+				if got, want := loaded.Featurize(&samples[i]), clf.Featurize(&samples[i]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("sample %d: loaded features %v, saved model's %v", i, got, want)
 				}
 				if a, b := clf.Classify(&samples[i]), loaded.Classify(&samples[i]); a != b {
 					t.Fatalf("sample %d: saved model %+v, loaded %+v", i, a, b)
 				}
+			}
+			buf.Reset()
+			if err := loaded.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var resaved modelDTO
+			if err := json.Unmarshal(buf.Bytes(), &resaved); err != nil {
+				t.Fatal(err)
+			}
+			if resaved.Distance != string(tc.fast) {
+				t.Fatalf("re-saved artifact names %q, want %q", resaved.Distance, tc.fast)
 			}
 		})
 	}

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/rf"
 )
 
@@ -98,6 +100,69 @@ func TestLoadRejectsHostileForests(t *testing.T) {
 	}
 }
 
+// misshapenProfiles are edits of an artifact's features and profiles
+// that break their one-for-one pairing, each named for what it breaks.
+// Before Load checked the pairing, every one of them loaded and served
+// some feature columns as zeros or from the wrong kind's profile.
+var misshapenProfiles = []struct {
+	name   string
+	mutate func(features *[]int, profiles *[]kindProfilesDTO)
+}{
+	{"last profile dropped", func(_ *[]int, ps *[]kindProfilesDTO) { *ps = (*ps)[:len(*ps)-1] }},
+	{"feature kind repeated", func(fs *[]int, _ *[]kindProfilesDTO) { (*fs)[len(*fs)-1] = (*fs)[0] }},
+	{"profile kind not a feature", func(_ *[]int, ps *[]kindProfilesDTO) {
+		(*ps)[len(*ps)-1].Kind = int(dataset.FeatureNeeded)
+	}},
+	{"profile kind repeated", func(_ *[]int, ps *[]kindProfilesDTO) { (*ps)[len(*ps)-1].Kind = (*ps)[0].Kind }},
+}
+
+// misshapenArtifacts returns the frozen v2 rf artifact with each
+// misshapen profile edit applied, keyed by the case name.
+func misshapenArtifacts(t testing.TB) map[string][]byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/model_v2_rf.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(misshapenProfiles))
+	for _, mc := range misshapenProfiles {
+		var artifact map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &artifact); err != nil {
+			t.Fatal(err)
+		}
+		var features []int
+		var profiles []kindProfilesDTO
+		if err := json.Unmarshal(artifact["features"], &features); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(artifact["profiles"], &profiles); err != nil {
+			t.Fatal(err)
+		}
+		mc.mutate(&features, &profiles)
+		if artifact["features"], err = json.Marshal(features); err != nil {
+			t.Fatal(err)
+		}
+		if artifact["profiles"], err = json.Marshal(profiles); err != nil {
+			t.Fatal(err)
+		}
+		if out[mc.name], err = json.Marshal(artifact); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestLoadRejectsMisshapenProfiles: an artifact whose profiles do not
+// pair one-for-one with its features fails Load with ErrProfileShape,
+// so a model swap to it is refused instead of serving zeroed columns.
+func TestLoadRejectsMisshapenProfiles(t *testing.T) {
+	for name, raw := range misshapenArtifacts(t) {
+		if _, err := Load(bytes.NewReader(raw)); !errors.Is(err, ErrProfileShape) {
+			t.Errorf("%s: Load returned %v, want ErrProfileShape", name, err)
+		}
+	}
+}
+
 // FuzzLoad: an artifact either fails Load, or loads into a classifier
 // that classifies a fixture sample and reports its importances without
 // panicking (and, through the fuzzer's per-input deadline, without
@@ -111,6 +176,9 @@ func FuzzLoad(f *testing.F) {
 		f.Add(raw)
 	}
 	for _, raw := range hostileArtifacts(f) {
+		f.Add(raw)
+	}
+	for _, raw := range misshapenArtifacts(f) {
 		f.Add(raw)
 	}
 	sample := loadFixtureSamples(f)[0]

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -68,4 +70,70 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("overwrite read %q, %v", got, err)
 	}
 	leftovers()
+}
+
+// mallocs returns the heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestFirstFeaturizeAfterLoadAllocs: Load returns with the serving state
+// built, so the first Featurize after it allocates no more than a steady
+// one. The steady calls run with the indexes' query-scratch pools
+// emptied by two collections, so both sides lease their scratch cold;
+// an index build left to the first call costs its allocations on top.
+func TestFirstFeaturizeAfterLoadAllocs(t *testing.T) {
+	s := &loadFixtureSamples(t)[0]
+	clf, err := LoadFile("testdata/model_v2_rf.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mallocs(func() { clf.Featurize(s) })
+	var steady uint64
+	for range 5 {
+		runtime.GC()
+		runtime.GC()
+		steady = max(steady, mallocs(func() { clf.Featurize(s) }))
+	}
+	if first > steady {
+		t.Fatalf("first Featurize after Load made %d allocations, a steady one %d", first, steady)
+	}
+}
+
+// TestConcurrentFirstClassifyAfterLoad races the first classifications
+// of a freshly loaded model from several goroutines, the requests that
+// follow a model swap: each must answer exactly as a warmed-up copy of
+// the model does. Run it under -race.
+func TestConcurrentFirstClassifyAfterLoad(t *testing.T) {
+	samples := loadFixtureSamples(t)
+	ref, err := LoadFile("testdata/model_v2_rf.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Prediction, len(samples))
+	for i := range samples {
+		want[i] = ref.Classify(&samples[i])
+	}
+	clf, err := LoadFile("testdata/model_v2_rf.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range samples {
+				i := (j + g) % len(samples)
+				if got := clf.Classify(&samples[i]); got != want[i] {
+					t.Errorf("goroutine %d sample %d: %+v, warmed-up model %+v", g, i, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

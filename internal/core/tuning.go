@@ -8,6 +8,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/rf"
+	"repro/ssdeep"
 )
 
 // fallbackThreshold is used when the training set is too small to carve
@@ -27,7 +28,7 @@ type tuneResult struct {
 // confidence threshold, selecting the point that maximises the combined
 // micro+macro+weighted f1. The sweep of the winning parameter set is the
 // paper's Figure 3.
-func tune(trainSamples []dataset.Sample, cfg Config, grid *Grid) (tuneResult, []ThresholdScore, error) {
+func tune(trainSamples []dataset.Sample, cfg Config, dist ssdeep.Distance, grid *Grid) (tuneResult, []ThresholdScore, error) {
 	base := cfg.Forest
 	split, err := ml.SplitTwoPhase(trainSamples, ml.SplitOptions{
 		Mode:                 ml.RandomSplit,
@@ -44,32 +45,17 @@ func tune(trainSamples []dataset.Sample, cfg Config, grid *Grid) (tuneResult, []
 		return tuneResult{params: base, threshold: fallbackThreshold}, nil, nil
 	}
 
-	dist, err := cfg.Distance.Func()
+	innerTrain := gather(trainSamples, split.TrainIdx)
+	innerVal := gather(trainSamples, split.TestIdx)
+	profiles, err := buildProfiles(innerTrain, cfg.Features, split.KnownClasses, dist)
 	if err != nil {
 		return tuneResult{}, nil, err
 	}
-	innerTrain := gather(trainSamples, split.TrainIdx)
-	innerVal := gather(trainSamples, split.TestIdx)
-	profiles := buildProfiles(innerTrain, cfg.Features, split.KnownClasses)
-	xTrain := profiles.featurizeBatch(innerTrain, dist, cfg.Workers)
-	xVal := profiles.featurizeBatch(innerVal, dist, cfg.Workers)
+	xTrain := profiles.featurizeBatch(innerTrain, cfg.Workers)
+	xVal := profiles.featurizeBatch(innerVal, cfg.Workers)
 
-	classIndex := make(map[string]int, len(split.KnownClasses))
-	for i, c := range split.KnownClasses {
-		classIndex[c] = i
-	}
-	yTrain := make([]int, len(innerTrain))
-	for i := range innerTrain {
-		yTrain[i] = classIndex[innerTrain[i].Class]
-	}
-	yTrue := make([]string, len(innerVal))
-	for i := range innerVal {
-		if _, ok := classIndex[innerVal[i].Class]; ok {
-			yTrue[i] = innerVal[i].Class
-		} else {
-			yTrue[i] = UnknownLabel
-		}
-	}
+	yTrain := labelsOf(innerTrain, split.KnownClasses)
+	yTrue := groundTruth(innerVal, split.KnownClasses)
 
 	thresholds := grid.Thresholds
 	if len(thresholds) == 0 {

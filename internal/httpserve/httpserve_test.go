@@ -327,6 +327,56 @@ func TestHTTPSwap(t *testing.T) {
 	}
 }
 
+// TestHTTPSwapRejectsMisshapenProfiles: a swap to an artifact whose
+// profiles do not pair one-for-one with its features answers 422, and
+// the installed model keeps serving bit-identically. Such artifacts used
+// to load and serve the unpaired kind's columns as zeros with a 200.
+func TestHTTPSwapRejectsMisshapenProfiles(t *testing.T) {
+	ts, engine, _ := newTestServer(t, serve.Options{}, Options{})
+	raw, err := os.ReadFile(fixKNNPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(artifact map[string]any){
+		"last profile dropped": func(a map[string]any) {
+			profiles := a["profiles"].([]any)
+			a["profiles"] = profiles[:len(profiles)-1]
+		},
+		"feature kind repeated": func(a map[string]any) {
+			features := a["features"].([]any)
+			features[len(features)-1] = features[0]
+		},
+	} {
+		var artifact map[string]any
+		if err := json.Unmarshal(raw, &artifact); err != nil {
+			t.Fatal(err)
+		}
+		mutate(artifact)
+		bad, err := json.Marshal(artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "misshapen.json")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, body := postJSON(t, ts.Client(), ts.URL+"/v1/model/swap", SwapRequest{Path: path})
+		if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "profiles") {
+			t.Fatalf("%s: swap answered %d: %s", name, code, body)
+		}
+	}
+	if st := engine.Stats(); st.Swaps != 0 {
+		t.Fatalf("a refused swap reached the engine: %+v", st)
+	}
+	for i, bin := range fixBins {
+		want := fixRF.Classify(&fixSamples[i])
+		got := classifyOver(t, ts.Client(), ts.URL, bin)
+		if got.Label != want.Label || got.Class != want.Class || got.Confidence != want.Confidence {
+			t.Fatalf("bin %d after refused swaps: HTTP %+v, incumbent %+v", i, got, want)
+		}
+	}
+}
+
 // TestHTTPSwapModelDir pins the swap containment knob: with ModelDir
 // set, artifact paths outside it are refused before touching the
 // filesystem, and paths inside it (including unclean ones) still swap.

@@ -2,14 +2,14 @@ package rf
 
 // This file holds the inference-compiled form of a trained forest.
 // Training and persistence keep the pointer-linked Tree/Node shape (the
-// JSON artifact format is unchanged); before the first prediction the
-// forest is flattened once into contiguous node arrays sized for cache
-// residency, and PredictProba, the only prediction path, traverses the
-// flat form. The tests hold it to a pointer walk over Tree.Nodes: the
-// two produce bit-identical distributions because the flat walk visits
-// the same splits and accumulates the same leaf weights in the same
-// order. Decoding validated the node indices (Forest.UnmarshalJSON), so
-// every walk ends at a leaf.
+// JSON artifact format is unchanged); Train and UnmarshalJSON flatten
+// the forest once, before returning it, into contiguous node arrays
+// sized for cache residency, and PredictProba, the only prediction
+// path, traverses the flat form. The tests hold it to a pointer walk
+// over Tree.Nodes: the two produce bit-identical distributions because
+// the flat walk visits the same splits and accumulates the same leaf
+// weights in the same order. Decoding validated the node indices
+// (Forest.UnmarshalJSON), so every walk ends at a leaf.
 
 // flatNode is one tree node in inference layout: split nodes carry the
 // feature index, threshold and child offsets; leaves (feature == -1)
@@ -40,14 +40,6 @@ type flatForest struct {
 	// distributions, parallel slices.
 	classes []int32
 	weights []float32
-}
-
-// flattened compiles Trees on first use. The sync.Once makes the lazy
-// build safe under concurrent first predictions, including on forests
-// that were just unmarshalled from a persisted artifact.
-func (f *Forest) flattened() *flatForest {
-	f.flatOnce.Do(func() { f.flat = flatten(f.Trees) })
-	return f.flat
 }
 
 // flatten compiles pointer-linked trees into the inference layout.

@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -154,11 +153,10 @@ type Forest struct {
 	Params Params
 
 	// flat is the inference-compiled form of Trees (see flatForest),
-	// built lazily on first prediction so the persistence format stays
+	// built by Train and UnmarshalJSON so the persistence format stays
 	// the pointer-tree JSON. It is derived state: excluded from
 	// marshalling and rebuilt after any load.
-	flat     *flatForest
-	flatOnce sync.Once
+	flat *flatForest
 }
 
 // Train fits a forest on X (rows are samples) with integer labels y in
@@ -262,6 +260,7 @@ func Train(X [][]float64, y []int, numClasses int, p Params) (*Forest, error) {
 			f.Importances[i] /= total
 		}
 	}
+	f.flat = flatten(f.Trees)
 	return f, nil
 }
 
@@ -271,7 +270,7 @@ func Train(X [][]float64, y []int, numClasses int, p Params) (*Forest, error) {
 //
 // fhc:hotpath
 func (f *Forest) PredictProba(x []float64) []float64 {
-	fl := f.flattened()
+	fl := f.flat
 	proba := make([]float64, f.NumClasses)
 	for t := range fl.trees {
 		fl.trees[t].accumulate(x, fl, proba)
@@ -287,7 +286,8 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 // inference could not walk safely. Training emits every tree in
 // preorder, so each child index must lie after its parent's and inside
 // the tree: that rules out both cycles, which would never finish a
-// walk, and dangling indices, which would panic.
+// walk, and dangling indices, which would panic. A valid forest is
+// flattened before UnmarshalJSON returns.
 func (f *Forest) UnmarshalJSON(data []byte) error {
 	type forestFields Forest // drops this method, so Decode does not recurse
 	if err := json.Unmarshal(data, (*forestFields)(f)); err != nil {
@@ -310,6 +310,7 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("rf: tree %d: %w", t, err)
 		}
 	}
+	f.flat = flatten(f.Trees)
 	return nil
 }
 

@@ -170,7 +170,6 @@ func FuzzCompareMatchesOracle(f *testing.F) {
 		f.Add(uint32(3), uint8(0), "x"+c[0]+"y", "", "z"+c[1]+"w", "")
 		f.Add(uint32(24), uint8(1), "r4T5", "x"+c[1]+"y", c[0]+"!"+c[1], "")
 	}
-	distances := []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum}
 	f.Fuzz(func(t *testing.T, bs uint32, rel uint8, a1, a2, b1, b2 string) {
 		a := Digest{BlockSize: bs, Sig1: a1, Sig2: a2}
 		b := Digest{BlockSize: bs, Sig1: b1, Sig2: b2}
@@ -184,8 +183,9 @@ func FuzzCompareMatchesOracle(f *testing.F) {
 		}
 		pa, pb := Prepare(a), Prepare(b)
 		ix := NewIndex([]Digest{b}, []int32{0})
-		for di, dist := range distances {
-			want := compareDistanceOracle(a, b, dist)
+		for di, dp := range dpDistances {
+			dist := Distance(di)
+			want := compareDistanceOracle(a, b, dp)
 			if got := CompareDistance(a, b, dist); got != want {
 				t.Fatalf("distance %d: CompareDistance(%v, %v) = %d, oracle %d", di, a, b, got, want)
 			}
@@ -237,7 +237,6 @@ func FuzzQueryGroupsMatchesScan(f *testing.F) {
 				entry(2, 2, "", c[1]+"?"+c[1])+
 				entry(3, 2, "", c[1]+c[0]))
 	}
-	distances := []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum}
 	f.Fuzz(func(t *testing.T, bs uint32, q1, q2, entries string) {
 		q := Digest{BlockSize: bs, Sig1: q1, Sig2: q2}
 		var digests []Digest
@@ -264,14 +263,14 @@ func FuzzQueryGroupsMatchesScan(f *testing.F) {
 		}
 		ix := NewIndex(digests, groups)
 		pq := Prepare(q)
-		for di, dist := range distances {
+		for di, dp := range dpDistances {
 			want := make([]int, numGroups)
 			for i, d := range digests {
 				if g := groups[i]; g != NoGroup {
-					want[g] = max(want[g], compareDistanceOracle(q, d, dist))
+					want[g] = max(want[g], compareDistanceOracle(q, d, dp))
 				}
 			}
-			if got := ix.QueryGroupsPrepared(pq, numGroups, dist); !slices.Equal(got, want) {
+			if got := ix.QueryGroupsPrepared(pq, numGroups, Distance(di)); !slices.Equal(got, want) {
 				t.Fatalf("distance %d: QueryGroupsPrepared(%v) = %v, scan %v over %v (groups %v)",
 					di, q, got, want, digests, groups)
 			}

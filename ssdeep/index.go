@@ -284,7 +284,7 @@ func (ix *Index) Query(d Digest, minScore int) []Match {
 // classifier featurisation: one call per (sample, feature kind) replaces
 // a scan of every training digest of every class, and the digest is
 // prepared once instead of once per class.
-func (ix *Index) QueryGroupsPrepared(q Prepared, numGroups int, dist DistanceFunc) []int {
+func (ix *Index) QueryGroupsPrepared(q Prepared, numGroups int, dist Distance) []int {
 	if numGroups <= 0 {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/editdist"
 	"repro/internal/rng"
 )
 
@@ -54,7 +55,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 	for qi, q := range digests {
 		want := map[int]int{}
 		for id, d := range digests {
-			if s := compareDistanceOracle(q, d, DistanceDL); s > 0 {
+			if s := compareDistanceOracle(q, d, editdist.OSADP); s > 0 {
 				want[id] = s
 			}
 		}
@@ -178,17 +179,17 @@ func queryGroups(ix *Index, d Digest, numGroups int) []int {
 }
 
 func TestQueryGroupsMatchesBruteForce(t *testing.T) {
-	for _, dist := range []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum} {
+	for di, dp := range dpDistances {
 		const nGroups = 5
 		ix, digests, groups := groupedCorpus(t, nGroups, 4, 20000)
 		for qi, q := range digests {
 			want := make([]int, nGroups)
 			for i, d := range digests {
-				if s := compareDistanceOracle(q, d, dist); s > want[groups[i]] {
+				if s := compareDistanceOracle(q, d, dp); s > want[groups[i]] {
 					want[groups[i]] = s
 				}
 			}
-			got := ix.QueryGroupsPrepared(Prepare(q), nGroups, dist)
+			got := ix.QueryGroupsPrepared(Prepare(q), nGroups, Distance(di))
 			for g := range want {
 				if got[g] != want[g] {
 					t.Fatalf("query %d group %d: index score %d, brute force %d", qi, g, got[g], want[g])
@@ -313,7 +314,7 @@ func checkAgainstScan(t *testing.T, digests []Digest, groups []int32, queries []
 	for _, q := range queries {
 		var want []Match
 		for id, e := range digests {
-			if s := compareDistanceOracle(q, e, DistanceDL); s > 0 {
+			if s := compareDistanceOracle(q, e, editdist.OSADP); s > 0 {
 				want = append(want, Match{ID: id, Score: s})
 			}
 		}
@@ -321,14 +322,14 @@ func checkAgainstScan(t *testing.T, digests []Digest, groups []int32, queries []
 		if got := ix.Query(q, 1); !slices.Equal(got, want) {
 			t.Errorf("Query(%v) = %v, scan %v", q, got, want)
 		}
-		for di, dist := range []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum} {
+		for di, dp := range dpDistances {
 			want := make([]int, numGroups)
 			for i, g := range groups {
 				if g != NoGroup {
-					want[g] = max(want[g], compareDistanceOracle(q, digests[i], dist))
+					want[g] = max(want[g], compareDistanceOracle(q, digests[i], dp))
 				}
 			}
-			if got := ix.QueryGroupsPrepared(Prepare(q), numGroups, dist); !slices.Equal(got, want) {
+			if got := ix.QueryGroupsPrepared(Prepare(q), numGroups, Distance(di)); !slices.Equal(got, want) {
 				t.Errorf("distance %d: QueryGroupsPrepared(%v) = %v, scan %v", di, q, got, want)
 			}
 		}

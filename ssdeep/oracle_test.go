@@ -1,6 +1,10 @@
 package ssdeep
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/editdist"
+)
 
 // The buffered CTPH: the differential oracle the streaming Hasher, and
 // so HashBytes, is tested against. It guesses the block size from
@@ -97,12 +101,27 @@ func mustOracle(t *testing.T, data []byte) Digest {
 
 // The string compare: the differential oracle ComparePrepared, and so
 // CompareDistance and every Index query, is tested against. It
-// re-normalises both digests on every call and finds a common substring
-// by comparing bytes, with no precomputed gram hashes.
+// re-normalises both digests on every call, finds a common substring by
+// comparing bytes, with no precomputed gram hashes, and scores each
+// Distance with its dynamic program, not the bit-parallel production
+// implementation.
+
+// distanceFunc measures the dissimilarity of two signature strings.
+type distanceFunc func(a, b string) int
+
+// dpDistances holds each Distance's dynamic program, indexed by the
+// Distance: the function compareDistanceOracle scores it with.
+var dpDistances = [...]distanceFunc{
+	DistanceDL:          editdist.OSADP,
+	DistanceLevenshtein: editdist.LevenshteinDP,
+	DistanceSpamsum: func(a, b string) int {
+		return editdist.Weighted(a, b, editdist.SpamsumCosts())
+	},
+}
 
 // compareDistanceOracle returns the similarity score of two digests
 // using the supplied signature distance.
-func compareDistanceOracle(a, b Digest, dist DistanceFunc) int {
+func compareDistanceOracle(a, b Digest, dist distanceFunc) int {
 	if a.IsZero() || b.IsZero() {
 		return 0
 	}
@@ -138,7 +157,7 @@ func compareDistanceOracle(a, b Digest, dist DistanceFunc) int {
 // common substring of rollingWindow characters, and matches at small
 // block sizes are capped so short signatures cannot claim high
 // similarity.
-func scoreStrings(s1, s2 string, blockSize uint32, dist DistanceFunc) int {
+func scoreStrings(s1, s2 string, blockSize uint32, dist distanceFunc) int {
 	if len(s1) > SpamsumLength || len(s2) > SpamsumLength {
 		return 0
 	}

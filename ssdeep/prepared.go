@@ -1,5 +1,7 @@
 package ssdeep
 
+import "repro/internal/editdist"
+
 // Prepared is a digest pre-processed for repeated comparison: signatures
 // are normalised once and the rolling 7-gram hashes backing the
 // common-substring gate are precomputed. Classifier feature extraction
@@ -95,7 +97,7 @@ func (p Prepared) IsZero() bool {
 // equal or differ by a factor of two.
 //
 // fhc:hotpath
-func ComparePrepared(a, b Prepared, dist DistanceFunc) int {
+func ComparePrepared(a, b Prepared, dist Distance) int {
 	if a.IsZero() || b.IsZero() {
 		return 0
 	}
@@ -120,13 +122,13 @@ func ComparePrepared(a, b Prepared, dist DistanceFunc) int {
 	}
 }
 
-// scorePrepared maps the edit distance between two normalised signatures
-// to the 0–100 similarity scale, with the reference implementation's
-// guards: signatures longer than SpamsumLength score 0, signatures must
-// share a common substring of rollingWindow characters, and matches at
-// small block sizes are capped so short signatures cannot claim high
-// similarity.
-func scorePrepared(s1, s2 string, g1, g2 []uint64, blockSize uint32, dist DistanceFunc) int {
+// scorePrepared maps the dist edit distance between two normalised
+// signatures to the 0–100 similarity scale, with the reference
+// implementation's guards: signatures longer than SpamsumLength score 0,
+// signatures must share a common substring of rollingWindow characters,
+// and matches at small block sizes are capped so short signatures cannot
+// claim high similarity.
+func scorePrepared(s1, s2 string, g1, g2 []uint64, blockSize uint32, dist Distance) int {
 	if len(s1) > SpamsumLength || len(s2) > SpamsumLength {
 		return 0
 	}
@@ -136,7 +138,17 @@ func scorePrepared(s1, s2 string, g1, g2 []uint64, blockSize uint32, dist Distan
 	if !commonGram(s1, s2, g1, g2) {
 		return 0
 	}
-	d := dist(s1, s2)
+	var d int
+	switch dist {
+	case DistanceDL:
+		d = editdist.OSA(s1, s2)
+	case DistanceLevenshtein:
+		d = editdist.Levenshtein(s1, s2)
+	case DistanceSpamsum:
+		d = editdist.Weighted(s1, s2, editdist.SpamsumCosts())
+	default:
+		panic("ssdeep: unknown Distance")
+	}
 	// Scale the distance by the combined signature length (relative
 	// distance), then project onto 0..100 and invert into a similarity.
 	score := d * SpamsumLength / (len(s1) + len(s2))

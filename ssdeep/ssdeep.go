@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/editdist"
 )
 
 const (
@@ -119,23 +117,21 @@ func HashBytes(data []byte) (Digest, error) {
 	return h.Sum()
 }
 
-// DistanceFunc measures the dissimilarity of two signature strings.
-// Smaller is more similar; 0 means identical.
-type DistanceFunc func(a, b string) int
+// Distance selects the signature distance a comparison scores with. The
+// set is closed: the zero value, DistanceDL, is the paper's Equation 1
+// and the default, and a value outside the set panics rather than
+// scoring as another distance.
+type Distance uint8
 
-// Distance functions selectable for scoring. The paper specifies the
-// Damerau–Levenshtein distance; DistanceDL is therefore the default.
-var (
+const (
 	// DistanceDL is the restricted Damerau–Levenshtein distance of the
 	// paper's Equation 1 (unit-cost insert/delete/substitute/transpose).
-	DistanceDL DistanceFunc = editdist.OSA
+	DistanceDL Distance = iota
 	// DistanceLevenshtein is the plain Levenshtein distance.
-	DistanceLevenshtein DistanceFunc = editdist.Levenshtein
+	DistanceLevenshtein
 	// DistanceSpamsum is the weighted edit distance of the original
 	// spamsum implementation (insert/delete 1, substitute 3, transpose 5).
-	DistanceSpamsum DistanceFunc = func(a, b string) int {
-		return editdist.Weighted(a, b, editdist.SpamsumCosts())
-	}
+	DistanceSpamsum
 )
 
 // Compare returns the similarity score of two digests on the scale 0–100
@@ -147,7 +143,7 @@ func Compare(a, b Digest) int {
 // CompareDistance returns the similarity score of two digests using the
 // supplied signature distance: ComparePrepared on the prepared digests.
 // Callers comparing one digest against many should Prepare it once.
-func CompareDistance(a, b Digest, dist DistanceFunc) int {
+func CompareDistance(a, b Digest, dist Distance) int {
 	return ComparePrepared(Prepare(a), Prepare(b), dist)
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/editdist"
 	"repro/internal/extract"
 	"repro/internal/rng"
 	"repro/internal/synth"
@@ -398,8 +399,8 @@ func TestOverLongSignatures(t *testing.T) {
 		pa := Prepare(a)
 		for _, b := range digests {
 			pb := Prepare(b)
-			for di, dist := range []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum} {
-				if got, want := ComparePrepared(pa, pb, dist), compareDistanceOracle(a, b, dist); got != want {
+			for di, dp := range dpDistances {
+				if got, want := ComparePrepared(pa, pb, Distance(di)), compareDistanceOracle(a, b, dp); got != want {
 					t.Errorf("distance %d: ComparePrepared(%v, %v) = %d, oracle %d", di, a, b, got, want)
 				}
 			}
@@ -410,7 +411,7 @@ func TestOverLongSignatures(t *testing.T) {
 	for qi, q := range digests {
 		var want []Match
 		for id, e := range digests {
-			if score := compareDistanceOracle(q, e, DistanceDL); score > 0 {
+			if score := compareDistanceOracle(q, e, editdist.OSADP); score > 0 {
 				want = append(want, Match{ID: id, Score: score})
 			}
 		}
@@ -476,7 +477,9 @@ func TestHashTinyInputs(t *testing.T) {
 // TestPreparedMatchesCompare holds CompareDistance and ComparePrepared to
 // the string-compare oracle over hashed digests and their mutations,
 // plus a pair whose 70-character Sig1 the reference implementation's
-// length guard scores 0.
+// length guard scores 0. Under each Distance the oracle scores with that
+// distance's dynamic program, so the bit-parallel edit distances are
+// held to their DP forms through the whole compare.
 func TestPreparedMatchesCompare(t *testing.T) {
 	r := rng.New(16)
 	digests := make([]Digest, 0, 14)
@@ -497,10 +500,11 @@ func TestPreparedMatchesCompare(t *testing.T) {
 	for i, d := range digests {
 		prepared[i] = Prepare(d)
 	}
-	for _, dist := range []DistanceFunc{DistanceDL, DistanceLevenshtein, DistanceSpamsum} {
+	for di, dp := range dpDistances {
+		dist := Distance(di)
 		for i := range digests {
 			for j := range digests {
-				want := compareDistanceOracle(digests[i], digests[j], dist)
+				want := compareDistanceOracle(digests[i], digests[j], dp)
 				if got := CompareDistance(digests[i], digests[j], dist); got != want {
 					t.Fatalf("CompareDistance[%d,%d] = %d, oracle = %d", i, j, got, want)
 				}
@@ -510,6 +514,24 @@ func TestPreparedMatchesCompare(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUnknownDistancePanics pins the closed distance set: a Distance
+// outside it never scores as one of the three.
+func TestUnknownDistancePanics(t *testing.T) {
+	a := mustHash(t, corpus(31, 20000))
+	mut := corpus(31, 20000)
+	mut[100] ^= 0x55
+	b := mustHash(t, mut)
+	if CompareDistance(a, b, DistanceDL) == 0 {
+		t.Fatal("test premise broken: the pair scores 0")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CompareDistance scored with an unknown Distance")
+		}
+	}()
+	CompareDistance(a, b, DistanceSpamsum+1)
 }
 
 func TestDistanceVariantsOrdering(t *testing.T) {
