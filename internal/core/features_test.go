@@ -2,9 +2,11 @@ package core
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/editdist"
 	"repro/internal/ml"
 	"repro/internal/synth"
 	"repro/ssdeep"
@@ -106,6 +108,127 @@ func TestFeaturizeIndexedMatchesBruteForce(t *testing.T) {
 				if indexed[j] != brute[j] {
 					t.Fatalf("distance %s sample %d column %d: indexed %v, brute force %v",
 						name, i, j, indexed[j], brute[j])
+				}
+			}
+		}
+	}
+}
+
+// compareDP is the dynamic-programming oracle of a digest comparison:
+// the ssdeep score of a and b with dist, a DP edit distance, in place of
+// the bit-parallel kernel, and every guard checked on the bytes, with
+// no prepared grams.
+func compareDP(a, b ssdeep.Digest, dist func(a, b string) int) int {
+	if a.IsZero() || b.IsZero() {
+		return 0
+	}
+	if a.BlockSize != b.BlockSize && a.BlockSize != 2*b.BlockSize && 2*a.BlockSize != b.BlockSize {
+		return 0
+	}
+	a1, a2 := collapseRuns(a.Sig1), collapseRuns(a.Sig2)
+	b1, b2 := collapseRuns(b.Sig1), collapseRuns(b.Sig2)
+	switch {
+	case a.BlockSize == b.BlockSize && a1 == b1 && a2 == b2:
+		return 100
+	case a.BlockSize == b.BlockSize:
+		return max(scoreDP(a1, b1, a.BlockSize, dist), scoreDP(a2, b2, 2*a.BlockSize, dist))
+	case a.BlockSize == 2*b.BlockSize:
+		return scoreDP(a1, b2, a.BlockSize, dist)
+	default:
+		return scoreDP(a2, b1, b.BlockSize, dist)
+	}
+}
+
+// collapseRuns keeps at most three of each run of identical characters.
+func collapseRuns(s string) string {
+	out := make([]byte, 0, len(s))
+	for i := range len(s) {
+		if i < 3 || s[i] != s[i-1] || s[i] != s[i-2] || s[i] != s[i-3] {
+			out = append(out, s[i])
+		}
+	}
+	return string(out)
+}
+
+// scoreDP maps the dist edit distance of two normalised signatures onto
+// the 0–100 similarity scale with the reference implementation's
+// guards: a length bound, a shared 7-byte substring, and a cap at small
+// block sizes.
+func scoreDP(s1, s2 string, blockSize uint32, dist func(a, b string) int) int {
+	const window = 7
+	if len(s1) > ssdeep.SpamsumLength || len(s2) > ssdeep.SpamsumLength ||
+		len(s1) < window || len(s2) < window {
+		return 0
+	}
+	common := false
+	for i := 0; i+window <= len(s1) && !common; i++ {
+		common = strings.Contains(s2, s1[i:i+window])
+	}
+	if !common {
+		return 0
+	}
+	score := 100 * (dist(s1, s2) * ssdeep.SpamsumLength / (len(s1) + len(s2))) / ssdeep.SpamsumLength
+	if score >= 100 {
+		return 0
+	}
+	score = 100 - score
+	if blockSize < (99+window)/window*ssdeep.MinBlockSize {
+		score = min(score, int(blockSize)/ssdeep.MinBlockSize*min(len(s1), len(s2)))
+	}
+	return score
+}
+
+// TestFeaturizeBitParallelMatchesDPOracle pins the fast-path contract of
+// this layer end to end: featurisation under the bit-parallel distances
+// (over the compressed grouped index) is bit-identical to a brute-force
+// featurisation that scores every training digest with the distance's
+// dynamic program.
+func TestFeaturizeBitParallelMatchesDPOracle(t *testing.T) {
+	samples, split := testData(t)
+	train := gather(samples, split.TrainIdx)
+	classes := classesOf(train)
+	pairs := []struct {
+		fast   ssdeep.Distance
+		oracle func(a, b string) int
+	}{
+		{ssdeep.DistanceDL, editdist.OSADP},
+		{ssdeep.DistanceLevenshtein, editdist.LevenshteinDP},
+	}
+	for _, pair := range pairs {
+		name := distanceNames[pair.fast]
+		ps := mustBuildProfiles(t, train, paperKinds, classes, pair.fast)
+		trained := make([][][]ssdeep.Digest, len(ps.features))
+		for k, perClass := range ps.digests {
+			trained[k] = make([][]ssdeep.Digest, len(perClass))
+			for ci, digests := range perClass {
+				for _, s := range digests {
+					d, err := ssdeep.Parse(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					trained[k][ci] = append(trained[k][ci], d)
+				}
+			}
+		}
+		for i := range samples {
+			got := ps.featurize(&samples[i])
+			want := make([]float64, 0, len(got))
+			for k, kind := range ps.features {
+				for _, class := range trained[k] {
+					best := 0
+					for _, d := range class {
+						best = max(best, compareDP(samples[i].Digests[kind], d, pair.oracle))
+					}
+					want = append(want, float64(best))
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("distance %s sample %d: vector lengths %d vs %d", name, i, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("distance %s sample %d column %d: bit-parallel %v, DP oracle %v",
+						name, i, j, got[j], want[j])
 				}
 			}
 		}
