@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/experiments"
 	"repro/internal/synth"
 )
 
@@ -76,6 +79,40 @@ func TestCmdCorpusAndScan(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(scanOut), "\n")) < 10 {
 		t.Fatalf("scan produced too few lines:\n%s", scanOut)
+	}
+}
+
+// TestCmdCorpusMediumMatchesExperiments checks that fhc corpus and the
+// experiments build one corpus per scale: the medium tree carries every
+// class of experiments.ScaleMedium's manifest, the paper exemplars
+// Velvet and OpenMalaria included.
+func TestCmdCorpusMediumMatchesExperiments(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := withStdout(t, func() error {
+		return cmdCorpus([]string{"-out", dir, "-scale", "medium", "-seed", "3"})
+	}); err != nil {
+		t.Fatalf("corpus: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	var want []string
+	for _, spec := range experiments.ScaleMedium.Manifest() {
+		want = append(want, spec.Name)
+	}
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("fhc corpus -scale medium wrote classes %v, the experiments' medium manifest has %v", got, want)
+	}
+	for _, name := range []string{"Velvet", "OpenMalaria"} {
+		if !slices.Contains(got, name) {
+			t.Fatalf("medium tree lacks the paper exemplar %s", name)
+		}
 	}
 }
 

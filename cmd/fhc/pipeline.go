@@ -7,6 +7,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -36,15 +37,7 @@ func cmdCorpus(args []string) error {
 	if err != nil {
 		return err
 	}
-	var specs []synth.ClassSpec
-	switch scale {
-	case experiments.ScaleSmall:
-		specs = synth.SmallManifest(10, 3, 16)
-	case experiments.ScaleMedium:
-		specs = synth.SmallManifest(35, 9, 90)
-	default:
-		specs = synth.PaperManifest()
-	}
+	specs := scale.Manifest()
 	corpus, err := synth.Generate(specs, synth.Options{Seed: *seed, StrippedFraction: *stripped})
 	if err != nil {
 		return err
@@ -73,12 +66,9 @@ func cmdScan(args []string) error {
 		return err
 	}
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := dataset.SaveSamples(f, samples); err != nil {
+		if err := core.WriteFileAtomic(*jsonOut, func(w io.Writer) error {
+			return dataset.SaveSamples(w, samples)
+		}); err != nil {
 			return err
 		}
 	} else {
@@ -165,12 +155,7 @@ func cmdTrain(args []string) error {
 			return fmt.Errorf("calibrate: %w", err)
 		}
 	}
-	f, err := os.Create(*modelPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := clf.Save(f); err != nil {
+	if err := core.SaveFile(*modelPath, clf); err != nil {
 		return err
 	}
 	calNote := ""

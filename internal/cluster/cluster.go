@@ -20,11 +20,14 @@
 // with jittered exponential backoff until it answers again, at which
 // point it is readmitted and its keys return. While a worker is out,
 // the ring routes its keys to the next shard — deterministically, so
-// affinity holds under churn too. Slow shards are absorbed by hedged
-// retries: when a forwarded request exceeds the hedge budget, one (and
-// never more than one) duplicate request is raced against the next
-// shard on the ring, the first response wins and the loser is
-// cancelled; transport errors retry on the next shard immediately.
+// affinity holds under churn too. Every forwarded request, a classify
+// request or one shard's share of a batch, takes one attempt loop: a
+// transport error or a reply torn mid-body retries on the next shard
+// immediately, and only a complete reply is ever passed on. Slow
+// classify requests are absorbed by hedged retries: when one exceeds
+// the hedge budget, one (and never more than one) duplicate request is
+// raced against the next shard on the ring, the first response wins and
+// the loser is cancelled.
 //
 // Model promotion is a coordinated, staged rollout rather than N
 // independent swaps: /v1/model/swap drives the canary shard first,
@@ -88,8 +91,9 @@ type Options struct {
 	// replay hedges, so this is also its per-request memory bound.
 	// Default 64 MiB.
 	MaxBodyBytes int64
-	// RequestTimeout bounds one classify request end to end, hedges
-	// included. Default 60s; negative disables.
+	// RequestTimeout bounds one forwarded request end to end, hedges
+	// and retries included: a classify request, or one shard's share of
+	// a batch. Default 60s; negative disables.
 	RequestTimeout time.Duration
 	// HealthInterval is the /readyz polling period for ready workers.
 	// Default 1s.
@@ -171,10 +175,8 @@ type Worker struct {
 	base string // normalised base URL, no trailing slash
 	idx  int    // registration index; stable canary/rollout order
 
-	classifyURL string
-	batchURL    string
-	swapURL     string
-	readyzURL   string
+	swapURL   string
+	readyzURL string
 
 	ready atomic.Bool
 	kick  chan struct{} // wakes the health prober early, capacity 1
@@ -211,7 +213,7 @@ type Stats struct {
 	// shard; HedgeWins counts the ones that answered first.
 	HedgesFired, HedgeWins uint64
 	// Retries counts attempts relaunched on the next shard after a
-	// transport error.
+	// transport error or a reply torn mid-body.
 	Retries uint64
 	// Unroutable counts requests refused because no worker was ready.
 	Unroutable uint64
@@ -233,7 +235,7 @@ func New(specs []WorkerSpec, opt Options) (*Router, error) {
 	reqVec := opt.Registry.CounterVec("fhc_cluster_requests_total",
 		"Forward attempts by shard, hedges and retries included.", "shard")
 	errVec := opt.Registry.CounterVec("fhc_cluster_shard_errors_total",
-		"Forward attempts that failed at transport level, by shard.", "shard")
+		"Forward attempts that failed at transport level or mid-reply, by shard.", "shard")
 	ejectVec := opt.Registry.CounterVec("fhc_cluster_ejections_total",
 		"Health-based ejections from routing, by shard.", "shard")
 	readmitVec := opt.Registry.CounterVec("fhc_cluster_readmissions_total",
@@ -259,8 +261,6 @@ func New(specs []WorkerSpec, opt Options) (*Router, error) {
 			name:         name,
 			base:         base,
 			idx:          i,
-			classifyURL:  base + "/v1/classify",
-			batchURL:     base + "/v1/classify/batch",
 			swapURL:      base + "/v1/model/swap",
 			readyzURL:    base + "/readyz",
 			kick:         make(chan struct{}, 1),
@@ -301,9 +301,8 @@ type Router struct {
 	hedgesFired, hedgeWins atomic.Uint64
 	retries, unroutable    atomic.Uint64
 
-	latClassify *metrics.Histogram
-	latBatch    *metrics.Histogram
-	responses   *metrics.CounterVec
+	latency   *metrics.HistogramVec
+	responses *metrics.CounterVec
 }
 
 // registerMetrics wires the fleet-level instruments; per-shard children
@@ -317,7 +316,7 @@ func (rt *Router) registerMetrics() {
 		"Hedged duplicates that answered before the original attempt.",
 		func() float64 { return float64(rt.hedgeWins.Load()) })
 	reg.CounterFunc("fhc_cluster_retries_total",
-		"Attempts relaunched on the next shard after a transport error.",
+		"Attempts relaunched on the next shard after a transport error or a torn reply.",
 		func() float64 { return float64(rt.retries.Load()) })
 	reg.CounterFunc("fhc_cluster_unroutable_total",
 		"Requests refused because no worker was ready.",
@@ -333,10 +332,8 @@ func (rt *Router) registerMetrics() {
 			}
 			return float64(n)
 		})
-	lat := reg.HistogramVec("fhc_cluster_request_seconds",
+	rt.latency = reg.HistogramVec("fhc_cluster_request_seconds",
 		"Router request latency by route, hedges and retries included.", nil, "route")
-	rt.latClassify = lat.With("/v1/classify")
-	rt.latBatch = lat.With("/v1/classify/batch")
 	rt.responses = reg.CounterVec("fhc_cluster_responses_total",
 		"Router responses by route and status code.", "route", "code")
 }
@@ -368,9 +365,12 @@ func (rt *Router) Coordinator() *Coordinator { return rt.coord }
 // Handler returns the routed handler; mount it in an http.Server.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Close stops the health prober and any artifact watcher. In-flight
-// forwards finish on their own contexts; the workers are untouched.
+// Close stops the health prober and any artifact watcher and closes the
+// idle connections to the workers, which would otherwise hold a
+// worker's graceful shutdown open. In-flight forwards finish on their
+// own contexts; the workers are untouched.
 func (rt *Router) Close() {
 	rt.member.stop()
 	rt.coord.stopWatcher()
+	rt.client.CloseIdleConnections()
 }

@@ -22,7 +22,9 @@ type ring struct {
 
 // fnv64a is FNV-1a over s; inlined rather than hash/fnv so vnode
 // placement is a frozen constant of the package, not of a dependency.
-func fnv64a(s string) uint64 {
+// Over raw bytes it is the routing fallback for payloads that have no
+// extractable cache key.
+func fnv64a[T string | []byte](s T) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	for i := 0; i < len(s); i++ {
@@ -45,6 +47,12 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
+// vnodePoint is the ring position of the named worker's i-th virtual
+// node. Frozen: changing it moves every key.
+func vnodePoint(name string, i int) uint64 {
+	return mix64(fnv64a(name + "#" + strconv.Itoa(i)))
+}
+
 // buildRing places replicas vnode points per worker. Point collisions
 // (astronomically unlikely across 64-bit points) resolve by worker
 // registration order, deterministically.
@@ -56,7 +64,7 @@ func buildRing(workers []*Worker, replicas int) *ring {
 	vns := make([]vnode, 0, len(workers)*replicas)
 	for _, w := range workers {
 		for i := 0; i < replicas; i++ {
-			vns = append(vns, vnode{mix64(fnv64a(w.name + "#" + strconv.Itoa(i))), w})
+			vns = append(vns, vnode{vnodePoint(w.name, i), w})
 		}
 	}
 	sort.Slice(vns, func(i, j int) bool {

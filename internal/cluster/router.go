@@ -22,7 +22,8 @@ import (
 // Predeclared error bodies and errors so the forwarding path never
 // constructs them per request.
 var (
-	errNoReadyWorkers = errors.New("cluster: no ready workers")
+	errNoReadyWorkers  = errors.New("cluster: no ready workers")
+	errAllShardsFailed = errors.New("cluster: all shards failed")
 
 	jsonContentType     = []string{"application/json"}
 	noReadyWorkersJSON  = []byte("{\"error\":\"no ready workers\"}\n")
@@ -34,13 +35,19 @@ var (
 
 const octetStream = "application/octet-stream"
 
+// The worker routes the router forwards to.
+const (
+	classifyPath = "/v1/classify"
+	batchPath    = "/v1/classify/batch"
+)
+
 // shardHeader names the worker that answered, for tests and debugging.
 const shardHeader = "Fhc-Shard"
 
 func (rt *Router) buildMux() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/classify", rt.handleClassify)
-	mux.HandleFunc("/v1/classify/batch", rt.handleBatch)
+	mux.HandleFunc(classifyPath, rt.routed(classifyPath, rt.classify))
+	mux.HandleFunc(batchPath, rt.routed(batchPath, rt.batch))
 	mux.HandleFunc("/v1/model/swap", rt.handleSwap)
 	mux.HandleFunc("/v1/cluster/status", rt.handleStatus)
 	mux.HandleFunc("/healthz", rt.handleHealthz)
@@ -54,31 +61,6 @@ func writeStatic(w http.ResponseWriter, code int, body []byte) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
-}
-
-// readBody buffers the request body up to limit, reporting overflow
-// separately from read errors.
-func readBody(r io.Reader, limit int64) (body []byte, overflow bool, err error) {
-	body, err = io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, false, err
-	}
-	if int64(len(body)) > limit {
-		return nil, true, nil
-	}
-	return body, false, nil
-}
-
-// fnv64aBytes is fnv64a over raw bytes; the routing fallback for
-// payloads that have no extractable cache key.
-func fnv64aBytes(b []byte) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= prime64
-	}
-	return h
 }
 
 // hashB64 computes the engine cache key of a base64-encoded binary by
@@ -137,65 +119,60 @@ func (rt *Router) pointForBody(contentType string, body []byte) uint64 {
 	}
 	var req httpserve.ClassifyRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return fnv64aBytes(body)
+		return fnv64a(body)
 	}
 	return rt.pointForItem(&req)
 }
 
-// fwdResult is one attempt's outcome. A result only counts as a win
-// once the whole reply body is buffered: a connection torn down
-// mid-body is a retryable attempt failure, never a truncated 200
-// already committed to the client.
-type fwdResult struct {
+// reply is one attempt's outcome. A reply only counts once its whole
+// body is buffered: a connection torn down mid-body is a failed attempt,
+// retried on the next shard, never a truncated answer.
+type reply struct {
 	status int
 	header http.Header
 	body   []byte
-	idx    int
+	shard  *Worker // the candidate that answered
 	err    error
 }
 
-// forward proxies body to the shards owning point: the first candidate
-// is the key's owner, later candidates are hedge/retry targets in ring
-// order. A transport error relaunches on the next shard immediately; a
-// reply slower than HedgeAfter races one — and only one — hedged
-// duplicate against the next shard, first complete response wins, the
-// loser's context is cancelled. The winning response is written to w
-// verbatim, plus a Fhc-Shard header naming the shard. Returns the
-// status code written.
+// send is the router's one way to reach the shards: it POSTs body to
+// path on the candidates and returns the first complete reply, whatever
+// its status. cands[0] is the key's owner; later candidates are retry
+// and hedge targets in ring order. A failed attempt (a transport error
+// or a torn body) counts as a shard error, kicks the shard's health
+// probe and relaunches on the next candidate at once. When hedge > 0, a
+// reply slower than hedge races one, and only one, duplicate against
+// the next candidate. RequestTimeout bounds the whole call, and the
+// losers are cancelled when it returns. send fails with
+// errAllShardsFailed once every candidate has failed; cands must not be
+// empty.
 //
-// fhc:hotpath forward runs once per routed classify request.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, point uint64, urlFor func(*Worker) string, contentType string, body []byte) int {
-	var cbuf [maxWorkers]*Worker
-	cands := rt.ring.candidates(point, cbuf[:0], rt.opt.MaxAttempts)
-	if len(cands) == 0 {
-		rt.unroutable.Add(1)
-		writeStatic(w, http.StatusServiceUnavailable, noReadyWorkersJSON)
-		return http.StatusServiceUnavailable
-	}
-
-	ctx := r.Context()
+// fhc:hotpath send runs once per routed classify request and per shard
+// of a routed batch.
+func (rt *Router) send(ctx context.Context, cands []*Worker, path, contentType string, body []byte, hedge time.Duration) (reply, error) {
+	var cancel context.CancelFunc
 	if rt.opt.RequestTimeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, rt.opt.RequestTimeout)
-		defer cancel()
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
 	}
+	defer cancel()
 
-	results := make(chan fwdResult, len(cands))
-	cancels := make([]context.CancelFunc, len(cands))
+	results := make(chan reply, len(cands))
 	launched := 0
 	launch := func() {
-		i := launched
+		wk := cands[launched]
 		launched++
-		actx, acancel := context.WithCancel(ctx)
-		cancels[i] = acancel
-		wk := cands[i]
 		wk.requests.Inc()
+		// The attempt body stays inline: as a separate call its frame
+		// made each attempt goroutine grow its stack once more, about a
+		// tenth of BenchmarkRouterForward's time.
 		go func() {
 			br := new(bytes.Reader)
 			br.Reset(body)
-			req, err := http.NewRequestWithContext(actx, http.MethodPost, urlFor(wk), br)
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.base+path, br)
 			if err != nil {
-				results <- fwdResult{idx: i, err: err}
+				results <- reply{shard: wk, err: err}
 				return
 			}
 			if contentType != "" {
@@ -203,157 +180,135 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, point uint64, 
 			}
 			resp, err := rt.client.Do(req)
 			if err != nil {
-				results <- fwdResult{idx: i, err: err}
+				results <- reply{shard: wk, err: err}
 				return
 			}
-			// Buffer the whole reply before reporting it. The workers are
-			// ours and classify replies are small JSON, so no read cap.
+			// Buffer the whole reply before reporting it. The workers
+			// are ours and their replies are small JSON, so no read cap.
 			rbody, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if err != nil {
-				results <- fwdResult{idx: i, err: err}
+				results <- reply{shard: wk, err: err}
 				return
 			}
-			results <- fwdResult{status: resp.StatusCode, header: resp.Header, body: rbody, idx: i}
+			results <- reply{status: resp.StatusCode, header: resp.Header, body: rbody, shard: wk}
 		}()
 	}
 	launch()
 
 	var hedgeC <-chan time.Time
-	if rt.opt.HedgeAfter > 0 && len(cands) > 1 {
-		t := time.NewTimer(rt.opt.HedgeAfter)
+	if hedge > 0 && len(cands) > 1 {
+		t := time.NewTimer(hedge)
 		defer t.Stop()
 		hedgeC = t.C
 	}
 
-	hedgeIdx := -1
+	var hedged *Worker
 	pending := 1
-	won := false
-	var win fwdResult
-	for !won {
+	for {
 		select {
 		case <-hedgeC:
 			hedgeC = nil // at most one hedge per request
 			if launched < len(cands) {
-				hedgeIdx = launched
+				hedged = cands[launched]
 				rt.hedgesFired.Add(1)
 				launch()
 				pending++
 			}
 		case res := <-results:
 			pending--
-			if res.err != nil {
-				wk := cands[res.idx]
-				wk.errs.Inc()
-				rt.member.kick(wk)
-				if launched < len(cands) {
-					rt.retries.Add(1)
-					launch()
-					pending++
-				} else if pending == 0 {
-					writeStatic(w, http.StatusBadGateway, allShardsFailedJSON)
-					return http.StatusBadGateway
+			if res.err == nil {
+				if res.shard == hedged {
+					rt.hedgeWins.Add(1)
 				}
-				continue
+				return res, nil
 			}
-			win, won = res, true
+			res.shard.errs.Inc()
+			rt.member.kick(res.shard)
+			if launched < len(cands) {
+				rt.retries.Add(1)
+				launch()
+				pending++
+			} else if pending == 0 {
+				return reply{}, errAllShardsFailed
+			}
 		}
 	}
-	if win.idx == hedgeIdx {
-		rt.hedgeWins.Add(1)
-	}
-	// Cancel the losers; their goroutines buffer into the channel (it
-	// has a slot per candidate) and exit on their own.
-	for i := 0; i < launched; i++ {
-		if i != win.idx {
-			cancels[i]()
-		}
-	}
-
-	hdr := w.Header()
-	for k, v := range win.header {
-		hdr[k] = v
-	}
-	hdr[shardHeader] = []string{cands[win.idx].name}
-	w.WriteHeader(win.status)
-	_, _ = w.Write(win.body)
-	return win.status
 }
 
-// tryWorkers runs one sub-request against cands sequentially, retrying
-// on the next shard after a transport error (no hedging — it backs the
-// batch scatter, where the per-shard sub-batch is already parallel).
-// The caller owns the returned response body.
-func (rt *Router) tryWorkers(ctx context.Context, cands []*Worker, urlFor func(*Worker) string, body []byte) (*http.Response, *Worker, error) {
+// forward sends body to the shards owning point, with the configured
+// hedge, and writes the first complete reply to w verbatim, plus a
+// Fhc-Shard header naming the shard. Returns the status code written.
+//
+// fhc:hotpath forward runs once per routed classify request.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, point uint64, path, contentType string, body []byte) int {
+	var cbuf [maxWorkers]*Worker
+	cands := rt.ring.candidates(point, cbuf[:0], rt.opt.MaxAttempts)
 	if len(cands) == 0 {
 		rt.unroutable.Add(1)
-		return nil, nil, errNoReadyWorkers
+		writeStatic(w, http.StatusServiceUnavailable, noReadyWorkersJSON)
+		return http.StatusServiceUnavailable
 	}
-	var lastErr error
-	for i, wk := range cands {
-		if i > 0 {
-			rt.retries.Add(1)
-		}
-		wk.requests.Inc()
-		br := new(bytes.Reader)
-		br.Reset(body)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, urlFor(wk), br)
-		if err != nil {
-			return nil, nil, err
-		}
-		req.Header["Content-Type"] = jsonContentType
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			wk.errs.Inc()
-			rt.member.kick(wk)
-			lastErr = err
-			continue
-		}
-		return resp, wk, nil
+	res, err := rt.send(r.Context(), cands, path, contentType, body, rt.opt.HedgeAfter)
+	if err != nil {
+		writeStatic(w, http.StatusBadGateway, allShardsFailedJSON)
+		return http.StatusBadGateway
 	}
-	return nil, nil, lastErr
+	hdr := w.Header()
+	for k, v := range res.header {
+		hdr[k] = v
+	}
+	hdr[shardHeader] = []string{res.shard.name}
+	w.WriteHeader(res.status)
+	_, _ = w.Write(res.body)
+	return res.status
 }
 
 // ----- handlers ---------------------------------------------------------
 
-func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code := rt.classify(w, r)
-	rt.latClassify.Observe(time.Since(start).Seconds())
-	rt.responses.With("/v1/classify", strconv.Itoa(code)).Inc()
+// routed wraps a forwarding handler with the preamble and the
+// accounting classify and batch share: it refuses a non-POST, buffers
+// the body up to MaxBodyBytes (answering 405, 400 or 413 itself), hands
+// an accepted body to h, and records the request's latency and status
+// under route.
+func (rt *Router) routed(route string, h func(w http.ResponseWriter, r *http.Request, body []byte) int) http.HandlerFunc {
+	lat := rt.latency.With(route)
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		code := rt.readPost(w, r, h)
+		lat.Observe(time.Since(start).Seconds())
+		rt.responses.With(route, strconv.Itoa(code)).Inc()
+	}
+}
+
+// readPost is routed's preamble. Returns the status code written.
+func (rt *Router) readPost(w http.ResponseWriter, r *http.Request, h func(http.ResponseWriter, *http.Request, []byte) int) int {
+	if r.Method != http.MethodPost {
+		writeStatic(w, http.StatusMethodNotAllowed, methodJSON)
+		return http.StatusMethodNotAllowed
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, rt.opt.MaxBodyBytes+1))
+	if err != nil {
+		writeStatic(w, http.StatusBadRequest, badBodyJSON)
+		return http.StatusBadRequest
+	}
+	if int64(len(body)) > rt.opt.MaxBodyBytes {
+		writeStatic(w, http.StatusRequestEntityTooLarge, tooLargeJSON)
+		return http.StatusRequestEntityTooLarge
+	}
+	return h(w, r, body)
 }
 
 // classify routes one /v1/classify request to its owning shard.
 //
 // fhc:hotpath classify runs once per routed classify request.
-func (rt *Router) classify(w http.ResponseWriter, r *http.Request) int {
-	if r.Method != http.MethodPost {
-		writeStatic(w, http.StatusMethodNotAllowed, methodJSON)
-		return http.StatusMethodNotAllowed
-	}
-	body, overflow, err := readBody(r.Body, rt.opt.MaxBodyBytes)
-	if overflow {
-		writeStatic(w, http.StatusRequestEntityTooLarge, tooLargeJSON)
-		return http.StatusRequestEntityTooLarge
-	}
-	if err != nil {
-		writeStatic(w, http.StatusBadRequest, badBodyJSON)
-		return http.StatusBadRequest
-	}
+func (rt *Router) classify(w http.ResponseWriter, r *http.Request, body []byte) int {
 	ct := r.Header.Get("Content-Type")
-	point := rt.pointForBody(ct, body)
-	suffix := ""
+	path := classifyPath
 	if rq := r.URL.RawQuery; rq != "" {
-		suffix = "?" + rq
+		path += "?" + rq
 	}
-	return rt.forward(w, r, point, func(wk *Worker) string { return wk.classifyURL + suffix }, ct, body)
-}
-
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code := rt.batch(w, r)
-	rt.latBatch.Observe(time.Since(start).Seconds())
-	rt.responses.With("/v1/classify/batch", strconv.Itoa(code)).Inc()
+	return rt.forward(w, r, rt.pointForBody(ct, body), path, ct, body)
 }
 
 // batch splits a /v1/classify/batch request per item, scatters each
@@ -362,34 +317,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // order. Per-item isolation holds across the split: a corrupt item, an
 // unroutable item or a dead shard surfaces as that item's Error field,
 // never as a batch-level failure.
-func (rt *Router) batch(w http.ResponseWriter, r *http.Request) int {
-	if r.Method != http.MethodPost {
-		writeStatic(w, http.StatusMethodNotAllowed, methodJSON)
-		return http.StatusMethodNotAllowed
-	}
-	body, overflow, err := readBody(r.Body, rt.opt.MaxBodyBytes)
-	if overflow {
-		writeStatic(w, http.StatusRequestEntityTooLarge, tooLargeJSON)
-		return http.StatusRequestEntityTooLarge
-	}
-	if err != nil {
-		writeStatic(w, http.StatusBadRequest, badBodyJSON)
-		return http.StatusBadRequest
-	}
-
+func (rt *Router) batch(w http.ResponseWriter, r *http.Request, body []byte) int {
 	var breq httpserve.BatchRequest
 	if err := json.Unmarshal(body, &breq); err != nil {
 		// Undecodable batch: forward whole to a deterministic shard so
 		// the worker's decoder produces the canonical error.
-		point := fnv64aBytes(body)
-		return rt.forward(w, r, point, func(wk *Worker) string { return wk.batchURL }, "application/json", body)
-	}
-
-	ctx := r.Context()
-	if rt.opt.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.opt.RequestTimeout)
-		defer cancel()
+		return rt.forward(w, r, fnv64a(body), batchPath, "application/json", body)
 	}
 
 	results := make([]httpserve.ClassifyResponse, len(breq.Samples))
@@ -418,7 +351,7 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request) int {
 		wg.Add(1)
 		go func(wk *Worker, idxs []int) {
 			defer wg.Done()
-			rt.batchShard(ctx, wk, &breq, idxs, results)
+			rt.batchShard(r.Context(), wk, &breq, idxs, results)
 		}(wk, idxs)
 	}
 	wg.Wait()
@@ -430,10 +363,12 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request) int {
 	return http.StatusOK
 }
 
-// batchShard forwards one shard's share of a batch and scatters the
-// per-item results back by original index. wk is the owner; if it dies
-// mid-batch the sub-request retries on the next shards on the ring,
-// and only if every shard fails do the items get error rows.
+// batchShard sends one shard's share of a batch and scatters the
+// per-item results back by original index. wk is the owner; if its
+// reply fails or tears, the sub-request retries on the next shards on
+// the ring, with no hedge (a hedge would duplicate the whole
+// sub-batch), and only if every shard fails do the items get error
+// rows.
 func (rt *Router) batchShard(ctx context.Context, wk *Worker, breq *httpserve.BatchRequest, idxs []int, results []httpserve.ClassifyResponse) {
 	sub := httpserve.BatchRequest{Samples: make([]httpserve.ClassifyRequest, len(idxs))}
 	for j, i := range idxs {
@@ -448,25 +383,22 @@ func (rt *Router) batchShard(ctx context.Context, wk *Worker, breq *httpserve.Ba
 	// back to it while it is ready), then ring successors. If the owner
 	// was ejected after grouping, candidates starts at its successor —
 	// exactly where those keys now live.
-	point := fnv64a(wk.name + "#0")
 	var cbuf [maxWorkers]*Worker
-	cands := rt.ring.candidates(point, cbuf[:0], rt.opt.MaxAttempts)
+	cands := rt.ring.candidates(vnodePoint(wk.name, 0), cbuf[:0], rt.opt.MaxAttempts)
 	if len(cands) == 0 {
 		cands = append(cbuf[:0], wk) // whole fleet ejected; try the owner anyway
 	}
-	resp, _, err := rt.tryWorkers(ctx, cands, func(wk *Worker) string { return wk.batchURL }, payload)
+	res, err := rt.send(ctx, cands, batchPath, "application/json", payload, 0)
 	if err != nil {
 		fillErrors(breq, idxs, results, "shard unavailable")
 		return
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fillErrors(breq, idxs, results, "shard answered "+strconv.Itoa(resp.StatusCode))
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	if res.status != http.StatusOK {
+		fillErrors(breq, idxs, results, "shard answered "+strconv.Itoa(res.status))
 		return
 	}
 	var bresp httpserve.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&bresp); err != nil || len(bresp.Results) != len(idxs) {
+	if err := json.Unmarshal(res.body, &bresp); err != nil || len(bresp.Results) != len(idxs) {
 		fillErrors(breq, idxs, results, "shard reply malformed")
 		return
 	}
@@ -499,9 +431,7 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		// Failed rollout: the status carries the stage reached and the
 		// rollback outcome.
-		w.Header()["Content-Type"] = jsonContentType
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		_ = json.NewEncoder(w).Encode(status)
+		writeJSON(w, http.StatusUnprocessableEntity, status)
 	default:
 		writeJSON(w, http.StatusOK, status)
 	}

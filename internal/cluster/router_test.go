@@ -1,11 +1,18 @@
 package cluster_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -383,6 +390,103 @@ func TestRoutedBatchMixed(t *testing.T) {
 	}
 }
 
+// tearFirstBatch is a RoundTripper that cuts the body of the first
+// /v1/classify/batch reply after a few bytes with a read error, as a
+// shard dying mid-response does.
+type tearFirstBatch struct {
+	next http.RoundTripper
+	torn atomic.Bool
+}
+
+func (tr *tearFirstBatch) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := tr.next.RoundTrip(req)
+	if err != nil || req.URL.Path != "/v1/classify/batch" || tr.torn.Swap(true) {
+		return resp, err
+	}
+	resp.Body = &tornBody{r: io.LimitReader(resp.Body, 8), body: resp.Body}
+	return resp, nil
+}
+
+// tornBody yields its first bytes and then fails.
+type tornBody struct {
+	r    io.Reader
+	body io.ReadCloser
+}
+
+func (b *tornBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err == io.EOF {
+		err = errors.New("injected: connection reset mid-body")
+	}
+	return n, err
+}
+
+func (b *tornBody) Close() error { return b.body.Close() }
+
+// TestRoutedBatchRetriesTornReply cuts a shard's batch reply mid-body
+// and checks the router retries that sub-batch on the next shard: the
+// client gets every item answered, bit-identically to the model, and
+// no item error.
+func TestRoutedBatchRetriesTornReply(t *testing.T) {
+	tr := &tearFirstBatch{next: &http.Transport{DisableKeepAlives: true}}
+	c := startCluster(t, cluster.Options{HedgeAfter: -1, Transport: tr})
+	items := make([]httpserve.ClassifyRequest, len(fixBins))
+	for i, bin := range fixBins {
+		items[i] = httpserve.ClassifyRequest{Exe: "job", BinaryB64: base64.StdEncoding.EncodeToString(bin)}
+	}
+	code, body, _ := postJSON(t, c.URL()+"/v1/classify/batch", httpserve.BatchRequest{Samples: items})
+	if code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", code, body)
+	}
+	if !tr.torn.Load() {
+		t.Fatal("no batch reply was torn")
+	}
+	var resp httpserve.BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("batch response: %v\n%s", err, body)
+	}
+	if len(resp.Results) != len(fixBins) {
+		t.Fatalf("got %d results, want %d", len(resp.Results), len(fixBins))
+	}
+	want := modelWant(t, "rf")
+	for i, r := range resp.Results {
+		if r.Error != "" {
+			t.Fatalf("item %d failed: %q", i, r.Error)
+		}
+		if !matches(r, want[i]) {
+			t.Fatalf("item %d answered {%s %s %v}, want %v", i, r.Label, r.Class, r.Confidence, want[i])
+		}
+	}
+	if st := c.Router.Stats(); st.Retries == 0 {
+		t.Fatalf("the torn reply was not retried: %+v", st)
+	}
+}
+
+// TestRoutedBatchPrimesOwners checks that a batch item is classified on
+// the shard that owns its key: after one routed batch of uploads, a
+// hash-first probe of every binary hits its owner's cache.
+func TestRoutedBatchPrimesOwners(t *testing.T) {
+	c := startCluster(t, cluster.Options{HedgeAfter: -1})
+	items := make([]httpserve.ClassifyRequest, len(fixBins))
+	for i, bin := range fixBins {
+		items[i] = httpserve.ClassifyRequest{Exe: "job", BinaryB64: base64.StdEncoding.EncodeToString(bin)}
+	}
+	if code, body, _ := postJSON(t, c.URL()+"/v1/classify/batch", httpserve.BatchRequest{Samples: items}); code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", code, body)
+	}
+	for i, bin := range fixBins {
+		key := serve.KeyOf(bin)
+		code, body, hdr := postJSON(t, c.URL()+"/v1/classify", httpserve.ClassifyRequest{SHA256: hex.EncodeToString(key[:])})
+		var resp httpserve.ClassifyResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("probe %d: status %d: %v\n%s", i, code, err, body)
+		}
+		if code != http.StatusOK || !resp.Cached {
+			t.Fatalf("probe %d on its owner %s missed after the batch: status %d %s", i, hdr.Get("Fhc-Shard"), code, body)
+		}
+	}
+}
+
 // TestClusterStatus checks the status surface: worker rows, rollout
 // idle state, and stats wiring.
 func TestClusterStatus(t *testing.T) {
@@ -428,5 +532,57 @@ func TestRouterBodyLimit(t *testing.T) {
 	code, body, _ := post(t, c.URL()+"/v1/classify", "application/octet-stream", big)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d: %s", code, body)
+	}
+}
+
+// BenchmarkRouterForward measures one routed hash-first probe of a
+// primed binary: the router's handler, its hop to the one in-process
+// worker over a keep-alive connection, and the worker's cache hit.
+func BenchmarkRouterForward(b *testing.B) {
+	fixture(b)
+	engine := serve.New(fixRF, serve.Options{})
+	defer engine.Close()
+	hs := httpserve.New(engine, httpserve.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		hs.Shutdown(ctx)
+	}()
+	rt, err := cluster.New([]cluster.WorkerSpec{{Name: "w0", URL: "http://" + ln.Addr().String()}},
+		cluster.Options{HedgeAfter: -1, IncumbentArtifact: fixRFPath})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	h := rt.Handler()
+	serveOnce := func(body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	prime, err := json.Marshal(httpserve.ClassifyRequest{
+		Exe: "job", BinaryB64: base64.StdEncoding.EncodeToString(fixBins[0]),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rec := serveOnce(prime); rec.Code != http.StatusOK {
+		b.Fatalf("priming upload: %d: %s", rec.Code, rec.Body)
+	}
+	key := serve.KeyOf(fixBins[0])
+	probe := []byte(`{"sha256":"` + hex.EncodeToString(key[:]) + `"}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serveOnce(probe); rec.Code != http.StatusOK {
+			b.Fatalf("probe: %d: %s", rec.Code, rec.Body)
+		}
 	}
 }

@@ -292,23 +292,13 @@ func (c *Classifier) PredictFromProba(proba []float64) Prediction {
 
 // marginEvidence derives the probability margin (top-1 minus top-2)
 // and the best class's evidence from one probability vector; evidence
-// is openset.FloorUnset when no evidence channel is present. The scan
-// breaks ties exactly as decide does (first index wins), so the two
-// always describe the same winning class.
+// is openset.FloorUnset when no evidence channel is present. It picks
+// the winner with openset.Argmax2, as decide does, so the two always
+// describe the same winning class.
 //
 // fhc:hotpath
 func marginEvidence(probs, ev []float64) (margin, evidence float64) {
-	best, p1, p2 := 0, -1.0, -1.0
-	for i, p := range probs {
-		if p > p1 {
-			best, p2, p1 = i, p1, p
-		} else if p > p2 {
-			p2 = p
-		}
-	}
-	if p2 < 0 {
-		p2 = 0 // single-class vector: the margin degenerates to p1
-	}
+	best, p1, p2 := openset.Argmax2(probs)
 	evidence = openset.FloorUnset
 	if best < len(ev) {
 		evidence = ev[best]
@@ -317,15 +307,11 @@ func marginEvidence(probs, ev []float64) (margin, evidence float64) {
 }
 
 // decide is the single thresholding rule shared by serving-time
-// prediction and training-time tuning: the most probable class wins, and
-// confidence below the threshold demotes the label to UnknownLabel.
+// prediction and training-time tuning: the most probable class wins
+// (openset.Argmax2), and confidence below the threshold demotes the
+// label to UnknownLabel.
 func decide(proba []float64, classes []string, threshold float64) Prediction {
-	best, bestP := 0, -1.0
-	for cl, p := range proba {
-		if p > bestP {
-			best, bestP = cl, p
-		}
-	}
+	best, bestP, _ := openset.Argmax2(proba)
 	pred := Prediction{
 		Class:      classes[best],
 		Confidence: bestP,

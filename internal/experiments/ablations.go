@@ -206,7 +206,7 @@ type AblationStripped struct {
 // RunAblationStripped rebuilds the corpus with a stripped fraction and
 // classifies the stripped known-class samples with the pipeline's model.
 func RunAblationStripped(p *Pipeline) (*AblationStripped, error) {
-	corpus, err := synth.Generate(p.Scale.manifest(), synth.Options{
+	corpus, err := synth.Generate(p.Scale.Manifest(), synth.Options{
 		Seed:             p.Seed, // identical corpus, some samples stripped
 		StrippedFraction: 0.3,
 	})

@@ -62,10 +62,11 @@ func ParseScale(name string) (Scale, error) {
 	}
 }
 
-// manifest returns the class manifest of the scale. The reduced scales
-// always carry Velvet and OpenMalaria so Tables 1 and 2 render their
-// paper subjects at every scale.
-func (s Scale) manifest() []synth.ClassSpec {
+// Manifest returns the class manifest of the scale, the one mapping
+// from a scale to the corpus it generates (fhc corpus uses it too). The
+// reduced scales always carry Velvet and OpenMalaria so Tables 1 and 2
+// render their paper subjects at every scale.
+func (s Scale) Manifest() []synth.ClassSpec {
 	switch s {
 	case ScaleSmall:
 		return synth.SmallManifest(10, 3, 16)
@@ -153,7 +154,7 @@ func Run(scale Scale, seed uint64) (*Pipeline, error) {
 }
 
 func run(scale Scale, seed uint64) (*Pipeline, error) {
-	corpus, err := synth.Generate(scale.manifest(), synth.Options{Seed: seed})
+	corpus, err := synth.Generate(scale.Manifest(), synth.Options{Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating corpus: %w", err)
 	}

@@ -85,7 +85,7 @@ func Calibrate(classes []string, probas, evidence [][]float64, labels []int, opt
 			return nil, fmt.Errorf("openset: calibrate: row %d has %d probas / %d evidence for %d classes",
 				i, len(probas[i]), len(evidence[i]), len(classes))
 		}
-		best, p1, p2 := argmax2(probas[i])
+		best, p1, p2 := Argmax2(probas[i])
 		if best != label || p1 < opt.Threshold {
 			// Floors are tuned only on predictions the raw path gets
 			// right: a floor derived from mistakes would encode the very

@@ -115,13 +115,14 @@ type Decision struct {
 	Evidence float64
 }
 
-// argmax2 returns the index of the largest probability plus the two
-// largest values. It mirrors the tie-breaking of the raw decide rule
-// (first index wins), so the calibrated and raw paths always agree on
-// the winning class.
+// Argmax2 returns the index of the largest probability plus the two
+// largest values. It is the one arg-max rule of the classify path: a
+// tie goes to the first index, and the raw threshold rule, the margin
+// and the calibrated verdict all call it, so they always agree on the
+// winning class. An empty vector yields best 0 and p1 -1.
 //
 // fhc:hotpath
-func argmax2(probs []float64) (best int, p1, p2 float64) {
+func Argmax2(probs []float64) (best int, p1, p2 float64) {
 	p1, p2 = -1, -1
 	for i, p := range probs {
 		if p > p1 {
@@ -144,7 +145,7 @@ func argmax2(probs []float64) (best int, p1, p2 float64) {
 //
 // fhc:hotpath
 func (c *Calibration) Decide(probs, evidence []float64) Decision {
-	best, p1, p2 := argmax2(probs)
+	best, p1, p2 := Argmax2(probs)
 	d := Decision{
 		Best:       best,
 		Confidence: p1,

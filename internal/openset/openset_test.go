@@ -36,9 +36,9 @@ func TestOpenSetArgmax2(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			best, p1, p2 := argmax2(tc.probs)
+			best, p1, p2 := Argmax2(tc.probs)
 			if best != tc.best || p1 != tc.p1 || p2 != tc.p2 {
-				t.Fatalf("argmax2(%v) = (%d, %v, %v), want (%d, %v, %v)",
+				t.Fatalf("Argmax2(%v) = (%d, %v, %v), want (%d, %v, %v)",
 					tc.probs, best, p1, p2, tc.best, tc.p1, tc.p2)
 			}
 		})
